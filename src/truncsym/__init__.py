@@ -12,7 +12,7 @@ Submodules:
 - ``scenario``: batch slope evaluation from JSON records.
 """
 
-from .fp_linalg import FpMatrix, FpScalar, is_prime, mat_mul, rank, row_reduce, span_dim
+from .fp_linalg import FpMatrix, is_prime, mat_mul, rank, row_reduce, span_dim
 from .filtration import (
     CurveReport,
     NablaTerm,
@@ -31,6 +31,7 @@ from .monomial_box import (
     dominance_matching,
     dominates,
     enumerate_box,
+    grade_basis,
     hall_matching_exists,
     verify_matching,
 )
@@ -58,7 +59,6 @@ from .trunc_algebra import (
     apply_diff,
     check_upper_half_growth,
     diff_action_matrix,
-    grade_basis,
     omega_pairing_matrix,
     spanned_image_dim,
 )
@@ -71,7 +71,6 @@ from .trunc_power import (
     multiset_words,
     symmetrization_matrix,
     symmetrized_tensor,
-    trunc_basis,
     trunc_rank,
     verify_koszul_exact,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "CurveReport",
     "EqualityDiagnosis",
     "FpMatrix",
-    "FpScalar",
     "GradedSubspace",
     "GrowthVerdict",
     "InstabilityBound",
@@ -136,7 +134,6 @@ __all__ = [
     "spanned_image_dim",
     "symmetrization_matrix",
     "symmetrized_tensor",
-    "trunc_basis",
     "trunc_rank",
     "validate_profile",
     "verify_koszul_exact",

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fp_linalg import FpMatrix, FpScalar
-from .monomial_box import MultiIndex, enumerate_box
-from .trunc_power import Word, WordMatrix, word_count
+from .fp_linalg import FpMatrix
+from .monomial_box import MultiIndex, grade_basis
+from .trunc_power import Word, WordMatrix
 
 
 def filtration_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
@@ -26,16 +26,15 @@ def filtration_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
     """
     if ell < 0:
         raise ValueError("degree must be non-negative")
-    caps = (p - 1,) * n
     out: list[MultiIndex] = []
     for d in range(ell, n * (p - 1) + 1):
-        out.extend(enumerate_box(caps, d))
+        out.extend(grade_basis(n, p, d))
     return out
 
 
 @dataclass(frozen=True)
 class NablaTerm:
-    coeff: FpScalar
+    coeff: int  # in [1, p)
     mono: MultiIndex
     direction: int  # 0-based 1-form slot
 
@@ -51,7 +50,7 @@ def nabla(mono: MultiIndex, p: int) -> list[NablaTerm]:
     for i, k in enumerate(mono):
         if k:
             lowered = mono[:i] + (k - 1,) + mono[i + 1:]
-            terms.append(NablaTerm(FpScalar(-k, p), lowered, i))
+            terms.append(NablaTerm(-k % p, lowered, i))
     return terms
 
 
@@ -65,15 +64,15 @@ def graded_nabla_matrix(n: int, p: int, ell: int) -> FpMatrix:
     """
     if not 1 <= ell <= n * (p - 1):
         raise ValueError(f"degree {ell} outside [1, {n * (p - 1)}]")
-    source = enumerate_box((p - 1,) * n, ell)
-    target = enumerate_box((p - 1,) * n, ell - 1)
+    source = grade_basis(n, p, ell)
+    target = grade_basis(n, p, ell - 1)
     index = {m: j for j, m in enumerate(target)}
     block = len(target)
     data = []
     for mono in source:
         vec = [0] * (n * block)
         for term in nabla(mono, p):
-            vec[term.direction * block + index[term.mono]] = term.coeff.value
+            vec[term.direction * block + index[term.mono]] = term.coeff
         data.append(vec)
     return FpMatrix(data, p, cols=n * block)
 
@@ -107,14 +106,9 @@ def nabla_power(n: int, p: int, ell: int) -> WordMatrix:
     """
     if not 0 <= ell <= n * (p - 1):
         raise ValueError(f"degree {ell} outside [0, {n * (p - 1)}]")
-    source = enumerate_box((p - 1,) * n, ell)
+    source = grade_basis(n, p, ell)
     rows = tuple(nabla_power_row(n, p, k) for k in source)
     return WordMatrix(tuple(source), rows, p, n, ell)
-
-
-def nabla_power_volume(n: int, p: int, ell: int) -> int:
-    """Number of word entries the degree-ell composite materializes."""
-    return sum(word_count(k) for k in enumerate_box((p - 1,) * n, ell))
 
 
 @dataclass(frozen=True)

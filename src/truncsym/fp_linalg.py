@@ -3,12 +3,12 @@
 Matrices are immutable and act on row vectors: rows span the subspace a
 matrix carries, so ``rank`` and ``row_reduce`` speak about row spaces.
 Entries are stored as int64 numpy arrays reduced mod p; all arithmetic is
-exact (p is small enough that products never overflow 63 bits).
+exact (p is small enough that products never overflow 63 bits).  Scalars
+outside matrices are plain ints reduced into [0, p).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,45 +33,6 @@ def is_prime(n: int) -> bool:
 def _check_modulus(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    """An element of F_p, normalized into [0, p)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        _check_modulus(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other: "FpScalar | int") -> int:
-        if isinstance(other, FpScalar):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other.value
-        return other % self.modulus
-
-    def __add__(self, other: "FpScalar | int") -> "FpScalar":
-        return FpScalar(self.value + self._coerce(other), self.modulus)
-
-    def __sub__(self, other: "FpScalar | int") -> "FpScalar":
-        return FpScalar(self.value - self._coerce(other), self.modulus)
-
-    def __mul__(self, other: "FpScalar | int") -> "FpScalar":
-        return FpScalar(self.value * self._coerce(other), self.modulus)
-
-    def __neg__(self) -> "FpScalar":
-        return FpScalar(-self.value, self.modulus)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return FpScalar(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
 
 
 class FpMatrix:

@@ -49,6 +49,15 @@ def enumerate_box(caps: tuple[int, ...] | list[int], degree: int) -> list[MultiI
     return list(_box_elements(caps, degree))
 
 
+def grade_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
+    """Monomial basis of grade ell in n variables with exponents capped at p-1.
+
+    The one basis shared by the truncated power, the truncated algebra and
+    its operators, and the layers of the connection filtration.
+    """
+    return enumerate_box((p - 1,) * n, ell)
+
+
 def box_size(caps: tuple[int, ...] | list[int], degree: int) -> int:
     """Cardinality of the box by inclusion-exclusion over violated caps."""
     caps = tuple(caps)

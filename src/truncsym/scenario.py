@@ -95,6 +95,8 @@ def _parse_record(record, idx: int) -> Scenario:
             isinstance(r, int) and not isinstance(r, bool) and r >= 0 for r in profile
         ):
             raise ScenarioError(f"{where}: field 'profile' must be a list of non-negative integers")
+        if sum(profile) == 0:
+            raise ScenarioError(f"{where}: field 'profile' must have a positive total (subsheaf rank)")
         top = n * (p - 1)
         if len(profile) > top + 1:
             raise ScenarioError(

@@ -1,7 +1,8 @@
 """Parameterized verification suites with deterministic machine-readable reports.
 
-Each suite sweeps a grid derived from the configuration, collects failures
-with witnesses, and reports counts.  Given the same configuration and seed
+Each claim is checked by one generator of ``(key, ok, detail)`` cases over
+a grid it is given; a suite feeds one or more claims the grid derived from
+the configuration, collects failures with witnesses, and reports counts.  Given the same configuration and seed
 the report is byte-identical apart from the ``timings`` subtree; case
 ordering is canonical (sorted grids, sequential seeded draws), so the
 contract holds regardless of how the suites are scheduled.
@@ -14,6 +15,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Generator
 
 from . import filtration as filt
 from . import monomial_box as boxes
@@ -30,9 +32,9 @@ ALL_SUITES = ("filtration", "growth", "koszul", "matching", "ranks", "slopes")
 SIGMA_LIMIT = 12
 # Koszul ranks involve the full symmetric algebra; keep those grids smaller.
 KOSZUL_VOLUME_LIMIT = 64
-# Skip the word-level layer comparison when a pair would materialize more
-# tensor entries than this (only reachable with oversized custom grids).
-WORD_VOLUME_LIMIT = 1_500_000
+# The composite check skips a row with more words than this; of the pairs with
+# p^n <= 243 only the top rows of (2, 13) exceed it (C(24,12) ~ 2.7M words).
+ROW_WORD_LIMIT = 200_000
 # Coordinate-subspace sweeps are exhaustive over subsets; bound the exponent.
 COORD_DIM_LIMIT = 10
 
@@ -80,7 +82,6 @@ class SuiteConfig:
 
 @dataclass
 class SuiteResult:
-    name: str
     passed: bool
     cases: int
     failures: list[dict] = field(default_factory=list)
@@ -117,35 +118,51 @@ class Report:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-class _Collector:
-    def __init__(self, name: str):
-        self.result = SuiteResult(name, True, 0)
+Case = tuple[str, bool, str]
+Cases = Generator[Case, None, dict | None]
 
-    def case(self, key: str, ok: bool, detail: str = "") -> None:
-        self.result.cases += 1
+
+def collect(cases: Cases) -> SuiteResult:
+    """Drain a case generator; its return value becomes the result's stats."""
+    result = SuiteResult(True, 0)
+    while True:
+        try:
+            key, ok, detail = next(cases)
+        except StopIteration as stop:
+            result.stats = stop.value or {}
+            return result
+        result.cases += 1
         if not ok:
-            self.result.passed = False
-            self.result.failures.append({"case": key, "detail": detail})
+            result.passed = False
+            result.failures.append({"case": key, "detail": detail})
 
 
-def _algebra_pairs(cfg: SuiteConfig) -> list[tuple[int, int]]:
-    return [
-        (n, p)
-        for p in sorted(set(cfg.primes))
-        for n in range(1, cfg.n_max + 1)
-        if p ** n <= cfg.volume_limit
-    ]
+def pair_grid(primes, volume_limit: int, n_max: int | None = None) -> list[tuple[int, int]]:
+    """The (n, p) pairs with p^n <= volume_limit (and n <= n_max), by p then n."""
+    pairs = []
+    for p in sorted(set(primes)):
+        n = 1
+        while p ** n <= volume_limit and (n_max is None or n <= n_max):
+            pairs.append((n, p))
+            n += 1
+    return pairs
 
 
-def _run_ranks(cfg: SuiteConfig) -> SuiteResult:
-    col = _Collector("ranks")
+# Each claim is one generator of (key, ok, detail) cases over the grid it is
+# given; it returns its stats (or None).  The suites below and the acceptance
+# tests feed these same generators their own grids.  They are module-private
+# because perfbench's tracer wraps public generator functions in a way that
+# drops their return values.
+
+def _rank_cases(pairs) -> Cases:
+    """Closed-form rank = enumeration = inclusion-exclusion = symmetrization
+    rank, mirror symmetry, weight sums, the two-variable form, total p^n."""
     table = {}
-    for n, p in _algebra_pairs(cfg):
+    for n, p in pairs:
         top = n * (p - 1)
         total = 0
         for ell in range(top + 1):
-            key = f"n={n} p={p} l={ell}"
-            basis = tp.trunc_basis(n, p, ell)
+            basis = boxes.grade_basis(n, p, ell)
             formula = tp.trunc_rank(n, p, ell)
             counted = boxes.box_size((p - 1,) * n, ell)
             mrank = tp.symmetrization_matrix(n, p, ell).rank()
@@ -162,40 +179,39 @@ def _run_ranks(cfg: SuiteConfig) -> SuiteResult:
                 problems.append("degree weight sums off")
             if n == 2 and tp.gl2_dim(p, ell) != formula:
                 problems.append("two-variable closed form disagrees")
-            col.case(key, not problems, "; ".join(problems))
+            yield f"n={n} p={p} l={ell}", not problems, "; ".join(problems)
             total += len(basis)
-        col.case(f"n={n} p={p} total", total == p ** n,
-                 f"dimensions total {total}, expected {p ** n}")
+        yield (f"n={n} p={p} total", total == p ** n,
+               f"dimensions total {total}, expected {p ** n}")
         table[f"n={n} p={p}"] = [tp.trunc_rank(n, p, ell) for ell in range(top + 1)]
-    col.result.stats["rank_table"] = table
-    return col.result
+    return {"rank_table": table}
 
 
-def _run_koszul(cfg: SuiteConfig) -> SuiteResult:
-    col = _Collector("koszul")
-    pairs = [(n, p) for (n, p) in _algebra_pairs(cfg) if p ** n <= KOSZUL_VOLUME_LIMIT]
+def _koszul_cases(pairs) -> Cases:
+    """Exactness of the resolution and its cokernel dimension."""
     for n, p in pairs:
         # One degree beyond the top exercises the vanishing cokernel.
         for ell in range(n * (p - 1) + 2):
             verdict = tp.verify_koszul_exact(n, p, ell)
-            col.case(f"n={n} p={p} l={ell}", verdict.ok, verdict.failure or "")
-    col.result.stats["pairs"] = [f"n={n} p={p}" for n, p in pairs]
-    return col.result
+            yield f"n={n} p={p} l={ell}", verdict.ok, verdict.failure or ""
+    return {"pairs": [f"n={n} p={p}" for n, p in pairs]}
 
 
-def _run_matching(cfg: SuiteConfig) -> SuiteResult:
-    col = _Collector("matching")
-    caps_count = 0
-    boundary = 0
-    for caps in boxes.iter_caps_vectors(cfg.matching_n_max, cfg.max_sigma):
+def _matching_cases(caps_vectors) -> Cases:
+    """The dominance matching up to half degree, checked and cross-checked by
+    the Hall oracle; above half degree both must refuse."""
+    caps_count = matched = boundary = 0
+    for caps in caps_vectors:
         caps_count += 1
         sigma = sum(caps)
+        name = ",".join(map(str, caps))
         for ell in range(sigma // 2 + 1):
-            key = f"caps={','.join(map(str, caps))} l={ell}"
+            matched += 1
+            key = f"caps={name} l={ell}"
             try:
                 m = boxes.dominance_matching(caps, ell)
             except ValueError as exc:  # pragma: no cover - construction must succeed
-                col.case(key, False, f"construction raised: {exc}")
+                yield key, False, f"construction raised: {exc}"
                 continue
             verdict = boxes.verify_matching(m)
             oracle = boxes.hall_matching_exists(caps, ell)
@@ -204,12 +220,11 @@ def _run_matching(cfg: SuiteConfig) -> SuiteResult:
                 detail.append(f"{verdict.reason} at {verdict.witness}")
             if not oracle:
                 detail.append("oracle denies a matching the construction produced")
-            col.case(key, verdict.ok and oracle, "; ".join(detail))
+            yield key, verdict.ok and oracle, "; ".join(detail)
         # Above half the cap total no dominance matching can exist on the
         # (non-empty) box, and the constructor must refuse the degree.
         for ell in range(sigma // 2 + 1, sigma + 1):
             boundary += 1
-            key = f"caps={','.join(map(str, caps))} l={ell} (boundary)"
             problems = []
             if boxes.hall_matching_exists(caps, ell):
                 problems.append("oracle found a matching above half degree")
@@ -218,97 +233,91 @@ def _run_matching(cfg: SuiteConfig) -> SuiteResult:
                 problems.append("construction accepted a degree above half")
             except ValueError:
                 pass
-            col.case(key, not problems, "; ".join(problems))
-    col.result.stats["caps_vectors"] = caps_count
-    col.result.stats["boundary_cases"] = boundary
-    col.result.stats["matched_cases"] = col.result.cases - boundary
-    return col.result
+            yield f"caps={name} l={ell} (boundary)", not problems, "; ".join(problems)
+    return {"caps_vectors": caps_count, "boundary_cases": boundary, "matched_cases": matched}
 
 
-def _run_growth(cfg: SuiteConfig) -> SuiteResult:
-    col = _Collector("growth")
-    rng = random.Random(f"{cfg.seed}:growth")
+def _pairing_cases(pairs) -> Cases:
+    """Multiplication against the top monomial is invertible on every grade."""
+    for n, p in pairs:
+        for ell in range(n * (p - 1) + 1):
+            m = alg.omega_pairing_matrix(n, p, ell)
+            r = rank(m)
+            yield (f"pairing n={n} p={p} l={ell}", m.nrows == m.ncols and r == m.nrows,
+                   f"pairing matrix {m.nrows}x{m.ncols} rank {r}")
+
+
+def _growth_cases(pairs, rng: random.Random, per_grade: int) -> Cases:
+    """Upper-half subspace growth on every coordinate subspace of grades of
+    dimension <= COORD_DIM_LIMIT, then on per_grade seeded random subspaces."""
     coordinate_cases = 0
     random_cases = 0
-    for n, p in _algebra_pairs(cfg):
+    for n, p in pairs:
         top = n * (p - 1)
-        for ell in range(top + 1):
-            m = alg.omega_pairing_matrix(n, p, ell)
-            ok = m.nrows == m.ncols and rank(m) == m.nrows
-            col.case(f"pairing n={n} p={p} l={ell}", ok,
-                     f"pairing matrix {m.nrows}x{m.ncols} rank {rank(m)}")
         for ell in range((top + 1) // 2, top + 1):
-            dim = len(alg.grade_basis(n, p, ell))
+            dim = len(boxes.grade_basis(n, p, ell))
             if dim <= COORD_DIM_LIMIT:
                 for mask in range(1 << dim):
                     idxs = [i for i in range(dim) if mask >> i & 1]
                     sub = alg.GradedSubspace.coordinate(n, p, ell, idxs)
                     verdict = alg.check_upper_half_growth(sub)
                     coordinate_cases += 1
-                    col.case(
-                        f"coord n={n} p={p} l={ell} set={idxs}",
-                        verdict.ok,
-                        f"dim {verdict.dim_v} > image {verdict.image_dim}",
-                    )
-            for j in range(cfg.random_subspaces_per_grade):
+                    yield (f"coord n={n} p={p} l={ell} set={idxs}", verdict.ok,
+                           f"dim {verdict.dim_v} > image {verdict.image_dim}")
+            for j in range(per_grade):
                 target_dim = rng.randint(1, dim) if dim else 0
                 sub = alg.GradedSubspace.random(n, p, ell, target_dim, rng)
                 verdict = alg.check_upper_half_growth(sub)
                 random_cases += 1
-                col.case(
-                    f"random n={n} p={p} l={ell} i={j}",
-                    verdict.ok,
-                    f"dim {verdict.dim_v} > image {verdict.image_dim}; "
-                    f"basis {sub.basis.entries}",
-                )
-    col.result.stats["coordinate_subspaces"] = coordinate_cases
-    col.result.stats["random_subspaces"] = random_cases
-    return col.result
+                yield (f"random n={n} p={p} l={ell} i={j}", verdict.ok,
+                       f"dim {verdict.dim_v} > image {verdict.image_dim}; "
+                       f"basis {sub.basis.entries}")
+    return {"coordinate_subspaces": coordinate_cases, "random_subspaces": random_cases}
 
 
-def _run_filtration(cfg: SuiteConfig) -> SuiteResult:
-    col = _Collector("filtration")
-    skipped_word_checks = []
-    for n, p in _algebra_pairs(cfg):
+def _filtration_cases(pairs) -> Cases:
+    """Layer dimensions, graded-map injectivity, the composite = signed
+    symmetrization identity row by row, and the single-variable reports.
+
+    A composite row with more than ROW_WORD_LIMIT words is skipped and named
+    in the ``skipped_word_checks`` stat; a layer with no row left gets no case.
+    """
+    skipped = []
+    for n, p in pairs:
         top = n * (p - 1)
         dims = [len(filt.filtration_basis(n, p, ell)) for ell in range(top + 2)]
         for ell in range(top + 1):
-            col.case(
-                f"layer-dim n={n} p={p} l={ell}",
-                dims[ell] - dims[ell + 1] == tp.trunc_rank(n, p, ell),
-                f"{dims[ell]} - {dims[ell + 1]} != rank {tp.trunc_rank(n, p, ell)}",
-            )
+            yield (f"layer-dim n={n} p={p} l={ell}",
+                   dims[ell] - dims[ell + 1] == tp.trunc_rank(n, p, ell),
+                   f"{dims[ell]} - {dims[ell + 1]} != rank {tp.trunc_rank(n, p, ell)}")
         for ell in range(1, top + 1):
             m = filt.graded_nabla_matrix(n, p, ell)
-            col.case(
-                f"graded-injective n={n} p={p} l={ell}",
-                rank(m) == m.nrows,
-                f"rank {rank(m)} < {m.nrows}",
-            )
-        volume = sum(filt.nabla_power_volume(n, p, ell) for ell in range(top + 1))
-        if volume > WORD_VOLUME_LIMIT:
-            skipped_word_checks.append(f"n={n} p={p} (volume {volume})")
-        else:
-            for ell in range(top + 1):
-                wm = filt.nabla_power(n, p, ell)
-                sign = (-1) ** ell % p
-                bad = None
-                for k, row in zip(wm.row_index, wm.rows):
-                    expected = {w: sign * c % p for w, c in tp.symmetrized_tensor(k, p).items()}
-                    if row != expected:
-                        bad = k
-                        break
-                col.case(
-                    f"composite n={n} p={p} l={ell}",
-                    bad is None,
-                    f"composite row differs from signed symmetrization at {bad}",
-                )
+            r = rank(m)
+            yield f"graded-injective n={n} p={p} l={ell}", r == m.nrows, f"rank {r} < {m.nrows}"
+        for ell in range(top + 1):
+            rows = []
+            for k in boxes.grade_basis(n, p, ell):
+                words = tp.word_count(k)
+                if words > ROW_WORD_LIMIT:
+                    skipped.append(f"n={n} p={p} k={k} ({words} words)")
+                else:
+                    rows.append(k)
+            if not rows:
+                continue
+            sign = (-1) ** ell % p
+            bad = None
+            for k in rows:
+                expected = {w: sign * c % p for w, c in tp.symmetrized_tensor(k, p).items()}
+                if filt.nabla_power_row(n, p, k) != expected:
+                    bad = k
+                    break
+            yield (f"composite n={n} p={p} l={ell}", bad is None,
+                   f"composite row differs from signed symmetrization at {bad}")
         if n == 1:
             report = filt.curve_report(p)
-            col.case(f"curve p={p}", report.ok,
-                     f"entries {report.graded_entries} dims {report.ideal_dims}")
-    col.result.stats["skipped_word_checks"] = skipped_word_checks
-    return col.result
+            yield (f"curve p={p}", report.ok,
+                   f"entries {report.graded_entries} dims {report.ideal_dims}")
+    return {"skipped_word_checks": skipped}
 
 
 def _random_symmetric_profile(rng: random.Random, n: int, p: int) -> list[int]:
@@ -326,22 +335,20 @@ def _random_symmetric_profile(rng: random.Random, n: int, p: int) -> list[int]:
     return profile
 
 
-def _run_slopes(cfg: SuiteConfig) -> SuiteResult:
-    col = _Collector("slopes")
-    rng = random.Random(f"{cfg.seed}:slopes")
-    primes = sorted(set(cfg.primes))
+def _slope_anchor_cases() -> Cases:
+    """Fixed closed-form values of the curve slope and gap."""
+    mu = slp.pushforward_slope(slp.make_slope_data(1, 2, 1, g=2, mu_w=0))
+    yield "anchor curve-slope", mu == Fraction(1, 2), f"got {mu}"
+    gap = slp.curve_gap(2, 3, (1, 1), 2)
+    yield "anchor curve-gap", gap == Fraction(1, 3), f"got {gap}"
+    full = slp.curve_gap(2, 3, (1, 1, 1), 3)
+    yield "anchor full-profile", full == 0, f"got {full}"
 
-    # Fixed closed-form anchors.
-    sd = slp.make_slope_data(1, 2, 1, g=2, mu_w=0)
-    col.case("anchor curve-slope", slp.pushforward_slope(sd) == Fraction(1, 2),
-             f"got {slp.pushforward_slope(sd)}")
-    col.case("anchor curve-gap", slp.curve_gap(2, 3, (1, 1), 2) == Fraction(1, 3),
-             f"got {slp.curve_gap(2, 3, (1, 1), 2)}")
-    col.case("anchor full-profile", slp.curve_gap(2, 3, (1, 1, 1), 3) == 0,
-             f"got {slp.curve_gap(2, 3, (1, 1, 1), 3)}")
 
-    for i in range(1000):
-        n = rng.randint(1, cfg.n_max)
+def _pushforward_cases(rng: random.Random, count: int, n_max: int, primes) -> Cases:
+    """p mu(F_*W) = (p-1)/2 KH + mu(W), and c1 = mu rk, on random data."""
+    for i in range(count):
+        n = rng.randint(1, n_max)
         p = rng.choice(primes)
         rk_w = rng.randint(1, 4)
         kh = Fraction(rng.randint(-6, 12), rng.randint(1, 4))
@@ -352,10 +359,12 @@ def _run_slopes(cfg: SuiteConfig) -> SuiteResult:
             p * mu_fw == Fraction(p - 1, 2) * kh + sd.mu_w
             and slp.pushforward_c1(sd) == mu_fw * slp.pushforward_rank(sd)
         )
-        col.case(f"pushforward-consistency i={i}", ok,
-                 f"n={n} p={p} rk={rk_w} kh={kh} c1={c1}")
+        yield f"pushforward-consistency i={i}", ok, f"n={n} p={p} rk={rk_w} kh={kh} c1={c1}"
 
-    for i in range(1000):
+
+def _curve_agreement_cases(rng: random.Random, count: int, primes) -> Cases:
+    """The curve gap formula agrees with the general gap bound at n = 1."""
+    for i in range(count):
         p = rng.choice(primes)
         g = rng.randint(0, 5)
         length = rng.randint(1, p)
@@ -364,32 +373,41 @@ def _run_slopes(cfg: SuiteConfig) -> SuiteResult:
             profile.append(rng.randint(0, profile[-1]))
         sd = slp.make_slope_data(1, p, 1, g=g, mu_w=0)
         ok = slp.curve_gap(g, p, profile) == slp.gap_lower_bound(sd, profile)
-        col.case(f"curve-agreement i={i}", ok, f"p={p} g={g} profile={profile}")
+        yield f"curve-agreement i={i}", ok, f"p={p} g={g} profile={profile}"
 
-    weight_checks = 20_000
-    for i in range(weight_checks):
-        n = rng.randint(1, cfg.n_max)
+
+def _weight_sum_cases(rng: random.Random, count: int, n_max: int, primes) -> Cases:
+    """Direct and reflected weight sums agree and are non-negative on random
+    symmetric profiles."""
+    for i in range(count):
+        n = rng.randint(1, n_max)
         p = rng.choice(primes)
         profile = _random_symmetric_profile(rng, n, p)
         verdict = slp.weight_sum_check(n, p, profile)
         ok = verdict.hypothesis_ok and verdict.equal and verdict.nonnegative
-        col.case(f"weight-sum i={i}", ok,
-                 f"n={n} p={p} profile={profile} direct={verdict.direct} "
-                 f"rearranged={verdict.rearranged}")
+        yield (f"weight-sum i={i}", ok,
+               f"n={n} p={p} profile={profile} direct={verdict.direct} "
+               f"rearranged={verdict.rearranged}")
+    return {"weight_checks": count}
 
-    for i in range(2000):
-        n = rng.randint(1, cfg.n_max)
+
+def _gap_cases(rng: random.Random, count: int, n_max: int, primes) -> Cases:
+    """The gap lower bound is non-negative for symmetric profiles and KH >= 0."""
+    for i in range(count):
+        n = rng.randint(1, n_max)
         p = rng.choice(primes)
         rk_w = rng.randint(1, 3)
         kh = Fraction(rng.randint(0, 10), rng.randint(1, 3))
         sd = slp.make_slope_data(n, p, rk_w, kh=kh, mu_w=rng.randint(-3, 3))
         profile = _random_symmetric_profile(rng, n, p)
         gap = slp.gap_lower_bound(sd, profile)
-        col.case(f"gap-nonnegative i={i}", gap >= 0,
-                 f"n={n} p={p} kh={kh} profile={profile} gap={gap}")
+        yield f"gap-nonnegative i={i}", gap >= 0, f"n={n} p={p} kh={kh} profile={profile} gap={gap}"
 
-    for i in range(200):
-        n = rng.randint(1, cfg.n_max)
+
+def _full_profile_cases(rng: random.Random, count: int, n_max: int, primes) -> Cases:
+    """The full profile rk(W) * rank_l has zero gap and a full, symmetric diagnosis."""
+    for i in range(count):
+        n = rng.randint(1, n_max)
         p = rng.choice(primes)
         rk_w = rng.randint(1, 3)
         top = n * (p - 1)
@@ -397,20 +415,50 @@ def _run_slopes(cfg: SuiteConfig) -> SuiteResult:
         sd = slp.make_slope_data(n, p, rk_w, kh=rng.randint(0, 8), mu_w=rng.randint(-3, 3))
         gap = slp.gap_lower_bound(sd, profile)
         diag = slp.equality_diagnosis(n, p, profile)
-        col.case(f"full-profile i={i}", gap == 0 and diag.full_length and diag.symmetric,
-                 f"n={n} p={p} gap={gap}")
-
-    col.result.stats["weight_checks"] = weight_checks
-    return col.result
+        yield (f"full-profile i={i}", gap == 0 and diag.full_length and diag.symmetric,
+               f"n={n} p={p} gap={gap}")
 
 
-_RUNNERS = {
-    "filtration": _run_filtration,
-    "growth": _run_growth,
-    "koszul": _run_koszul,
-    "matching": _run_matching,
-    "ranks": _run_ranks,
-    "slopes": _run_slopes,
+def _chain(*claims: Cases) -> Cases:
+    """Run several claims as one suite, merging their stats."""
+    stats: dict = {}
+    for cases in claims:
+        stats.update((yield from cases) or {})
+    return stats
+
+
+def _suite_pairs(cfg: SuiteConfig, volume_limit: int | None = None) -> list[tuple[int, int]]:
+    limit = cfg.volume_limit if volume_limit is None else min(cfg.volume_limit, volume_limit)
+    return pair_grid(cfg.primes, limit, cfg.n_max)
+
+
+def _slopes_suite(cfg: SuiteConfig) -> Cases:
+    # One seeded stream, drawn by the claims in this order.
+    rng = random.Random(f"{cfg.seed}:slopes")
+    primes = sorted(set(cfg.primes))
+    return _chain(
+        _slope_anchor_cases(),
+        _pushforward_cases(rng, 1000, cfg.n_max, primes),
+        _curve_agreement_cases(rng, 1000, primes),
+        _weight_sum_cases(rng, 20_000, cfg.n_max, primes),
+        _gap_cases(rng, 2000, cfg.n_max, primes),
+        _full_profile_cases(rng, 200, cfg.n_max, primes),
+    )
+
+
+# Suite name -> the claim cases it runs on the grid its config gives.
+_SUITES = {
+    "filtration": lambda cfg: _filtration_cases(_suite_pairs(cfg)),
+    "growth": lambda cfg: _chain(
+        _pairing_cases(_suite_pairs(cfg)),
+        _growth_cases(_suite_pairs(cfg), random.Random(f"{cfg.seed}:growth"),
+                      cfg.random_subspaces_per_grade),
+    ),
+    "koszul": lambda cfg: _koszul_cases(_suite_pairs(cfg, KOSZUL_VOLUME_LIMIT)),
+    "matching": lambda cfg: _matching_cases(
+        boxes.iter_caps_vectors(cfg.matching_n_max, cfg.max_sigma)),
+    "ranks": lambda cfg: _rank_cases(_suite_pairs(cfg)),
+    "slopes": _slopes_suite,
 }
 
 
@@ -423,7 +471,7 @@ def run_suite(config: SuiteConfig) -> Report:
     start = time.perf_counter()
     for name in sorted(set(config.suites)):
         t0 = time.perf_counter()
-        result = _RUNNERS[name](config)
+        result = collect(_SUITES[name](config))
         timings[name] = time.perf_counter() - t0
         suites[name] = result.to_dict()
         overall = overall and result.passed

@@ -13,13 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .fp_linalg import FpMatrix, FpScalar, row_reduce, span_dim
-from .monomial_box import MultiIndex, enumerate_box
-
-
-def grade_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
-    """Monomial basis of grade ell, shared by R and D (capped box)."""
-    return enumerate_box((p - 1,) * n, ell)
+from .fp_linalg import FpMatrix, row_reduce, span_dim
+from .monomial_box import MultiIndex, grade_basis
 
 
 def _falling(k: int, e: int, p: int) -> int:
@@ -30,12 +25,12 @@ def _falling(k: int, e: int, p: int) -> int:
     return out
 
 
-def apply_diff(op: MultiIndex, mono: MultiIndex, p: int) -> tuple[FpScalar, MultiIndex | None]:
+def apply_diff(op: MultiIndex, mono: MultiIndex, p: int) -> tuple[int, MultiIndex | None]:
     """Apply the operator monomial t^op to the algebra monomial y^mono.
 
     The coefficient is the product of falling factorials k_i(k_i-1)..(k_i-e_i+1)
-    mod p and the surviving monomial is mono - op; the result is the zero
-    element (None) when some order exceeds the matching exponent.
+    mod p and the surviving monomial is mono - op; the result is (0, None)
+    when some order exceeds the matching exponent.
     """
     if len(op) != len(mono):
         raise ValueError("operator and monomial have different variable counts")
@@ -44,11 +39,11 @@ def apply_diff(op: MultiIndex, mono: MultiIndex, p: int) -> tuple[FpScalar, Mult
     if any(not 0 <= k <= p - 1 for k in mono):
         raise ValueError("monomial exponents must lie in [0, p-1]")
     if any(e > k for e, k in zip(op, mono)):
-        return FpScalar(0, p), None
+        return 0, None
     coeff = 1
     for e, k in zip(op, mono):
         coeff = coeff * _falling(k, e, p) % p
-    return FpScalar(coeff, p), tuple(k - e for e, k in zip(op, mono))
+    return coeff, tuple(k - e for e, k in zip(op, mono))
 
 
 def diff_action_matrix(n: int, p: int, op: MultiIndex, ell: int) -> FpMatrix:
@@ -60,8 +55,8 @@ def diff_action_matrix(n: int, p: int, op: MultiIndex, ell: int) -> FpMatrix:
     for mono in source:
         vec = [0] * len(target)
         coeff, res = apply_diff(op, mono, p)
-        if res is not None and coeff.value:
-            vec[index[res]] = coeff.value
+        if res is not None and coeff:
+            vec[index[res]] = coeff
         data.append(vec)
     return FpMatrix(data, p, cols=len(target))
 
@@ -83,7 +78,7 @@ def omega_pairing_matrix(n: int, p: int, ell: int) -> FpMatrix:
     for op in ops:
         vec = [0] * len(target)
         coeff, res = apply_diff(op, omega, p)
-        vec[index[res]] = coeff.value
+        vec[index[res]] = coeff
         data.append(vec)
     return FpMatrix(data, p, cols=len(target))
 
@@ -160,9 +155,9 @@ def spanned_image_dim(v: GradedSubspace) -> int:
             row = v.basis.row(i)
             vec = [0] * len(target)
             for c, (coeff, res) in zip(row, action):
-                if c and res is not None and coeff.value:
+                if c and res is not None and coeff:
                     j = index[res]
-                    vec[j] = (vec[j] + c * coeff.value) % p
+                    vec[j] = (vec[j] + c * coeff) % p
             images.append(vec)
     return span_dim(images, p, width=len(target))
 

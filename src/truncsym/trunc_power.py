@@ -15,14 +15,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .fp_linalg import FpMatrix, rank as dense_rank
-from .monomial_box import MultiIndex, enumerate_box
+from .monomial_box import MultiIndex, enumerate_box, grade_basis
 
 Word = tuple[int, ...]
-
-
-def trunc_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
-    """Monomial basis of the degree-ell truncated power: capped exponents."""
-    return enumerate_box((p - 1,) * n, ell)
 
 
 def trunc_rank(n: int, p: int, ell: int) -> int:
@@ -174,7 +169,7 @@ def degree_weight_check(n: int, p: int, ell: int) -> bool:
 
     Checked in integers after clearing the denominator n.
     """
-    basis = trunc_basis(n, p, ell)
+    basis = grade_basis(n, p, ell)
     expected = ell * len(basis)
     return all(n * sum(m[i] for m in basis) == expected for i in range(n))
 

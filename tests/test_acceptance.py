@@ -1,57 +1,37 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
-per-criterion lines as they complete).  All checks are exact; the stated
-wall-clock budgets are asserted where the criterion fixes one.
+per-criterion lines as they complete).  Every criterion runs the same claim
+generators as the ``verify`` suites, on its own grid, seed, thresholds and
+wall-clock budget; this module adds only spot values.
 """
 
 import json
 import random
 import time
-from fractions import Fraction
 
-from truncsym.filtration import (
-    curve_report,
-    filtration_basis,
-    graded_nabla_matrix,
-    nabla_power,
-    nabla_power_row,
-    nabla_power_volume,
+from truncsym.fp_linalg import is_prime
+from truncsym.monomial_box import iter_caps_vectors
+from truncsym.suites import (
+    SuiteConfig,
+    _filtration_cases,
+    _growth_cases,
+    _koszul_cases,
+    _matching_cases,
+    _pairing_cases,
+    _rank_cases,
+    _slope_anchor_cases,
+    _weight_sum_cases,
+    collect,
+    pair_grid,
+    run_suite,
+    strip_timings,
 )
-from truncsym.fp_linalg import is_prime, rank
-from truncsym.monomial_box import (
-    dominance_matching,
-    hall_matching_exists,
-    iter_caps_vectors,
-    verify_matching,
-)
-from truncsym.slopes import (
-    curve_gap,
-    make_slope_data,
-    pushforward_slope,
-    weight_sum_check,
-)
-from truncsym.suites import SuiteConfig, run_suite, strip_timings
-from truncsym.trunc_algebra import (
-    GradedSubspace,
-    check_upper_half_growth,
-    grade_basis,
-    omega_pairing_matrix,
-)
-from truncsym.trunc_power import (
-    gl2_dim,
-    symmetrization_matrix,
-    symmetrized_tensor,
-    trunc_basis,
-    trunc_rank,
-    verify_koszul_exact,
-    word_count,
-)
+from truncsym.trunc_algebra import omega_pairing_matrix
+from truncsym.trunc_power import gl2_dim
 
-# The one pair under p^n <= 243 whose top layers exceed desk scale in word
-# coordinates (about 10^7 tensor entries); its composite check runs row by
-# row under this cap instead of in full.
-ROW_WORD_LIMIT = 50_000
+# Every (n, p) with p^n <= 243.
+PAIRS_243 = pair_grid([p for p in range(2, 244) if is_prime(p)], 243)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -61,190 +41,90 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} [{name}] failed: {detail}"
 
 
-def _pairs_up_to_volume(limit: int = 243) -> list[tuple[int, int]]:
-    pairs = []
-    for p in range(2, limit + 1):
-        if not is_prime(p):
-            continue
-        n = 1
-        while p ** n <= limit:
-            pairs.append((n, p))
-            n += 1
-    return pairs
+def _failures(result) -> list:
+    return result.failures[:3]
 
 
 def test_criterion_01_rank_agreement():
     t0 = time.perf_counter()
-    bad = []
-    for n in (1, 2, 3):
-        for p in (2, 3, 5):
-            for ell in range(n * (p - 1) + 1):
-                formula = trunc_rank(n, p, ell)
-                enum = len(trunc_basis(n, p, ell))
-                mrank = symmetrization_matrix(n, p, ell).rank()
-                if not formula == enum == mrank:
-                    bad.append((n, p, ell, formula, enum, mrank))
+    result = collect(_rank_cases([(n, p) for n in (1, 2, 3) for p in (2, 3, 5)]))
     elapsed = time.perf_counter() - t0
-    _report(1, "rank agreement", not bad and elapsed < 5.0,
-            f"{elapsed:.2f}s, mismatches: {bad}")
+    _report(1, "rank agreement", result.passed and elapsed < 5.0,
+            f"{result.cases} cases, {elapsed:.2f}s, failures: {_failures(result)}")
 
 
 def test_criterion_02_gl2_closed_form():
-    bad = []
-    for p in (2, 3, 5, 7):
-        for ell in range(2 * (p - 1) + 1):
-            if gl2_dim(p, ell) != trunc_rank(2, p, ell):
-                bad.append((p, ell))
+    result = collect(_rank_cases([(2, p) for p in (2, 3, 5, 7)]))
     spot = gl2_dim(3, 3)
-    _report(2, "two-variable closed form", not bad and spot == 2,
-            f"gl2_dim(3,3)={spot}, mismatches: {bad}")
+    _report(2, "two-variable closed form", result.passed and spot == 2,
+            f"gl2_dim(3,3)={spot}, failures: {_failures(result)}")
 
 
 def test_criterion_03_koszul_exactness():
     bad = []
     slow = []
-    for n, p in ((2, 2), (2, 3), (3, 2)):
-        for ell in range(n * (p - 1) + 1):
-            t0 = time.perf_counter()
-            verdict = verify_koszul_exact(n, p, ell)
-            dt = time.perf_counter() - t0
-            if not verdict.ok:
-                bad.append((n, p, ell, verdict.failure))
-            if dt >= 1.0:
-                slow.append((n, p, ell, dt))
+    t0 = time.perf_counter()
+    for key, ok, detail in _koszul_cases([(2, 2), (2, 3), (3, 2)]):
+        dt = time.perf_counter() - t0
+        if not ok:
+            bad.append((key, detail))
+        if dt >= 1.0:
+            slow.append((key, dt))
+        t0 = time.perf_counter()
     _report(3, "resolution exactness", not bad and not slow,
             f"failures: {bad}, over-budget: {slow}")
 
 
 def test_criterion_04_dominance_matching_sweep():
     t0 = time.perf_counter()
-    cases = 0
-    required_grid = 0
-    failures = []
-    for caps in iter_caps_vectors(4, 12):
-        sigma = sum(caps)
-        in_required = all(a <= 4 for a in caps)
-        for ell in range(sigma // 2 + 1):
-            cases += 1
-            if in_required:
-                required_grid += 1
-            m = dominance_matching(caps, ell)
-            verdict = verify_matching(m)
-            oracle = hall_matching_exists(caps, ell)
-            if not (verdict.ok and oracle):
-                failures.append((caps, ell, verdict.reason))
+    result = collect(_matching_cases(iter_caps_vectors(4, 12)))
     elapsed = time.perf_counter() - t0
-    ok = not failures and cases >= 10_000 and elapsed < 30.0
+    matched = result.stats["matched_cases"]
+    ok = result.passed and matched >= 10_000 and elapsed < 30.0
     _report(4, "dominance matching", ok,
-            f"{cases} cases ({required_grid} on the caps<=4 grid), "
-            f"{elapsed:.2f}s, failures: {failures[:3]}")
+            f"{matched} matched + {result.stats['boundary_cases']} boundary cases, "
+            f"{elapsed:.2f}s, failures: {_failures(result)}")
 
 
 def test_criterion_05_subspace_growth():
-    rng = random.Random(5_2024)
-    failures = []
-    coordinate = 0
-    randomized = 0
-    for n, p in ((1, 3), (1, 5), (2, 2), (2, 3), (3, 2)):
-        top = n * (p - 1)
-        for ell in range((top + 1) // 2, top + 1):
-            dim = len(grade_basis(n, p, ell))
-            for mask in range(1 << dim):
-                idxs = [i for i in range(dim) if mask >> i & 1]
-                verdict = check_upper_half_growth(
-                    GradedSubspace.coordinate(n, p, ell, idxs))
-                coordinate += 1
-                if not verdict.ok:
-                    failures.append(("coord", n, p, ell, idxs))
-            for _ in range(100):
-                sub = GradedSubspace.random(n, p, ell, rng.randint(1, dim), rng)
-                verdict = check_upper_half_growth(sub)
-                randomized += 1
-                if not verdict.ok:
-                    failures.append(("random", n, p, ell, sub.basis.entries))
-    _report(5, "subspace growth", not failures,
+    pairs = [(1, 3), (1, 5), (2, 2), (2, 3), (3, 2)]
+    result = collect(_growth_cases(pairs, random.Random(5_2024), 100))
+    coordinate = result.stats["coordinate_subspaces"]
+    randomized = result.stats["random_subspaces"]
+    # Every coordinate subspace of the 12 upper-half grades, 100 random each.
+    _report(5, "subspace growth", result.passed and coordinate == 40 and randomized == 1200,
             f"{coordinate} coordinate + {randomized} random subspaces, "
-            f"failures: {failures[:3]}")
+            f"failures: {_failures(result)}")
 
 
 def test_criterion_06_pairing_isomorphism():
-    bad = []
-    pairs = _pairs_up_to_volume()
-    for n, p in pairs:
-        for ell in range(n * (p - 1) + 1):
-            m = omega_pairing_matrix(n, p, ell)
-            if m.nrows != m.ncols or rank(m) != m.nrows:
-                bad.append((n, p, ell))
+    result = collect(_pairing_cases(PAIRS_243))
     wilson = omega_pairing_matrix(1, 5, 4).entries
-    _report(6, "pairing isomorphism", not bad and wilson == ((4,),),
-            f"{len(pairs)} pairs, wilson entry {wilson}, failures: {bad}")
+    _report(6, "pairing isomorphism", result.passed and wilson == ((4,),),
+            f"{len(PAIRS_243)} pairs, wilson entry {wilson}, failures: {_failures(result)}")
 
 
 def test_criterion_07_filtration_structure():
-    bad = []
-    partial = []
-    pairs = _pairs_up_to_volume()
-    for n, p in pairs:
-        top = n * (p - 1)
-        dims = [len(filtration_basis(n, p, ell)) for ell in range(top + 2)]
-        for ell in range(top + 1):
-            if dims[ell] - dims[ell + 1] != trunc_rank(n, p, ell):
-                bad.append(("layer-dim", n, p, ell))
-        for ell in range(1, top + 1):
-            m = graded_nabla_matrix(n, p, ell)
-            if rank(m) != m.nrows:
-                bad.append(("graded-rank", n, p, ell))
-        for ell in range(top + 1):
-            sign = (-1) ** ell % p
-            if nabla_power_volume(n, p, ell) <= ROW_WORD_LIMIT * 4:
-                wm = nabla_power(n, p, ell)
-                rows = zip(wm.row_index, wm.rows)
-            else:
-                keys = [k for k in trunc_basis(n, p, ell) if word_count(k) <= ROW_WORD_LIMIT]
-                skipped = len(trunc_basis(n, p, ell)) - len(keys)
-                if skipped:
-                    partial.append((n, p, ell, skipped))
-                rows = ((k, nabla_power_row(n, p, k)) for k in keys)
-            for k, row in rows:
-                expected = {w: sign * c % p
-                            for w, c in symmetrized_tensor(k, p).items()}
-                if row != expected:
-                    bad.append(("composite", n, p, ell, k))
-                    break
-        if n == 1 and not curve_report(p).ok:
-            bad.append(("curve", n, p))
-    # Only the (2, 13) top layers are beyond word-level desk scale.
-    partial_pairs = {(n, p) for n, p, _, _ in partial}
-    _report(7, "filtration structure", not bad and partial_pairs <= {(2, 13)},
-            f"{len(pairs)} pairs, rows skipped for size: {sum(s for *_, s in partial)}, "
-            f"failures: {bad[:3]}")
+    result = collect(_filtration_cases(PAIRS_243))
+    skipped = result.stats["skipped_word_checks"]
+    # Only the ten (2, 13) rows of degree >= 21 are beyond the per-row word limit.
+    _report(7, "filtration structure",
+            result.passed and len(skipped) <= 10
+            and all(s.startswith("n=2 p=13 ") for s in skipped),
+            f"{len(PAIRS_243)} pairs, rows skipped for size: {len(skipped)}, "
+            f"failures: {_failures(result)}")
 
 
 def test_criterion_08_curve_slopes():
-    mu = pushforward_slope(make_slope_data(1, 2, 1, g=2, mu_w=0))
-    full = curve_gap(2, 3, (1, 1, 1))
-    two_layer = curve_gap(2, 3, (1, 1), 2)
-    ok = mu == Fraction(1, 2) and full == 0 and two_layer == Fraction(1, 3)
-    _report(8, "curve slopes", ok, f"mu={mu}, full-profile gap={full}, gap={two_layer}")
+    result = collect(_slope_anchor_cases())
+    _report(8, "curve slopes", result.passed and result.cases == 3,
+            f"failures: {result.failures}")
 
 
 def test_criterion_09_weight_sum_inequality():
-    rng = random.Random(9_2024)
-    failures = 0
-    count = 100_000
-    for _ in range(count):
-        n = rng.randint(1, 4)
-        p = rng.choice((2, 3, 5, 7))
-        top = n * (p - 1)
-        full = [0] * (top + 1)
-        for ell in range(top + 1):
-            full[ell] = rng.randint(0, 9) if 2 * ell <= top else rng.randint(0, full[top - ell])
-        profile = full[: rng.randint(1, top + 1)]
-        verdict = weight_sum_check(n, p, profile)
-        if not (verdict.hypothesis_ok and verdict.equal and verdict.nonnegative):
-            failures += 1
-    _report(9, "weight-sum inequality", failures == 0,
-            f"{count} profiles, {failures} failures")
+    result = collect(_weight_sum_cases(random.Random(9_2024), 100_000, 4, (2, 3, 5, 7)))
+    _report(9, "weight-sum inequality", result.passed and result.cases == 100_000,
+            f"{result.cases} profiles, {len(result.failures)} failures")
 
 
 def test_criterion_10_report_determinism():

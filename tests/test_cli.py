@@ -61,11 +61,9 @@ def test_verify_exit_code_on_failure(monkeypatch):
     import truncsym.suites as suites_mod
 
     def failing(cfg):
-        result = suites_mod.SuiteResult("ranks", False, 1)
-        result.failures.append({"case": "forced", "detail": "injected failure"})
-        return result
+        yield "forced", False, "injected failure"
 
-    monkeypatch.setitem(suites_mod._RUNNERS, "ranks", failing)
+    monkeypatch.setitem(suites_mod._SUITES, "ranks", failing)
     runner = CliRunner()
     result = runner.invoke(main, ["verify", "--suites", "ranks", "--n-max", "1", "--primes", "2"])
     assert result.exit_code == 1
@@ -173,6 +171,18 @@ def test_slopes_command_parse_error(tmp_path):
     result = runner.invoke(main, ["slopes", "--scenario", str(scenario)])
     assert result.exit_code == 2
     assert "scenario 0" in result.output and "muW" in result.output
+
+
+def test_slopes_command_rejects_zero_total_profile(tmp_path):
+    runner = CliRunner()
+    for profile in ([0], []):
+        scenario = tmp_path / "zero.json"
+        scenario.write_text(json.dumps(
+            [{"n": 1, "p": 3, "rkW": 1, "muW": 0, "g": 2, "profile": profile}]))
+        result = runner.invoke(main, ["slopes", "--scenario", str(scenario)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # refused, not a traceback
+        assert "scenario 0" in result.output and "profile" in result.output
 
 
 def test_slopes_command_malformed_json(tmp_path):

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from truncsym.fp_linalg import (
     FpMatrix,
-    FpScalar,
     is_prime,
     mat_mul,
     rank,
@@ -21,22 +20,9 @@ def test_composite_modulus_rejected():
     with pytest.raises(ValueError):
         FpMatrix([[1]], 4)
     with pytest.raises(ValueError):
-        FpScalar(1, 6)
+        FpMatrix([[1]], 6)
     with pytest.raises(ValueError):
         FpMatrix([[1]], 1)
-
-
-def test_scalar_arithmetic():
-    a = FpScalar(3, 5)
-    assert (a + 4).value == 2
-    assert (a * a).value == 4
-    assert (-a).value == 2
-    assert (a.inverse() * a).value == 1
-    assert not FpScalar(0, 5)
-    with pytest.raises(ZeroDivisionError):
-        FpScalar(0, 5).inverse()
-    with pytest.raises(ValueError):
-        a + FpScalar(1, 7)
 
 
 def test_rank_proportional_rows():
