@@ -12,7 +12,7 @@ Submodules:
 - ``scenario``: batch slope evaluation from JSON records.
 """
 
-from .fp_linalg import FpMatrix, is_prime, mat_mul, rank, row_reduce, span_dim
+from .fp_linalg import FpMatrix, is_prime, mat_mul, rank, row_reduce, stack
 from .filtration import (
     CurveReport,
     NablaTerm,
@@ -130,8 +130,8 @@ __all__ = [
     "rank",
     "row_reduce",
     "run_suite",
-    "span_dim",
     "spanned_image_dim",
+    "stack",
     "symmetrization_matrix",
     "symmetrized_tensor",
     "trunc_rank",

@@ -2,14 +2,15 @@
 
 Matrices are immutable and act on row vectors: rows span the subspace a
 matrix carries, so ``rank`` and ``row_reduce`` speak about row spaces.
-Entries are stored as int64 numpy arrays reduced mod p; all arithmetic is
-exact (p is small enough that products never overflow 63 bits).  Scalars
-outside matrices are plain ints reduced into [0, p).
+Entries are stored as int64 numpy arrays reduced mod p.  Arithmetic is
+exact or refused: a modulus with (p-1)^2 >= 2^63 is rejected, and so is a
+product whose dot products could reach 2^63.  Scalars outside matrices are
+plain ints reduced into [0, p).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +31,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_INT64_BOUND = 2 ** 63
+
+
 def _check_modulus(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
+    if (p - 1) ** 2 >= _INT64_BOUND:
+        raise ValueError(f"modulus {p} too large: (p-1)^2 overflows int64")
 
 
 class FpMatrix:
@@ -131,6 +137,8 @@ def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
         raise ValueError("mixed moduli")
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch: {a.ncols} vs {b.nrows}")
+    if a.ncols * (a.modulus - 1) ** 2 >= _INT64_BOUND:
+        raise ValueError(f"inner dimension {a.ncols} too large for exact products mod {a.modulus}")
     return FpMatrix._from_array(a._data @ b._data, a.modulus)
 
 
@@ -166,14 +174,13 @@ def rank(m: FpMatrix) -> int:
     return row_reduce(m)[1]
 
 
-def span_dim(vectors: Iterable[Sequence[int]], p: int, width: int | None = None) -> int:
-    """Dimension of the span of the given coordinate rows over F_p.
-
-    An empty collection spans the zero space. Mismatched row lengths raise.
-    """
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    if width is None:
-        width = len(rows[0])
-    return rank(FpMatrix(rows, p, cols=width))
+def stack(blocks: Sequence[FpMatrix], modulus: int, cols: int) -> FpMatrix:
+    """The rows of the blocks, in order, as one matrix; no blocks give 0 x cols."""
+    _check_modulus(modulus)
+    for b in blocks:
+        if b.modulus != modulus:
+            raise ValueError("mixed moduli")
+        if b.ncols != cols:
+            raise ValueError(f"block width {b.ncols} != cols={cols}")
+    data = np.concatenate([np.zeros((0, cols), dtype=np.int64), *(b._data for b in blocks)])
+    return FpMatrix._from_array(data, modulus)

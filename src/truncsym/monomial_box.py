@@ -19,6 +19,12 @@ import numpy as np
 
 MultiIndex = tuple[int, ...]
 
+# A recursion path of ``_matching_pairs`` has at most len(caps) + ell + 1
+# levels of two interpreter frames each on CPython 3.11 (the cache wrapper
+# and the call); this bound keeps it inside the default recursion limit of
+# 1000 with room for the caller's frames.
+MATCHING_LEVEL_LIMIT = 400
+
 
 @lru_cache(maxsize=None)
 def _box_elements(caps: tuple[int, ...], degree: int) -> tuple[MultiIndex, ...]:
@@ -182,11 +188,19 @@ def dominance_matching(caps: tuple[int, ...] | list[int], ell: int) -> Matching:
     """The recursive injective dominance matching M^l -> M^{sigma-l}.
 
     Requires 2*ell <= sigma; outside that range no dominance matching can
-    exist on a non-empty box, so the hypothesis violation is an error.
+    exist on a non-empty box, so the hypothesis violation is an error, and
+    so are empty caps, a negative degree and len(caps) + ell above
+    MATCHING_LEVEL_LIMIT.
     """
     caps = tuple(caps)
+    if not caps:
+        raise ValueError("caps must be non-empty")
     if any(a < 0 for a in caps):
         raise ValueError("caps must be non-negative")
+    if ell < 0:
+        raise ValueError(f"degree {ell} is negative")
+    if len(caps) + ell > MATCHING_LEVEL_LIMIT:
+        raise ValueError(f"{len(caps)} caps plus degree {ell} exceed the limit {MATCHING_LEVEL_LIMIT}")
     sigma = sum(caps)
     if 2 * ell > sigma:
         raise ValueError(f"degree {ell} exceeds half the cap total {sigma}")

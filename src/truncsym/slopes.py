@@ -153,42 +153,37 @@ def gap_lower_bound(
     sd: SlopeData,
     profile: Sequence[int],
     instabilities: Sequence[Rational] | None = None,
-    rk_e: int | None = None,
 ) -> Fraction:
     """Lower bound for mu(pushforward) - mu(subsheaf) from a rank profile.
 
     K.H^{n-1}/(n p rk) times the weighted sum of (n(p-1)/2 - l) r_l, minus
     1/(p rk) times the instability-weighted sum of the profile.  The profile
-    entries must total rk_e (the subsheaf rank).
+    entries total the subsheaf rank rk.
     """
-    total = sum(profile)
-    if rk_e is None:
-        rk_e = total
-    if rk_e <= 0:
+    rk = sum(profile)
+    if rk <= 0:
         raise ValueError("subsheaf rank must be positive")
-    if total != rk_e:
-        raise ValueError(f"profile sums to {total}, expected rank {rk_e}")
     if any(r < 0 for r in profile):
         raise ValueError("profile entries must be non-negative")
     top = sd.n * (sd.p - 1)
     if len(profile) > top + 1:
         raise ValueError(f"profile has {len(profile)} entries, more than {top + 1} layers")
-    weight_term = Fraction(sd.kh, sd.n * sd.p * rk_e) * Fraction(_weighted_sum_twice(sd.n, sd.p, profile), 2)
+    weight_term = Fraction(sd.kh, sd.n * sd.p * rk) * Fraction(_weighted_sum_twice(sd.n, sd.p, profile), 2)
     if instabilities is None:
         inst_term = Fraction(0)
     else:
         if any(Fraction(i) < 0 for i in instabilities):
             raise ValueError("instabilities must be non-negative")
         inst_term = Fraction(
-            sum(r * Fraction(i) for r, i in zip(profile, instabilities)), sd.p * rk_e
+            sum(r * Fraction(i) for r, i in zip(profile, instabilities)), sd.p * rk
         )
     return weight_term - inst_term
 
 
-def curve_gap(g: Rational, p: int, profile: Sequence[int], rk_e: int | None = None) -> Fraction:
+def curve_gap(g: Rational, p: int, profile: Sequence[int]) -> Fraction:
     """Curve specialization: (2g-2)/(p rk) times the sum of ((p-1)/2 - l) r_l."""
     sd = make_slope_data(1, p, 1, g=g, mu_w=0)
-    return gap_lower_bound(sd, profile, None, rk_e)
+    return gap_lower_bound(sd, profile)
 
 
 @dataclass(frozen=True)

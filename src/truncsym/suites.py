@@ -339,9 +339,9 @@ def _slope_anchor_cases() -> Cases:
     """Fixed closed-form values of the curve slope and gap."""
     mu = slp.pushforward_slope(slp.make_slope_data(1, 2, 1, g=2, mu_w=0))
     yield "anchor curve-slope", mu == Fraction(1, 2), f"got {mu}"
-    gap = slp.curve_gap(2, 3, (1, 1), 2)
+    gap = slp.curve_gap(2, 3, (1, 1))
     yield "anchor curve-gap", gap == Fraction(1, 3), f"got {gap}"
-    full = slp.curve_gap(2, 3, (1, 1, 1), 3)
+    full = slp.curve_gap(2, 3, (1, 1, 1))
     yield "anchor full-profile", full == 0, f"got {full}"
 
 

@@ -116,6 +116,32 @@ def test_matching_command_rejects_high_degree():
     assert "half" in result.output
 
 
+def _refused(args):
+    result = CliRunner().invoke(main, ["matching", *args])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error:")
+    return result.output
+
+
+def test_matching_command_rejects_negative_degree():
+    assert "negative" in _refused(["--caps", "2,2", "--ell", "-1"])
+
+
+def test_matching_command_rejects_empty_caps():
+    assert "non-empty" in _refused(["--caps", "", "--ell", "0"])
+
+
+def test_matching_command_rejects_inputs_beyond_recursion_depth():
+    assert "limit" in _refused(["--caps", "3000,3000", "--ell", "1500"])
+    assert "limit" in _refused(["--caps", ",".join(["1"] * 500), "--ell", "1"])
+    # The largest accepted inputs still run inside the default recursion limit.
+    for caps, ell, pairs in [("3000,3000", 398, 399), (",".join(["1"] * 400), 0, 1)]:
+        result = CliRunner().invoke(main, ["matching", "--caps", caps, "--ell", str(ell)])
+        assert result.exit_code == 0, result.exception
+        assert len(result.output.splitlines()) == pairs
+
+
 def test_slopes_command_curve_scenario(tmp_path):
     scenario = tmp_path / "curve.json"
     scenario.write_text(json.dumps([

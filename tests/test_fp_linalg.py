@@ -8,7 +8,7 @@ from truncsym.fp_linalg import (
     mat_mul,
     rank,
     row_reduce,
-    span_dim,
+    stack,
 )
 
 
@@ -46,12 +46,41 @@ def test_rref_shape_and_pivots():
     assert rref.entries == ((1, 0, 4), (0, 1, 2))
 
 
-def test_span_dim_examples():
-    assert span_dim([], 5) == 0
-    assert span_dim([(1, 0), (0, 1), (1, 1)], 2) == 2
-    assert span_dim([(1, 2, 0), (2, 4, 0)], 5) == 1
+def test_stack_examples():
+    empty = stack([], 5, cols=3)
+    assert (empty.nrows, empty.ncols) == (0, 3)
+    assert rank(empty) == 0
+    m = stack([FpMatrix([(1, 0), (0, 1)], 2), FpMatrix([(1, 1)], 2)], 2, cols=2)
+    assert m.entries == ((1, 0), (0, 1), (1, 1))
+    assert rank(m) == 2
+    assert rank(stack([FpMatrix([(1, 2, 0)], 5), FpMatrix([(2, 4, 0)], 5)], 5, cols=3)) == 1
     with pytest.raises(ValueError):
-        span_dim([(1, 0), (1,)], 5)
+        stack([FpMatrix([(1, 0)], 5), FpMatrix([(1,)], 5)], 5, cols=2)
+    with pytest.raises(ValueError):
+        stack([FpMatrix([(1, 0)], 5)], 3, cols=2)
+    with pytest.raises(ValueError):
+        FpMatrix([(1, 0), (1,)], 5)
+
+
+def test_modulus_beyond_int64_products_refused():
+    # (p-1)^2 >= 2^63: row reduction and products would wrap around in int64.
+    p = 4294967311
+    assert is_prime(p)
+    with pytest.raises(ValueError):
+        rank(FpMatrix([[p - 1, p - 1], [1, 1]], p))
+    with pytest.raises(ValueError):
+        FpMatrix([[p - 1]], p) @ FpMatrix([[p - 1]], p)
+
+
+def test_mat_mul_exact_or_refused_by_inner_dimension():
+    p = 2 ** 31 - 1
+    # k * (p-1)^2 < 2^63 for k <= 2: exact, (p-1)^2 = 1 mod p.
+    for k in (1, 2):
+        a = FpMatrix([[p - 1] * k], p)
+        assert mat_mul(a, a.transpose()).entries == ((k,),)
+    a = FpMatrix([[p - 1] * 3], p)
+    with pytest.raises(ValueError):
+        mat_mul(a, a.transpose())
 
 
 def test_mat_mul_and_zero_matrix():

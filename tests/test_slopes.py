@@ -81,7 +81,7 @@ def test_graded_slope():
 
 def test_gap_examples():
     sd = make_slope_data(1, 3, 1, g=2, mu_w=0)
-    assert gap_lower_bound(sd, (1, 1), rk_e=2) == Fraction(1, 3)
+    assert gap_lower_bound(sd, (1, 1)) == Fraction(1, 3)
     # Full layer profile of the pushforward itself: palindromic, zero gap.
     full = tuple(trunc_rank(2, 3, ell) for ell in range(5))
     sd = make_slope_data(2, 3, 1, kh=7, mu_w=0)
@@ -104,8 +104,6 @@ def test_gap_with_instabilities():
 def test_gap_validation():
     sd = make_slope_data(1, 3, 1, g=2, mu_w=0)
     with pytest.raises(ValueError):
-        gap_lower_bound(sd, (1, 1), rk_e=3)
-    with pytest.raises(ValueError):
         gap_lower_bound(sd, ())
     with pytest.raises(ValueError):
         gap_lower_bound(sd, (1, -1))
@@ -114,7 +112,7 @@ def test_gap_validation():
 
 
 def test_curve_gap_examples():
-    assert curve_gap(2, 3, (1, 1), 2) == Fraction(1, 3)
+    assert curve_gap(2, 3, (1, 1)) == Fraction(1, 3)
     assert curve_gap(2, 3, (2, 2, 2)) == 0
     assert curve_gap(1, 5, (3, 1, 1)) == 0  # genus one kills the factor
     assert curve_gap(3, 2, (1,)) == 1

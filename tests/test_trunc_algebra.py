@@ -1,8 +1,9 @@
 import random
+from itertools import chain, zip_longest
 
 import pytest
 
-from truncsym.fp_linalg import mat_mul, rank
+from truncsym.fp_linalg import FpMatrix, mat_mul, rank
 from truncsym.monomial_box import box_size, grade_basis
 from truncsym.trunc_algebra import (
     GradedSubspace,
@@ -176,3 +177,42 @@ def test_growth_random_subspaces_seeded():
                 sub = GradedSubspace.random(n, p, ell, rng.randint(1, dim), rng)
                 verdict = check_upper_half_growth(sub)
                 assert verdict.ok, (n, p, ell, sub.basis.entries)
+
+
+def _reference_image_dim(v):
+    # The bridging-operator images of each basis vector, accumulated in plain
+    # ints straight from apply_diff, then row-reduced once.
+    n, p, ell = v.n, v.p, v.grade
+    top = n * (p - 1)
+    source = grade_basis(n, p, ell)
+    target = grade_basis(n, p, top - ell)
+    index = {m: j for j, m in enumerate(target)}
+    images = []
+    for op in grade_basis(n, p, 2 * ell - top):
+        for row in v.basis.entries:
+            vec = [0] * len(target)
+            for c, mono in zip(row, source):
+                coeff, res = apply_diff(op, mono, p)
+                if res is not None:
+                    vec[index[res]] += c * coeff
+            images.append(vec)
+    return rank(FpMatrix(images, p, cols=len(target)))
+
+
+def test_spanned_image_dim_matches_apply_diff_oracle():
+    rng = random.Random(20261018)
+    per_grade = []
+    for n, p in [(1, 5), (2, 3), (3, 2), (2, 5)]:
+        top = n * (p - 1)
+        for ell in range((top + 1) // 2, top + 1):
+            dim = len(grade_basis(n, p, ell))
+            subs = [GradedSubspace.coordinate(n, p, ell, [i for i in range(dim) if mask >> i & 1])
+                    for mask in range(1 << dim)]
+            subs += [GradedSubspace.random(n, p, ell, rng.randint(0, dim), rng) for _ in range(5)]
+            per_grade.append(subs)
+    # Round-robin over the grades: consecutive calls never share (n, p, l), so
+    # operators cached for one grade cannot stand in for another's.
+    cases = [v for v in chain.from_iterable(zip_longest(*per_grade)) if v is not None]
+    assert len(cases) == sum(map(len, per_grade))
+    for v in cases:
+        assert spanned_image_dim(v) == _reference_image_dim(v), (v.n, v.p, v.grade, v.basis)
