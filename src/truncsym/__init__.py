@@ -2,7 +2,7 @@
 
 Submodules:
 
-- ``fp_linalg``: exact dense linear algebra over prime fields.
+- ``fp_linalg``: exact linear algebra over prime fields; the one elimination.
 - ``monomial_box``: capped multi-index boxes and dominance matchings.
 - ``trunc_power``: truncated symmetric powers and their Koszul resolution.
 - ``trunc_algebra``: the truncated polynomial algebra with derivations.
@@ -12,7 +12,7 @@ Submodules:
 - ``scenario``: batch slope evaluation from JSON records.
 """
 
-from .fp_linalg import FpMatrix, is_prime, mat_mul, rank, row_reduce, stack
+from .fp_linalg import FpMatrix, eliminate, is_prime, mat_mul, rank, row_reduce, stack
 from .filtration import (
     CurveReport,
     NablaTerm,
@@ -20,7 +20,6 @@ from .filtration import (
     filtration_basis,
     graded_nabla_matrix,
     nabla,
-    nabla_power,
     nabla_power_row,
 )
 from .monomial_box import (
@@ -64,7 +63,6 @@ from .trunc_algebra import (
 )
 from .trunc_power import (
     KoszulVerdict,
-    WordMatrix,
     degree_weight_check,
     gl2_dim,
     koszul_complex,
@@ -95,7 +93,6 @@ __all__ = [
     "SlopeData",
     "SuiteConfig",
     "WeightSumVerdict",
-    "WordMatrix",
     "apply_diff",
     "box_size",
     "check_upper_half_growth",
@@ -105,6 +102,7 @@ __all__ = [
     "diff_action_matrix",
     "dominance_matching",
     "dominates",
+    "eliminate",
     "enumerate_box",
     "equality_diagnosis",
     "filtration_basis",
@@ -121,7 +119,6 @@ __all__ = [
     "mat_mul",
     "multiset_words",
     "nabla",
-    "nabla_power",
     "nabla_power_row",
     "omega_pairing_matrix",
     "pushforward_c1",

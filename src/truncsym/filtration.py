@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .fp_linalg import FpMatrix
 from .monomial_box import MultiIndex, grade_basis
-from .trunc_power import Word, WordMatrix
+from .trunc_power import Word
 
 
 def filtration_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
@@ -96,19 +96,6 @@ def nabla_power_row(n: int, p: int, k: MultiIndex) -> dict[Word, int]:
                     nxt[key] = (nxt.get(key, 0) - c * mi) % p
         states = nxt
     return {w: c for (_, w), c in states.items() if c}
-
-
-def nabla_power(n: int, p: int, ell: int) -> WordMatrix:
-    """The ell-fold connection composite on the degree-ell layer.
-
-    The resulting row equals (-1)^ell times the symmetrized tensor of its
-    monomial, which the test suites pin entrywise.
-    """
-    if not 0 <= ell <= n * (p - 1):
-        raise ValueError(f"degree {ell} outside [0, {n * (p - 1)}]")
-    source = grade_basis(n, p, ell)
-    rows = tuple(nabla_power_row(n, p, k) for k in source)
-    return WordMatrix(tuple(source), rows, p, n, ell)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
-"""Exact dense linear algebra over prime fields F_p.
+"""Exact linear algebra over prime fields F_p.
 
 Matrices are immutable and act on row vectors: rows span the subspace a
 matrix carries, so ``rank`` and ``row_reduce`` speak about row spaces.
-Entries are stored as int64 numpy arrays reduced mod p.  Arithmetic is
-exact or refused: a modulus with (p-1)^2 >= 2^63 is rejected, and so is a
-product whose dot products could reach 2^63.  Scalars outside matrices are
+Entries are stored as int64 numpy arrays reduced mod p; a modulus with
+(p-1)^2 >= 2^63 is rejected, and so is a product whose dot products could
+reach 2^63.  Every rank and echelon form comes from one elimination,
+``eliminate``, over sparse rows of Python ints, which also ranks the
+tensor-word rows of the truncated powers.  Scalars outside matrices are
 plain ints reduced into [0, p).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,10 +37,11 @@ _INT64_BOUND = 2 ** 63
 
 
 def _check_modulus(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
+    # The size test first: trial division on a huge modulus would not finish.
     if (p - 1) ** 2 >= _INT64_BOUND:
         raise ValueError(f"modulus {p} too large: (p-1)^2 overflows int64")
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
 
 
 class FpMatrix:
@@ -142,36 +145,67 @@ def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     return FpMatrix._from_array(a._data @ b._data, a.modulus)
 
 
-def row_reduce(m: FpMatrix) -> tuple[FpMatrix, int]:
-    """Reduced row-echelon form and rank; the row space is preserved."""
-    p = m.modulus
-    a = m._data.copy()
-    nrows, ncols = a.shape
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        pivot = None
-        for i in range(r, nrows):
-            if a[i, col]:
-                pivot = i
+def eliminate(rows: Iterable[dict], p: int) -> dict:
+    """Gaussian elimination over sparse rows mod p: the one F_p kernel.
+
+    Rows map comparable column labels (matrix indices, tensor words) to
+    ints, taken mod p; the input rows are not modified.  Returns the pivot
+    rows keyed by their leading (smallest) column, reduced mod p and scaled
+    to lead with 1; their number is the rank of the rows.  Arithmetic is on
+    Python ints.
+    """
+    pivots: dict = {}
+    for original in rows:
+        row = dict(original)
+        while row:
+            key = min(row)
+            piv = pivots.get(key)
+            if piv is None:
+                lead = row[key] % p
+                if not lead:  # a multiple of p leads no pivot
+                    del row[key]
+                    continue
+                inv = pow(lead, p - 2, p)
+                pivots[key] = {c: w for c, v in row.items() if (w := v * inv % p)}
                 break
-        if pivot is None:
-            continue
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        others = np.nonzero(a[:, col])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, col], a[r])) % p
-        r += 1
-    return FpMatrix._from_array(a, p), r
+            _subtract(row, row[key], piv, p)
+    return pivots
+
+
+def _subtract(row: dict, factor: int, piv: dict, p: int) -> None:
+    """row -= factor * piv in place, dropping the entries that cancel."""
+    for c, v in piv.items():
+        nv = (row.get(c, 0) - factor * v) % p
+        if nv:
+            row[c] = nv
+        elif c in row:
+            del row[c]
+
+
+def _sparse_rows(m: FpMatrix) -> Iterator[dict[int, int]]:
+    return ({j: v for j, v in enumerate(row) if v} for row in m._data.tolist())
 
 
 def rank(m: FpMatrix) -> int:
-    return row_reduce(m)[1]
+    return len(eliminate(_sparse_rows(m), m.modulus))
+
+
+def row_reduce(m: FpMatrix) -> tuple[FpMatrix, int]:
+    """Reduced row-echelon form and rank; the row space is preserved."""
+    p = m.modulus
+    pivots = eliminate(_sparse_rows(m), p)
+    # Clear every pivot column from the other pivot rows.  A pivot row only
+    # has entries right of its lead, so clearing from the rightmost pivot
+    # leftwards subtracts rows that are already reduced.
+    for key in sorted(pivots, reverse=True):
+        row = pivots[key]
+        for c in [c for c in row if c != key and c in pivots]:
+            _subtract(row, row[c], pivots[c], p)
+    data = np.zeros(m._data.shape, dtype=np.int64)
+    for i, key in enumerate(sorted(pivots)):
+        for j, v in pivots[key].items():
+            data[i, j] = v
+    return FpMatrix._from_array(data, p), len(pivots)
 
 
 def stack(blocks: Sequence[FpMatrix], modulus: int, cols: int) -> FpMatrix:

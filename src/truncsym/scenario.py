@@ -71,6 +71,8 @@ def _parse_record(record, idx: int) -> Scenario:
     n = _require_int(record, "n", where)
     p = _require_int(record, "p", where)
     rk_w = _require_int(record, "rkW", where)
+    if (top := max(n, 1) * (p - 1)) > slp.TOP_DEGREE_LIMIT:
+        raise ScenarioError(f"{where}: top degree n*(p-1) = {top} exceeds {slp.TOP_DEGREE_LIMIT}")
 
     kh = record.get("KH")
     g = record.get("g")

@@ -19,6 +19,11 @@ from .trunc_power import trunc_rank
 
 Rational = Fraction | int
 
+# Largest top degree n(p-1) accepted from a configuration or a scenario:
+# slope sums materialize all n(p-1)+1 layers.  Checked before primality, so
+# no accepted input sends a p above TOP_DEGREE_LIMIT + 1 to trial division.
+TOP_DEGREE_LIMIT = 1000
+
 
 @dataclass(frozen=True)
 class SlopeData:

@@ -22,7 +22,7 @@ from . import monomial_box as boxes
 from . import slopes as slp
 from . import trunc_algebra as alg
 from . import trunc_power as tp
-from .fp_linalg import is_prime, rank
+from .fp_linalg import eliminate, is_prime, rank
 
 VERSION = "0.1.0"
 
@@ -62,9 +62,11 @@ class SuiteConfig:
             problems.append(f"n_max must be >= 1, got {self.n_max}")
         if not self.primes:
             problems.append("primes must be non-empty")
-        for p in self.primes:
-            if not is_prime(p):
-                problems.append(f"{p} is not prime")
+        elif (top := max(self.n_max, 1) * (max(self.primes) - 1)) > slp.TOP_DEGREE_LIMIT:
+            problems.append(
+                f"top degree n_max*(max(primes)-1) = {top} exceeds {slp.TOP_DEGREE_LIMIT}")
+        else:
+            problems.extend(f"{p} is not prime" for p in self.primes if not is_prime(p))
         if not 0 <= self.max_sigma <= SIGMA_LIMIT:
             problems.append(f"max_sigma must be in [0, {SIGMA_LIMIT}], got {self.max_sigma}")
         if self.matching_n_max < 1:
@@ -165,7 +167,7 @@ def _rank_cases(pairs) -> Cases:
             basis = boxes.grade_basis(n, p, ell)
             formula = tp.trunc_rank(n, p, ell)
             counted = boxes.box_size((p - 1,) * n, ell)
-            mrank = tp.symmetrization_matrix(n, p, ell).rank()
+            mrank = len(eliminate(tp.symmetrization_matrix(n, p, ell), p))
             problems = []
             if formula != len(basis):
                 problems.append(f"formula {formula} != enumeration {len(basis)}")

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .fp_linalg import FpMatrix, rank as dense_rank
+from .fp_linalg import FpMatrix, rank
 from .monomial_box import MultiIndex, enumerate_box, grade_basis
 
 Word = tuple[int, ...]
@@ -94,74 +94,14 @@ def symmetrized_tensor(k: MultiIndex, p: int) -> dict[Word, int]:
     return {w: coeff for w in multiset_words(k)}
 
 
-@dataclass(frozen=True)
-class WordMatrix:
-    """Rows over tensor-word coordinates, stored sparsely.
+def symmetrization_matrix(n: int, p: int, ell: int) -> list[dict[Word, int]]:
+    """The symmetrization map Sym^ell -> tensor words as sparse word rows,
+    one per monomial in ``sym_basis`` order.
 
-    ``row_index[i]`` names the domain basis element of row ``i``; the row
-    dicts map length-``length`` words (letters 0..n-1) to nonzero
-    coefficients mod ``modulus``.  Row dicts must not be mutated.
+    Rank (``fp_linalg.eliminate``) equals the truncated-power dimension;
+    monomials with an exponent >= p span the kernel (their rows vanish).
     """
-
-    row_index: tuple[MultiIndex, ...]
-    rows: tuple[dict[Word, int], ...]
-    modulus: int
-    n: int
-    length: int
-
-    def occurring_words(self) -> list[Word]:
-        words: set[Word] = set()
-        for row in self.rows:
-            words.update(row)
-        return sorted(words)
-
-    def rank(self) -> int:
-        return sparse_rank(self.rows, self.modulus)
-
-    def to_dense(self, words: Sequence[Word] | None = None) -> FpMatrix:
-        """Materialize over the given word order (default: occurring words)."""
-        cols = list(words) if words is not None else self.occurring_words()
-        index = {w: j for j, w in enumerate(cols)}
-        data = []
-        for row in self.rows:
-            vec = [0] * len(cols)
-            for w, c in row.items():
-                vec[index[w]] = c
-            data.append(vec)
-        return FpMatrix(data, self.modulus, cols=len(cols))
-
-
-def sparse_rank(rows: Sequence[dict], p: int) -> int:
-    """Gaussian elimination over sparse rows keyed by comparable column labels."""
-    pivots: dict = {}
-    for original in rows:
-        row = dict(original)
-        while row:
-            key = min(row)
-            piv = pivots.get(key)
-            if piv is None:
-                inv = pow(row[key], p - 2, p)
-                pivots[key] = {c: v * inv % p for c, v in row.items()}
-                break
-            factor = row[key]
-            for c, v in piv.items():
-                nv = (row.get(c, 0) - factor * v) % p
-                if nv:
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
-    return len(pivots)
-
-
-def symmetrization_matrix(n: int, p: int, ell: int) -> WordMatrix:
-    """The symmetrization map Sym^ell -> tensor words, one row per monomial.
-
-    Rank equals the truncated-power dimension; monomials with an exponent
-    >= p span the kernel (their rows vanish identically).
-    """
-    monomials = sym_basis(n, ell)
-    rows = tuple(symmetrized_tensor(k, p) for k in monomials)
-    return WordMatrix(tuple(monomials), rows, p, n, ell)
+    return [symmetrized_tensor(k, p) for k in sym_basis(n, ell)]
 
 
 def degree_weight_check(n: int, p: int, ell: int) -> bool:
@@ -241,7 +181,7 @@ def verify_koszul_exact(n: int, p: int, ell: int) -> KoszulVerdict:
     diffs = koszul_complex(n, p, ell)
     q_max = len(diffs)
     dims = tuple(len(_koszul_space(n, p, ell, q)) for q in range(q_max + 1))
-    ranks = tuple(dense_rank(d) for d in diffs)
+    ranks = tuple(rank(d) for d in diffs)
     expected = trunc_rank(n, p, ell)
     coker = dims[0] - (ranks[0] if diffs else 0)
 

@@ -79,6 +79,18 @@ def test_verify_rejects_bad_prime():
     assert "not prime" in result.output
 
 
+def test_verify_rejects_top_degree_beyond_limit():
+    # Refused before any prime is tested: 10^18 + 3 is prime, and trial
+    # division on it would not finish.
+    for args in (["--suites", "slopes", "--primes", "1000003", "--n-max", "1"],
+                 ["--primes", str(10 ** 18 + 3)],
+                 ["--n-max", "5", "--primes", "251"]):
+        result = CliRunner().invoke(main, ["verify", *args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # refused, not a traceback
+        assert "top degree" in result.output
+
+
 def test_verify_rejects_unknown_suite():
     runner = CliRunner()
     result = runner.invoke(main, ["verify", "--suites", "ranks,nonsense"])
@@ -209,6 +221,17 @@ def test_slopes_command_rejects_zero_total_profile(tmp_path):
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)  # refused, not a traceback
         assert "scenario 0" in result.output and "profile" in result.output
+
+
+def test_slopes_command_rejects_top_degree_beyond_limit(tmp_path):
+    runner = CliRunner()
+    for n, p in [(1, 1000000007), (1001, 2), (5, 251)]:
+        scenario = tmp_path / "big.json"
+        scenario.write_text(json.dumps([{"n": n, "p": p, "rkW": 1, "muW": 0, "KH": 1}]))
+        result = runner.invoke(main, ["slopes", "--scenario", str(scenario)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # refused, not a traceback
+        assert "scenario 0" in result.output and "top degree" in result.output
 
 
 def test_slopes_command_malformed_json(tmp_path):

@@ -5,9 +5,10 @@ from truncsym.filtration import (
     filtration_basis,
     graded_nabla_matrix,
     nabla,
-    nabla_power,
+    nabla_power_row,
 )
-from truncsym.fp_linalg import rank
+from truncsym.fp_linalg import eliminate, rank
+from truncsym.monomial_box import grade_basis
 from truncsym.trunc_power import symmetrized_tensor, trunc_rank
 
 PAIRS = [(1, 3), (1, 5), (2, 2), (2, 3), (3, 2), (2, 5), (3, 3)]
@@ -59,25 +60,23 @@ def test_graded_matrices_injective():
             assert rank(m) == m.nrows, (n, p, ell)
 
 
+def layer_rows(n, p, ell):
+    """The composite on the degree-ell layer: one word row per grade-basis monomial."""
+    return {k: nabla_power_row(n, p, k) for k in grade_basis(n, p, ell)}
+
+
 def test_nabla_power_small_values():
-    wm = nabla_power(2, 2, 2)
-    assert wm.row_index == ((1, 1),)
-    assert wm.rows[0] == {(0, 1): 1, (1, 0): 1}
-
-    wm = nabla_power(1, 3, 2)
-    assert wm.rows[0] == {(0, 0): 2}
-
-    wm = nabla_power(2, 3, 0)
-    assert wm.rows == ({(): 1},)
+    assert layer_rows(2, 2, 2) == {(1, 1): {(0, 1): 1, (1, 0): 1}}
+    assert layer_rows(1, 3, 2) == {(2,): {(0, 0): 2}}
+    assert layer_rows(2, 3, 0) == {(0, 0): {(): 1}}
 
 
 def test_nabla_power_matches_signed_symmetrization():
     for n, p in PAIRS:
         top = n * (p - 1)
         for ell in range(top + 1):
-            wm = nabla_power(n, p, ell)
             sign = (-1) ** ell % p
-            for k, row in zip(wm.row_index, wm.rows):
+            for k, row in layer_rows(n, p, ell).items():
                 expected = {w: sign * c % p for w, c in symmetrized_tensor(k, p).items()}
                 assert row == expected, (n, p, ell, k)
 
@@ -85,8 +84,8 @@ def test_nabla_power_matches_signed_symmetrization():
 def test_nabla_power_full_row_rank():
     for n, p in [(2, 3), (3, 2), (2, 5)]:
         for ell in range(n * (p - 1) + 1):
-            wm = nabla_power(n, p, ell)
-            assert wm.rank() == len(wm.row_index)
+            rows = list(layer_rows(n, p, ell).values())
+            assert len(eliminate(rows, p)) == len(rows)
 
 
 def test_nabla_power_is_stepwise_composition():
@@ -94,9 +93,8 @@ def test_nabla_power_is_stepwise_composition():
     # the first derivative taken sits in the rightmost slot.
     for n, p in [(2, 3), (3, 2)]:
         for ell in range(1, n * (p - 1) + 1):
-            current = dict(zip(nabla_power(n, p, ell).row_index, nabla_power(n, p, ell).rows))
-            previous = dict(zip(nabla_power(n, p, ell - 1).row_index, nabla_power(n, p, ell - 1).rows))
-            for k, row in current.items():
+            previous = layer_rows(n, p, ell - 1)
+            for k, row in layer_rows(n, p, ell).items():
                 rebuilt: dict = {}
                 for i, ki in enumerate(k):
                     if ki == 0:

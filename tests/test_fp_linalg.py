@@ -1,15 +1,43 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncsym.fp_linalg import (
     FpMatrix,
+    eliminate,
     is_prime,
     mat_mul,
     rank,
     row_reduce,
     stack,
 )
+from truncsym.trunc_power import symmetrization_matrix, trunc_rank
+
+# 3037000493 is the largest prime p with (p-1)^2 < 2^63, the largest modulus
+# FpMatrix accepts.
+ORACLE_PRIMES = [2, 3, 5, 7, 2 ** 31 - 1, 3037000493]
+
+
+def reference_rref(rows, p):
+    """Textbook Gauss-Jordan elimination on lists of Python ints, column by
+    column: the reduced row-echelon rows (zero rows last) and the rank."""
+    a = [[x % p for x in row] for row in rows]
+    r = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = pow(a[r][col], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
+    return a, r
 
 
 def test_is_prime_small():
@@ -25,9 +53,25 @@ def test_composite_modulus_rejected():
         FpMatrix([[1]], 1)
 
 
+def test_huge_prime_modulus_refused_at_once():
+    # 10^18 + 3 is prime: trial division would run for about a minute, so
+    # the int64 size test must refuse it first.
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        FpMatrix([[1]], 10 ** 18 + 3)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_rank_proportional_rows():
     _, r = row_reduce(FpMatrix([[1, 2], [2, 4]], 5))
     assert r == 1
+
+
+def test_eliminate_takes_entries_mod_p():
+    # Labels only need to compare; entries that vanish mod p lead no pivot.
+    pivots = eliminate([{(1, 0): 5, (0, 1): 7}, {(0, 1): 2}, {(1, 1): 10}, {}], 5)
+    assert pivots == {(0, 1): {(0, 1): 1}}
+    assert len(eliminate([{0: 2, 1: 1}, {0: 1}, {0: 4, 1: 2}], 2)) == 2
 
 
 def test_rank_identity_mod3():
@@ -142,3 +186,43 @@ def test_rank_invariant_under_row_permutation_and_scaling(m, rnd):
         c = rnd.randrange(1, m.modulus)
         scaled.append([c * x % m.modulus for x in row])
     assert rank(FpMatrix(scaled, m.modulus)) == rank(m)
+
+
+@st.composite
+def oracle_rows(draw):
+    """Rows over a prime up to the largest accepted modulus; entries lean to
+    0, 1 and p-1, and some rows are combinations of earlier ones, so ranks
+    below full occur at every modulus."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(0, 2), st.integers(p - 2, p - 1), st.integers(0, p - 1))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) % p
+                         for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_rows())
+def test_rank_and_rref_match_reference_elimination(case):
+    rows, p = case
+    expected_rref, expected_rank = reference_rref(rows, p)
+    m = FpMatrix(rows, p)
+    rref, r = row_reduce(m)
+    assert r == expected_rank == rank(m)
+    assert rref.entries == tuple(tuple(row) for row in expected_rref)
+
+
+def test_symmetrization_rank_matches_reference_elimination():
+    for n, p in [(1, 5), (2, 2), (2, 3), (3, 2), (2, 5), (3, 3)]:
+        for ell in range(n * (p - 1) + 2):
+            rows = symmetrization_matrix(n, p, ell)
+            words = sorted(set().union(*rows))
+            dense = [[row.get(w, 0) for w in words] for row in rows]
+            expected = reference_rref(dense, p)[1] if words else 0
+            assert len(eliminate(rows, p)) == expected == trunc_rank(n, p, ell), (n, p, ell)
