@@ -63,10 +63,11 @@ from .trunc_algebra import (
 )
 from .trunc_power import (
     KoszulVerdict,
+    WordLayout,
+    WordRow,
     degree_weight_check,
     gl2_dim,
     koszul_complex,
-    multiset_words,
     symmetrization_matrix,
     symmetrized_tensor,
     trunc_rank,
@@ -93,6 +94,8 @@ __all__ = [
     "SlopeData",
     "SuiteConfig",
     "WeightSumVerdict",
+    "WordLayout",
+    "WordRow",
     "apply_diff",
     "box_size",
     "check_upper_half_growth",
@@ -117,7 +120,6 @@ __all__ = [
     "koszul_complex",
     "make_slope_data",
     "mat_mul",
-    "multiset_words",
     "nabla",
     "nabla_power_row",
     "omega_pairing_matrix",

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fp_linalg import FpMatrix
 from .monomial_box import MultiIndex, grade_basis
-from .trunc_power import Word
+from .trunc_power import WordLayout, WordRow
 
 
 def filtration_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
@@ -77,25 +79,51 @@ def graded_nabla_matrix(n: int, p: int, ell: int) -> FpMatrix:
     return FpMatrix(data, p, cols=n * block)
 
 
-def nabla_power_row(n: int, p: int, k: MultiIndex) -> dict[Word, int]:
+def nabla_power_row(n: int, p: int, k: MultiIndex) -> WordRow:
     """Full connection composite applied to one degree-sum(k) monomial.
 
     Walks the monomial down to degree zero one derivative at a time; the
     direction chosen at each step is recorded as a word letter, the newest
-    letter leftmost (so the first derivative taken sits rightmost).
+    letter leftmost (so the first derivative taken sits rightmost).  Every
+    path is one word, so the walk runs level by level on arrays: each step
+    extends every state by every direction i whose exponent m_i is still
+    positive, writes the letter i in front and multiplies the coefficient by
+    -m_i mod p.  Taking the directions in order, each over all states in
+    order, keeps the words sorted.
     """
+    if len(k) != n:
+        raise ValueError(f"monomial {k} does not have {n} exponents")
+    if (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"modulus {p} too large: coefficient products overflow int64")
     ell = sum(k)
-    states: dict[tuple[MultiIndex, Word], int] = {(k, ()): 1}
-    for _ in range(ell):
-        nxt: dict[tuple[MultiIndex, Word], int] = {}
-        for (m, w), c in states.items():
+    layout = WordLayout(n, ell)
+    words = layout.empty(1)
+    coeffs = np.ones(1, dtype=np.int64)
+    variables = [i for i, e in enumerate(k) if e]
+    if len(variables) == 1:
+        # One variable: a single path, with the factors -ell, ..., -1.
+        layout.write_run(words, variables[0], 0, ell)
+        scale = 1
+        for m in range(ell, 0, -1):
+            scale = scale * (-m % p) % p
+        coeffs[0] = scale
+    else:
+        # The remaining exponents per state, in the narrowest dtype that holds them.
+        left = np.array([k], dtype=np.min_scalar_type(max(k, default=0)))
+        factor = np.array([-m % p for m in range(max(k, default=0) + 1)], dtype=np.int64)
+        for j in reversed(range(ell)):
+            parts = []
             for i in range(n):
-                mi = m[i]
-                if mi:
-                    key = (m[:i] + (mi - 1,) + m[i + 1:], (i,) + w)
-                    nxt[key] = (nxt.get(key, 0) - c * mi) % p
-        states = nxt
-    return {w: c for (_, w), c in states.items() if c}
+                src = np.flatnonzero(left[:, i])
+                if len(src):
+                    extended = words[src]
+                    layout.write(extended, j, i)
+                    rest = left[src]
+                    parts.append((extended, rest, coeffs[src] * factor[rest[:, i]] % p))
+                    rest[:, i] -= 1
+            words, left, coeffs = (np.concatenate(a) for a in zip(*parts))
+    keep = coeffs != 0
+    return WordRow(layout, words[keep], coeffs[keep])
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,10 @@ ALL_SUITES = ("filtration", "growth", "koszul", "matching", "ranks", "slopes")
 SIGMA_LIMIT = 12
 # Koszul ranks involve the full symmetric algebra; keep those grids smaller.
 KOSZUL_VOLUME_LIMIT = 64
-# The composite check skips a row with more words than this; of the pairs with
-# p^n <= 243 only the top rows of (2, 13) exceed it (C(24,12) ~ 2.7M words).
-ROW_WORD_LIMIT = 200_000
+# The composite check skips a row with more words than this.  Every row of the
+# pairs with p^n <= 243 is within it: the largest is the (12, 12) row of
+# (2, 13), C(24,12) = 2,704,156 words.
+ROW_WORD_LIMIT = 3_000_000
 # Coordinate-subspace sweeps are exhaustive over subsets; bound the exponent.
 COORD_DIM_LIMIT = 10
 
@@ -309,8 +310,10 @@ def _filtration_cases(pairs) -> Cases:
             sign = (-1) ** ell % p
             bad = None
             for k in rows:
-                expected = {w: sign * c % p for w, c in tp.symmetrized_tensor(k, p).items()}
-                if filt.nabla_power_row(n, p, k) != expected:
+                # The same sorted words, each with (-1)^l prod(k_i!) mod p.
+                sym = tp.symmetrized_tensor(k, p)
+                if filt.nabla_power_row(n, p, k) != tp.WordRow(sym.layout, sym.words,
+                                                                sign * sym.coeffs % p):
                     bad = k
                     break
             yield (f"composite n={n} p={p} l={ell}", bad is None,

@@ -3,8 +3,10 @@
 The degree-l truncated power of an n-dimensional space in characteristic p
 is the image of the symmetrization map from Sym^l into the l-fold tensor
 power; its monomial basis is the capped box {k : k_i <= p-1, sum k = l}.
-Tensor coordinates are words over the letters 0..n-1 (length l), kept as
-sparse mappings because the ambient tensor space grows as n^l.
+Tensor coordinates are words over the letters 0..n-1 (length l).  The
+ambient tensor space grows as n^l, so a tensor is kept as a ``WordRow``:
+the words it touches, packed by a ``WordLayout`` into int64 columns, and
+their coefficients.
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+
+import numpy as np
 
 from .fp_linalg import FpMatrix, rank
 from .monomial_box import MultiIndex, enumerate_box, grade_basis
-
-Word = tuple[int, ...]
 
 
 def trunc_rank(n: int, p: int, ell: int) -> int:
@@ -50,26 +51,6 @@ def sym_basis(n: int, degree: int) -> list[MultiIndex]:
     return enumerate_box((degree,) * n, degree)
 
 
-def multiset_words(content: MultiIndex) -> Iterator[Word]:
-    """All distinct words whose letter counts equal the given content."""
-    length = sum(content)
-    counts = list(content)
-
-    def rec(prefix: list[int], remaining: int) -> Iterator[Word]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for letter, c in enumerate(counts):
-            if c:
-                counts[letter] -= 1
-                prefix.append(letter)
-                yield from rec(prefix, remaining - 1)
-                prefix.pop()
-                counts[letter] += 1
-
-    yield from rec([], length)
-
-
 def word_count(content: MultiIndex) -> int:
     """Number of distinct words with the given content (multinomial)."""
     total = sum(content)
@@ -80,28 +61,131 @@ def word_count(content: MultiIndex) -> int:
     return out
 
 
-def symmetrized_tensor(k: MultiIndex, p: int) -> dict[Word, int]:
-    """Symmetrized tensor of the monomial k as a sparse word row.
+_CODE_BOUND = 2 ** 63
+
+
+class WordLayout:
+    """How the words of one length over n letters pack into int64 columns.
+
+    A word is cut into runs of consecutive positions, one int64 per run
+    holding its letters as base-n digits, most significant first.  A run is
+    as long as codes allow below 2^63, so a word takes ceil(length / run)
+    columns (one for the empty word), and comparing the columns in order
+    compares the words lexicographically.
+    """
+
+    __slots__ = ("n", "length", "ends", "column", "place")
+
+    def __init__(self, n: int, length: int):
+        run = max(length, 1)
+        if n > 1:  # over one letter every word is 0...0
+            run = 1
+            while n ** (run + 1) <= _CODE_BOUND:
+                run += 1
+        self.n, self.length = n, length
+        # The position (exclusive) where each column ends.
+        self.ends = list(range(run, length, run)) + [length]
+        self.column = np.arange(length) // run
+        self.place = np.array([n ** (self.ends[j // run] - 1 - j) for j in range(length)],
+                              dtype=np.int64)
+
+    def empty(self, count: int) -> np.ndarray:
+        """``count`` words with every letter 0, to be written into."""
+        return np.zeros((count, len(self.ends)), dtype=np.int64)
+
+    def write(self, words: np.ndarray, j: int, letters) -> None:
+        """Write ``letters`` (one per word, or one for all) at position j,
+        which must still hold 0."""
+        words[:, self.column[j]] += letters * self.place[j]
+
+    def write_run(self, words: np.ndarray, letter: int, start: int, stop: int) -> None:
+        """Write one letter at positions start..stop-1 of every word."""
+        sums: dict[int, int] = {}
+        for j in range(start, stop):
+            c = int(self.column[j])
+            sums[c] = sums.get(c, 0) + int(self.place[j])
+        for c, total in sums.items():
+            words[:, c] += letter * total
+
+    def codes(self, words: np.ndarray) -> list[int]:
+        """Each word read in base n as one exact int (codes order like words)."""
+        out = sum(words[:, c].astype(object) * self.n ** (self.length - end)
+                  for c, end in enumerate(self.ends))
+        return out.tolist()
+
+
+@dataclass(frozen=True, eq=False)
+class WordRow:
+    """A sparse tensor over the words of one length, one packed word per entry.
+
+    ``words`` is an (entries, columns) int64 array packed by ``layout``, its
+    rows in increasing lexicographic order of the words; ``coeffs`` holds
+    their coefficients, all nonzero.  ``len`` is the number of entries.
+    """
+
+    layout: WordLayout
+    words: np.ndarray
+    coeffs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WordRow):
+            return NotImplemented
+        return (
+            (self.layout.n, self.layout.length) == (other.layout.n, other.layout.length)
+            and np.array_equal(self.words, other.words)
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
+
+    __hash__ = None
+
+    def to_dict(self) -> dict[int, int]:
+        """The row as {word code: coefficient}, with ``WordLayout.codes``."""
+        return dict(zip(self.layout.codes(self.words), self.coeffs.tolist()))
+
+
+def symmetrized_tensor(k: MultiIndex, p: int) -> WordRow:
+    """Symmetrized tensor of the monomial k as a packed word row.
 
     Every word of content k receives the coefficient prod(k_i!) mod p, so the
-    row vanishes exactly when some exponent reaches p.
+    row vanishes exactly when some exponent reaches p.  The words are written
+    left to right: each level extends every prefix, in order, by each letter
+    it has left, in order, which keeps them sorted.
     """
+    n, length = len(k), sum(k)
+    layout = WordLayout(n, length)
     coeff = 1
     for e in k:
         coeff = coeff * math.factorial(e) % p
-    if coeff == 0:
-        return {}
-    return {w: coeff for w in multiset_words(k)}
+    if not coeff:
+        return WordRow(layout, layout.empty(0), np.zeros(0, dtype=np.int64))
+    words = layout.empty(1)
+    variables = [i for i, e in enumerate(k) if e]
+    if len(variables) == 1:  # one variable: the one word, its letter repeated
+        layout.write_run(words, variables[0], 0, length)
+    else:
+        # Letters left per prefix, in the narrowest dtype that holds them.
+        left = np.array([k], dtype=np.min_scalar_type(max(k, default=0)))
+        for j in range(length):
+            src, letter = np.nonzero(left)
+            words = words[src]
+            layout.write(words, j, letter)
+            left = left[src]
+            left[np.arange(len(src)), letter] -= 1
+    return WordRow(layout, words, np.full(len(words), coeff, dtype=np.int64))
 
 
-def symmetrization_matrix(n: int, p: int, ell: int) -> list[dict[Word, int]]:
-    """The symmetrization map Sym^ell -> tensor words as sparse word rows,
-    one per monomial in ``sym_basis`` order.
+def symmetrization_matrix(n: int, p: int, ell: int) -> list[dict[int, int]]:
+    """The symmetrization map Sym^ell -> tensor words as sparse rows keyed by
+    packed word codes (``WordRow.to_dict``), one per monomial in
+    ``sym_basis`` order.
 
     Rank (``fp_linalg.eliminate``) equals the truncated-power dimension;
     monomials with an exponent >= p span the kernel (their rows vanish).
     """
-    return [symmetrized_tensor(k, p) for k in sym_basis(n, ell)]
+    return [symmetrized_tensor(k, p).to_dict() for k in sym_basis(n, ell)]
 
 
 def degree_weight_check(n: int, p: int, ell: int) -> bool:

@@ -1,8 +1,10 @@
 import json
+import time
 
 from click.testing import CliRunner
 
 from truncsym.cli import main
+from truncsym.monomial_box import MATCHING_BOX_LIMIT
 from truncsym.suites import strip_timings
 
 FAST_ARGS = [
@@ -152,6 +154,21 @@ def test_matching_command_rejects_inputs_beyond_recursion_depth():
         result = CliRunner().invoke(main, ["matching", "--caps", caps, "--ell", str(ell)])
         assert result.exit_code == 0, result.exception
         assert len(result.output.splitlines()) == pairs
+
+
+def test_matching_command_rejects_oversized_box():
+    # Ten caps of 100 at degree 240 pass the level limit, but the box has
+    # about 8e15 elements; it is refused from its size, before any enumeration.
+    t0 = time.perf_counter()
+    output = _refused(["--caps", ",".join(["100"] * 10), "--ell", "240"])
+    assert time.perf_counter() - t0 < 1.0
+    assert "8027667243448424 elements" in output and str(MATCHING_BOX_LIMIT) in output
+    assert "Traceback" not in output
+    # Many caps are counted without a 2^len(caps) sum.
+    t0 = time.perf_counter()
+    assert "limit" in _refused(["--caps", ",".join(["1"] * 60), "--ell", "30"])
+    assert time.perf_counter() - t0 < 1.0
+    assert "non-negative" in _refused(["--caps", "2,-3", "--ell", "1"])
 
 
 def test_slopes_command_curve_scenario(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from truncsym.fp_linalg import eliminate, mat_mul, rank
@@ -7,8 +8,8 @@ from truncsym.monomial_box import grade_basis
 from truncsym.trunc_power import (
     degree_weight_check,
     gl2_dim,
+    WordLayout,
     koszul_complex,
-    multiset_words,
     sym_basis,
     symmetrization_matrix,
     symmetrized_tensor,
@@ -61,28 +62,51 @@ def test_gl2_examples_and_sweep():
         gl2_dim(3, -1)
 
 
+def words_of(row):
+    """The words of a packed row as tuples, decoded from their base-n codes."""
+    n, length = row.layout.n, row.layout.length
+    return [tuple(code // n ** (length - 1 - j) % n for j in range(length))
+            for code in row.to_dict()]
+
+
 def test_multiset_words():
-    assert sorted(multiset_words((2, 1))) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert words_of(symmetrized_tensor((2, 1), 5)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert word_count((2, 1)) == 3
     assert word_count((4, 4, 4)) == math.factorial(12) // math.factorial(4) ** 3
+    assert len(symmetrized_tensor((4, 4, 4), 5)) == word_count((4, 4, 4))
 
 
 def test_symmetrized_tensor_examples():
-    assert symmetrized_tensor((1, 1), 2) == {(0, 1): 1, (1, 0): 1}
-    assert symmetrized_tensor((2, 0), 2) == {}
-    assert symmetrized_tensor((2, 1), 5) == {
-        (0, 0, 1): 2,
-        (0, 1, 0): 2,
-        (1, 0, 0): 2,
-    }
+    # Keys are the words read in base n: (0, 1) -> 1, (1, 0) -> 2, (1, 0, 0) -> 4.
+    assert symmetrized_tensor((1, 1), 2).to_dict() == {1: 1, 2: 1}
+    assert len(symmetrized_tensor((2, 0), 2)) == 0
+    assert symmetrized_tensor((2, 1), 5).to_dict() == {1: 2, 2: 2, 4: 2}
 
 
 def test_symmetrization_matrix_small():
     # One row per monomial, in sym_basis order.
     assert sym_basis(2, 2) == [(0, 2), (1, 1), (2, 0)]
     rows = symmetrization_matrix(2, 2, 2)
-    assert rows == [{}, {(0, 1): 1, (1, 0): 1}, {}]
+    assert rows == [{}, {1: 1, 2: 1}, {}]
     assert len(eliminate(rows, 2)) == 1
+
+
+def test_word_layout_packs_long_words_exactly():
+    # 63 binary letters fill one int64 column; the 64th starts a second one.
+    assert WordLayout(2, 63).ends == [63]
+    assert WordLayout(2, 64).ends == [63, 64]
+    assert WordLayout(3, 40).ends == [39, 40]
+    assert WordLayout(1, 500).ends == [500]
+    assert WordLayout(4, 0).ends == [0]
+    # The top word of length 67 over two letters: every column at its maximum.
+    layout = WordLayout(2, 67)
+    words = layout.empty(1)
+    layout.write_run(words, 1, 0, 67)
+    assert words.tolist() == [[2 ** 63 - 1, 2 ** 4 - 1]]
+    assert layout.codes(words) == [2 ** 67 - 1]
+    row = symmetrized_tensor((66, 1), 67)
+    assert words_of(row) == [(0,) * (66 - j) + (1,) + (0,) * j for j in range(67)]
+    assert np.all(np.diff(list(row.to_dict())) > 0)
 
 
 def test_symmetrization_rank_below_p_is_full():
@@ -93,7 +117,8 @@ def test_symmetrization_rank_below_p_is_full():
 
 
 def test_symmetrization_degree_zero():
-    assert symmetrization_matrix(3, 2, 0) == [{(): 1}]
+    # The empty word has code 0.
+    assert symmetrization_matrix(3, 2, 0) == [{0: 1}]
 
 
 def test_degree_weight_examples():
