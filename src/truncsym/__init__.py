@@ -32,6 +32,7 @@ from .monomial_box import (
     enumerate_box,
     grade_basis,
     hall_matching_exists,
+    matching_sweep,
     verify_matching,
 )
 from .slopes import (
@@ -120,6 +121,7 @@ __all__ = [
     "koszul_complex",
     "make_slope_data",
     "mat_mul",
+    "matching_sweep",
     "nabla",
     "nabla_power_row",
     "omega_pairing_matrix",

@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .monomial_box import MATCHING_BOX_LIMIT, MATCHING_LEVEL_LIMIT, box_size, dominance_matching
+from .monomial_box import dominance_matching
 from .scenario import ScenarioError, evaluate_scenarios, load_scenarios
 from .suites import ALL_SUITES, ConfigError, SuiteConfig, run_suite
 
@@ -80,14 +80,6 @@ def matching(caps, ell):
     """Print the constructed dominance matching as explicit pairs."""
     caps_vec = _parse_csv_ints(caps, "caps")
     try:
-        # Refuse an oversized box before building anything.  Counting the box
-        # takes len(caps) * ell steps, so inputs beyond the level limit are
-        # left to ``dominance_matching``, which refuses them.
-        if len(caps_vec) + ell <= MATCHING_LEVEL_LIMIT:
-            size = box_size(caps_vec, ell)
-            if size > MATCHING_BOX_LIMIT:
-                raise ValueError(
-                    f"the degree-{ell} box has {size} elements, above the limit {MATCHING_BOX_LIMIT}")
         m = dominance_matching(caps_vec, ell)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)

@@ -17,19 +17,42 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 
+# The first 12 primes: as Miller-Rabin bases they decide primality exactly
+# below psi_12 = 318665857834031151167461, the least strong pseudoprime to
+# all of them (Sorenson and Webster, Math. Comp. 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MILLER_RABIN_LIMIT = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for the small moduli used here."""
+    """Deterministic Miller-Rabin on the first 12 prime bases.
+
+    Exact for n < MILLER_RABIN_LIMIT (about 3.19e23); larger n are refused
+    with ValueError.
+    """
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic primality bound {MILLER_RABIN_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 41 * 41:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -37,7 +60,7 @@ _INT64_BOUND = 2 ** 63
 
 
 def _check_modulus(p: int) -> None:
-    # The size test first: trial division on a huge modulus would not finish.
+    # The size test first: it refuses a huge modulus without a primality test.
     if (p - 1) ** 2 >= _INT64_BOUND:
         raise ValueError(f"modulus {p} too large: (p-1)^2 overflows int64")
     if not is_prime(p):

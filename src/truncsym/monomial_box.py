@@ -3,9 +3,11 @@
 A box M^l(a_1..a_n) is the set of integer vectors v with 0 <= v_i <= a_i
 and sum(v) = l.  For l <= sigma/2 (sigma = sum of caps) there is an
 injective map phi from M^l into M^{sigma-l} with v <= phi(v) componentwise;
-``dominance_matching`` builds it by the recursive split-and-shift construction,
-and ``hall_matching_exists`` is an independent bipartite-matching oracle
-for the same statement.
+``dominance_matching`` builds it by the split-and-shift construction, and
+``hall_matching_exists`` is an independent bipartite-matching oracle for
+the same statement.  Boxes are enumerated as numpy rows; the map is
+computed for all source elements at once, and ``matching_sweep`` checks
+many caps vectors per batch.  Nothing here recurses or caches without bound.
 """
 
 from __future__ import annotations
@@ -13,69 +15,128 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 MultiIndex = tuple[int, ...]
 
-# A recursion path of ``_matching_pairs`` has at most len(caps) + ell + 1
-# levels of two interpreter frames each on CPython 3.11 (the cache wrapper
-# and the call); this bound keeps it inside the default recursion limit of
-# 1000 with room for the caller's frames.
-MATCHING_LEVEL_LIMIT = 400
-
-# The most source-box elements ``truncsym matching`` prints pairs for.  The
-# recursion's memo grows faster than the box: caps (3000, 3000, 3000) peak at
-# about 240 MB at degree 139 (9,870 elements) and 650 MB at degree 200.
+# The most source-box elements ``dominance_matching`` accepts; larger boxes
+# are refused from their size.
 MATCHING_BOX_LIMIT = 10_000
+# The most source-box elements ``hall_matching_exists`` accepts.  Its graph
+# has up to size^2 dominance edges, held as a list of Python ints; at this
+# limit with every pair an edge the process peaks at about 210 MB.
+HALL_BOX_LIMIT = 2_048
+
+# Caps totals above this could wrap the int64 arithmetic on box rows.
+CAPS_TOTAL_LIMIT = np.iinfo(np.int64).max
+
+# ``matching_sweep`` enumerates boxes of at most about this many rows at once.
+_SWEEP_CHUNK_ROWS = 1 << 15
+# The Hall oracle compares about this many (source, target) pairs at once.
+_HALL_PAIR_BLOCK = 1 << 20
 
 
-@lru_cache(maxsize=None)
-def _box_elements(caps: tuple[int, ...], degree: int) -> tuple[MultiIndex, ...]:
-    out: list[MultiIndex] = []
+def _row_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer type holding 0..bound."""
+    for t in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(np.int64)
+
+
+def _check_caps(caps: tuple[int, ...]) -> int:
+    if any(a < 0 for a in caps):
+        raise ValueError("caps must be non-negative")
+    sigma = sum(caps)
+    if sigma > CAPS_TOTAL_LIMIT:
+        raise ValueError(f"cap total {sigma} exceeds the int64 range")
+    return sigma
+
+
+def _enumerate(caps: np.ndarray, degree: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Box rows of every caps vector (a row of ``caps``), prefix-major.
+
+    Returns the rows and, for each, the index of its caps vector; the rows of
+    one caps vector are contiguous and in lexicographic order.  With a degree
+    only the rows of that degree are built, else the full products of chains.
+    Each coordinate extends every prefix by its feasible values; the rows are
+    read back along the parent links at the end.
+    """
+    m, n = caps.shape
+    caps = caps.astype(np.int64)
+    # tails[:, k]: the caps total of coordinates k.. of each caps vector.
+    tails = np.zeros((m, n + 1), np.int64)
+    tails[:, :n] = np.cumsum(caps[:, ::-1], axis=1)[:, ::-1]
+    owner = np.arange(m)
+    left = np.full(m, 0 if degree is None else degree, np.int64)
+    links = []
+    for k in range(n):
+        cap = caps[owner, k]
+        if degree is None:
+            lo = np.zeros_like(cap)
+            hi = cap
+        else:
+            lo = np.maximum(left - tails[owner, k + 1], 0)
+            hi = np.minimum(left, cap)
+        counts = np.maximum(hi - lo + 1, 0)
+        parent = np.repeat(np.arange(len(owner)), counts)
+        first = np.cumsum(counts) - counts
+        values = lo[parent] + np.arange(len(parent)) - first[parent]
+        links.append((parent, values))
+        owner = owner[parent]
+        left = left[parent] - values
+    keep = np.arange(len(owner)) if degree is None else np.flatnonzero(left == 0)
+    rows = np.empty((len(keep), n), _row_dtype(int(caps.max(initial=0))))
+    at = keep
+    for k in range(n - 1, -1, -1):
+        parent, values = links[k]
+        rows[:, k] = values[at]
+        at = parent[at]
+    return rows, owner[keep]
+
+
+def _box_rows(caps: tuple[int, ...], degree: int) -> np.ndarray:
     if degree < 0 or degree > sum(caps):
-        return ()
+        return np.zeros((0, len(caps)), _row_dtype(max(caps, default=0)))
+    return _enumerate(np.array([caps], np.int64), degree)[0]
 
-    def rec(prefix: tuple[int, ...], rest: tuple[int, ...], remaining: int) -> None:
-        if not rest:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        if remaining > sum(rest):
-            return
-        hi = min(rest[0], remaining)
-        for v in range(hi + 1):
-            rec(prefix + (v,), rest[1:], remaining - v)
 
-    rec((), caps, degree)
-    return tuple(out)
+def _as_tuples(rows: np.ndarray) -> list[MultiIndex]:
+    return list(map(tuple, rows.tolist()))
 
 
 def enumerate_box(caps: tuple[int, ...] | list[int], degree: int) -> list[MultiIndex]:
     """All elements of the box in lexicographic order; empty when out of range."""
     caps = tuple(caps)
-    if any(a < 0 for a in caps):
-        raise ValueError("caps must be non-negative")
-    return list(_box_elements(caps, degree))
+    _check_caps(caps)
+    return _as_tuples(_box_rows(caps, degree))
+
+
+@lru_cache(maxsize=256)
+def _grade_basis(n: int, p: int, ell: int) -> tuple[MultiIndex, ...]:
+    return tuple(enumerate_box((p - 1,) * n, ell))
 
 
 def grade_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
     """Monomial basis of grade ell in n variables with exponents capped at p-1.
 
     The one basis shared by the truncated power, the truncated algebra and
-    its operators, and the layers of the connection filtration.
+    its operators, and the layers of the connection filtration.  The most
+    recent grades are cached, so their repeated lookups do not re-enumerate.
     """
-    return enumerate_box((p - 1,) * n, ell)
+    return list(_grade_basis(n, p, ell))
 
 
 def box_size(caps: tuple[int, ...] | list[int], degree: int) -> int:
     """Cardinality of the box by inclusion-exclusion over violated caps.
 
-    The signed sets of violated caps are tallied by how far they lower the
-    degree, so the count takes len(caps) * degree steps, not 2^len(caps).
+    Zero caps are dropped and caps of at least the degree never bind, so the
+    signed sets of violated caps, tallied by how far they lower the degree,
+    take at most min(2^binding, degree + 1) entries.
     """
-    caps = tuple(caps)
+    caps = tuple(a for a in caps if a)
     if any(a < 0 for a in caps):
         raise ValueError("caps must be non-negative")
     n = len(caps)
@@ -84,11 +145,36 @@ def box_size(caps: tuple[int, ...] | list[int], degree: int) -> int:
     if not n:
         return int(degree == 0)
     # signed[s]: sum of (-1)^|S| over the cap sets S with sum(a_i + 1) = s.
-    signed = [1] + [0] * degree
+    signed = {0: 1}
     for a in caps:
-        for s in range(degree, a, -1):
-            signed[s] -= signed[s - a - 1]
-    return sum(c * math.comb(degree - s + n - 1, n - 1) for s, c in enumerate(signed) if c)
+        if a < degree:
+            for s, c in list(signed.items()):
+                if s + a + 1 <= degree:
+                    signed[s + a + 1] = signed.get(s + a + 1, 0) - c
+    return sum(c * math.comb(degree - s + n - 1, n - 1) for s, c in signed.items() if c)
+
+
+def _bounded_box_size(caps: tuple[int, ...], degree: int, limit: int) -> int:
+    """The box size, or ValueError when it is above the limit.
+
+    The box M^l is as large as M^{sigma-l}, and the ranks of a product of
+    chains rise up to half the total, so for 1 <= k <= min(l, sigma-l) the
+    C(n, k) 0/1 vectors of weight k over the n positive caps bound the box
+    from below; a box that bound already puts above the limit is refused
+    before the exact count, whose cost grows with the number of caps.
+    """
+    low = min(degree, sum(caps) - degree)
+    positive = sum(1 for a in caps if a)
+    bound = 1
+    for i in range(min(low, positive // 2)):
+        bound = bound * (positive - i) // (i + 1)
+        if bound > limit:
+            raise ValueError(
+                f"the degree-{degree} box has at least {bound} elements, above the limit {limit}")
+    size = box_size(caps, degree)
+    if size > limit:
+        raise ValueError(f"the degree-{degree} box has {size} elements, above the limit {limit}")
+    return size
 
 
 def dominates(v: MultiIndex, w: MultiIndex) -> bool:
@@ -135,151 +221,385 @@ class MatchingVerdict:
     witness: tuple | None = None
 
 
-def _split_last(w: tuple[int, ...], cap: int) -> tuple[int, ...]:
-    # Inverse of the merge (v_1,..,v_{n-2}, v_{n-1}+v_n): the merged value goes
-    # into slot n-1 up to its cap, the overflow into slot n.
-    if w[-1] <= cap:
-        return w[:-1] + (w[-1], 0)
-    return w[:-1] + (cap, w[-1] - cap)
+def _split_last(w: np.ndarray, i: np.ndarray, j: np.ndarray, cap: np.ndarray,
+                shift: np.ndarray) -> None:
+    # Undo one step on the flat image array w, in place.  A merge (shift 0)
+    # is split back: the merged value goes into slot i up to its cap, the
+    # overflow into the empty slot j.  A shift run (cap beyond any value)
+    # leaves slot i and adds its length to slot j.
+    wi = w[i]
+    kept = np.minimum(wi, cap)
+    w[j] += shift + (wi - kept)
+    w[i] = kept
 
 
-@lru_cache(maxsize=None)
-def _matching_pairs(caps: tuple[int, ...], ell: int) -> tuple[tuple[MultiIndex, MultiIndex], ...]:
-    """Dominance matching pairs for 2*ell <= sum(caps), as a sorted tuple.
+def _split_shift_images(v: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """The dominance matching of each row of v inside the box of its caps row.
 
-    Zero caps force a zero coordinate in both boxes; they are stripped before
-    recursing and the positions restored afterwards, so the recursion proper
-    only ever sees strictly positive caps.  Memoized because the shifted
-    branch re-enters with lowered caps (lru_cache is thread-safe, and the
-    result is deterministic, so concurrent misses are benign).
+    Positive caps are the active coordinates.  A step looks at the last two,
+    i < j: if v_i = a_i or v_j = 0 the two merge into slot i with cap
+    a_i + a_j; otherwise t = min(a_i - v_i, v_j) shifts happen at once
+    (v_j, a_i and a_j all drop by t), after which the row merges or a cap
+    reaches zero.  So a row takes at most 2 * len(caps) steps, whatever its
+    degree.  One active coordinate maps to a_j - v_j; the logged steps are
+    then unwound in reverse: a merge is split back, a shift adds t to slot j.
+
+    Only slots i and j ever change, so the active slots below i are those of
+    the input caps: ``below`` links each slot to the active one before it,
+    and i and j are tracked as flat indices of the rows still stepping.
     """
-    if ell < 0:
-        return ()
-    positive = [i for i, a in enumerate(caps) if a > 0]
-    if len(positive) < len(caps):
-        inner = _matching_pairs(tuple(caps[i] for i in positive), ell)
-        n = len(caps)
-        pairs = []
-        for v, w in inner:
-            fv, fw = [0] * n, [0] * n
-            for slot, i in enumerate(positive):
-                fv[i] = v[slot]
-                fw[i] = w[slot]
-            pairs.append((tuple(fv), tuple(fw)))
-        return tuple(sorted(pairs))
-
-    n = len(caps)
-    sigma = sum(caps)
-    if n == 0:
-        return (((), ()),) if ell == 0 else ()
-    if n == 1:
-        a = caps[0]
-        return (((ell,), (a - ell,)),) if 0 <= ell <= a else ()
-
-    # n >= 2, every cap positive.  Split the box at the last two coordinates:
-    # S = {v_{n-1} = a_{n-1} or v_n = 0} maps bijectively onto the merged
-    # (n-1)-variable box via (.., v_{n-1}+v_n); its complement C shifts into
-    # the box with both last caps (and the degree) lowered by one.
-    merged = caps[:-2] + (caps[-2] + caps[-1],)
-    out: list[tuple[MultiIndex, MultiIndex]] = []
-    for v, w in _matching_pairs(merged, ell):
-        out.append((_split_last(v, caps[-2]), _split_last(w, caps[-2])))
-    reduced = caps[:-2] + (caps[-2] - 1, caps[-1] - 1)
-    if ell >= 1:
-        for v, w in _matching_pairs(reduced, ell - 1):
-            out.append((v[:-1] + (v[-1] + 1,), w[:-1] + (w[-1] + 1,)))
-    return tuple(sorted(out))
+    rows, n = v.shape
+    v, caps = v.ravel().copy(), caps.ravel().copy()
+    active = np.where(caps.reshape(rows, n) > 0, np.arange(n), -1)
+    last = np.maximum.accumulate(active, axis=1)
+    flat = np.arange(rows)[:, None] * n
+    below = np.full((rows, n), -1, np.int64)
+    below[:, 1:] = np.where(last[:, :-1] >= 0, flat + last[:, :-1], -1)
+    # A final -1 entry makes below[-1] == -1.
+    below = np.append(below.ravel(), -1)
+    j = np.where(last[:, -1] >= 0, flat[:, 0] + last[:, -1], -1)
+    i = below[j]
+    j, i = j[i >= 0], i[i >= 0]
+    no_cap = np.iinfo(v.dtype).max
+    log = []
+    while len(i):
+        vi, vj, ci, cj = v[i], v[j], caps[i], caps[j]
+        merge = (vi == ci) | (vj == 0)
+        t = np.where(merge, 0, np.minimum(ci - vi, vj))
+        log.append((i, j, np.where(merge, ci, no_cap), t))
+        ci = np.where(merge, ci + cj, ci - t)
+        cj = np.where(merge, 0, cj - t)
+        caps[i], caps[j] = ci, cj
+        v[i] = np.where(merge, vi + vj, vi)
+        v[j] = np.where(merge, 0, vj - t)
+        # The last two active slots now: j stays unless its cap is spent,
+        # i unless it took j's place or its cap is spent.
+        bi = below[i]
+        keep_i, keep_j = ci > 0, cj > 0
+        j, i = (np.where(keep_j, j, np.where(keep_i, i, bi)),
+                np.where(keep_j, np.where(keep_i, i, bi), np.where(keep_i, bi, below[bi])))
+        j, i = j[i >= 0], i[i >= 0]
+    w = caps - v
+    for i, j, cap, shift in reversed(log):
+        _split_last(w, i, j, cap, shift)
+    return w.reshape(rows, n)
 
 
 def dominance_matching(caps: tuple[int, ...] | list[int], ell: int) -> Matching:
-    """The recursive injective dominance matching M^l -> M^{sigma-l}.
+    """The split-and-shift injective dominance matching M^l -> M^{sigma-l}.
 
     Requires 2*ell <= sigma; outside that range no dominance matching can
     exist on a non-empty box, so the hypothesis violation is an error, and
-    so are empty caps, a negative degree and len(caps) + ell above
-    MATCHING_LEVEL_LIMIT.
+    so are empty caps, a negative degree, a cap total beyond int64 and a
+    source box above MATCHING_BOX_LIMIT elements.
     """
     caps = tuple(caps)
     if not caps:
         raise ValueError("caps must be non-empty")
-    if any(a < 0 for a in caps):
-        raise ValueError("caps must be non-negative")
+    sigma = _check_caps(caps)
     if ell < 0:
         raise ValueError(f"degree {ell} is negative")
-    if len(caps) + ell > MATCHING_LEVEL_LIMIT:
-        raise ValueError(f"{len(caps)} caps plus degree {ell} exceed the limit {MATCHING_LEVEL_LIMIT}")
-    sigma = sum(caps)
     if 2 * ell > sigma:
         raise ValueError(f"degree {ell} exceeds half the cap total {sigma}")
-    assignment = dict(_matching_pairs(caps, ell))
+    _bounded_box_size(caps, ell, MATCHING_BOX_LIMIT)
+    dtype = _row_dtype(sigma)
+    source = _box_rows(caps, ell).astype(dtype)
+    images = _split_shift_images(source, np.tile(np.array(caps, dtype), (len(source), 1)))
+    assignment = dict(zip(_as_tuples(source), _as_tuples(images)))
     return Matching(Box(caps, ell), Box(caps, sigma - ell), assignment)
+
+
+def _earlier_equal(keys: list[np.ndarray]) -> np.ndarray:
+    """For each row, the first earlier row with the same keys, or -1."""
+    count = len(keys[0])
+    if not count:
+        return np.zeros(0, np.int64)
+    order = np.lexsort([np.arange(count), *reversed(keys)])
+    same = np.ones(count - 1, bool)
+    for key in keys:
+        ordered = key[order]
+        same &= ordered[1:] == ordered[:-1]
+    starts = np.concatenate([[True], ~same])
+    leader = order[starts][np.cumsum(starts) - 1]
+    first = np.empty(count, np.int64)
+    first[order] = leader
+    first[first == np.arange(count)] = -1
+    return first
+
+
+def _violations(v: np.ndarray, w: np.ndarray, caps: np.ndarray, target_degree: np.ndarray,
+                case: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: image outside the target box, dominance failing, and the
+    first earlier row of the same case with the same image (or -1)."""
+    outside = (w.sum(axis=1) != target_degree) | ((w < 0) | (w > caps)).any(axis=1)
+    undominated = (v > w).any(axis=1)
+    repeat = _earlier_equal([case, *w.T])
+    return outside, undominated, repeat
+
+
+def _verdict(source: list[MultiIndex], images: list, outside, undominated,
+             repeat) -> MatchingVerdict:
+    """The first violation in source order, from the flags of ``_violations``."""
+    bad = outside | undominated | (repeat >= 0)
+    if not bad.any():
+        return MatchingVerdict(True)
+    k = int(np.argmax(bad))
+    v, w = source[k], images[k]
+    if outside[k]:
+        return MatchingVerdict(False, "image outside target box", (v, w))
+    if undominated[k]:
+        return MatchingVerdict(False, "dominance fails", (v, w))
+    return MatchingVerdict(False, "not injective", (source[repeat[k]], v, w))
 
 
 def verify_matching(m: Matching) -> MatchingVerdict:
     """Check totality, injectivity, target membership and dominance.
 
     Returns the first violation found, scanning the source box in
-    lexicographic order.
+    lexicographic order: a missing image first, then per element an image
+    outside the target, dominance, and an image met before.
     """
     source = m.source.elements()
-    for v in source:
-        if v not in m.assignment:
+    images = [m.assignment.get(v) for v in source]
+    for v, w in zip(source, images):
+        if w is None:
             return MatchingVerdict(False, "not total", (v,))
-    seen: dict[MultiIndex, MultiIndex] = {}
-    for v in source:
-        w = m.assignment[v]
-        if w not in m.target:
-            return MatchingVerdict(False, "image outside target box", (v, w))
-        if not dominates(v, w):
-            return MatchingVerdict(False, "dominance fails", (v, w))
-        if w in seen:
-            return MatchingVerdict(False, "not injective", (seen[w], v, w))
-        seen[w] = v
-    return MatchingVerdict(True)
+    caps = m.source.caps
+    n, sigma = len(caps), sum(caps)
+    # Rows of the wrong length or beyond the caps total lie outside the
+    # target; -1 marks them as such and keeps the array exact.
+    rows = [w if len(w) == n and all(0 <= x <= sigma for x in w) else (-1,) * n
+            for w in images]
+    dtype = _row_dtype(sigma)
+    w = np.array(rows, dtype).reshape(len(rows), n)
+    v = np.array(source, dtype).reshape(len(source), n)
+    zeros = np.zeros(len(source), np.int64)
+    flags = _violations(v, w, np.array(caps, dtype), m.target.degree, zeros)
+    return _verdict(source, images, *flags)
+
+
+def _augmenting_matching_exists(adjacency: list[int], bounds: list[int], targets: int) -> bool:
+    """Whether every source gets its own target: a greedy seed, then an
+    iterative augmenting-path search from each source the seed left free.
+
+    Source i's targets are adjacency[bounds[i]:bounds[i + 1]].
+    """
+    owner = [-1] * targets
+    free = []
+    for i in range(len(bounds) - 1):
+        for j in adjacency[bounds[i]:bounds[i + 1]]:
+            if owner[j] < 0:
+                owner[j] = i
+                break
+        else:
+            free.append(i)
+    for root in free:
+        seen = bytearray(targets)
+        path = [root]  # sources along the search path
+        via = []  # via[d]: the target taken from path[d] to path[d + 1]
+        cursor = [bounds[root]]
+        while True:
+            i = path[-1]
+            c, end = cursor[-1], bounds[i + 1]
+            while c < end and seen[adjacency[c]]:
+                c += 1
+            if c == end:
+                path.pop()
+                cursor.pop()
+                if not path:
+                    return False
+                via.pop()
+                continue
+            j = adjacency[c]
+            cursor[-1] = c + 1
+            seen[j] = 1
+            via.append(j)
+            if owner[j] < 0:
+                for s, t in zip(path, via):
+                    owner[t] = s
+                break
+            path.append(owner[j])
+            cursor.append(bounds[owner[j]])
+    return True
+
+
+def _dominance_test(rows: np.ndarray):
+    """A function of index arrays (src, tgt): whether rows[src] <= rows[tgt]
+    componentwise, pair by pair."""
+    n = rows.shape[1]
+    width = int(rows.max(initial=0)).bit_length() + 1
+    if n * width > 62:
+        return lambda src, tgt: (rows[src] <= rows[tgt]).all(axis=1)
+    # One int64 per row, each coordinate in a field with a guard bit on top:
+    # subtracting v from w with the guard bits set borrows a field's guard bit
+    # exactly when v_k > w_k, and never reaches the next field.
+    shifts = np.arange(n, dtype=np.int64) * width
+    packed = (rows.astype(np.int64) << shifts).sum(axis=1)
+    guard = int(sum(1 << (int(s) + width - 1) for s in shifts))
+    return lambda src, tgt: ((packed[tgt] | guard) - packed[src]) & guard == guard
+
+
+def _edges(dominated, source: np.ndarray, t_lo: np.ndarray, t_len: np.ndarray):
+    """Dominance edges from each source row to the t_len rows from t_lo.
+
+    Returns the edges' target offsets, source by source, and the number of
+    edges of each source; about _HALL_PAIR_BLOCK pairs are compared at once.
+    """
+    offsets = []
+    degree = np.zeros(len(source), np.int64)
+    ends = np.cumsum(t_len)
+    a = 0
+    while a < len(source):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - t_len[a] + _HALL_PAIR_BLOCK, "right")))
+        w = t_len[a:b]
+        start = np.cumsum(w) - w
+        src = np.repeat(source[a:b], w)
+        hit = dominated(src, np.arange(len(src)) + np.repeat(t_lo[a:b] - start, w))
+        count = np.concatenate([[0], np.cumsum(hit)])
+        degree[a:b] = count[start + w] - count[start]
+        offsets.append(np.flatnonzero(hit) - np.repeat(start, degree[a:b]))
+        a = b
+    return np.concatenate(offsets) if offsets else np.zeros(0, np.int64), degree
+
+
+def _hall_many(rows: np.ndarray, cases: np.ndarray) -> list[bool]:
+    """The Hall oracle for many cases over one array of box rows.
+
+    Case c asks whether rows cases[c, 0]:cases[c, 1] inject into rows
+    cases[c, 2]:cases[c, 3] along dominance.  A case fails Hall's condition
+    outright when it has more sources than targets or its first source lies
+    below no target; the others get their dominance graphs built together
+    and run the augmenting-path search.
+    """
+    s_lo, s_hi, t_lo, t_hi = cases.T
+    s_len, t_len = s_hi - s_lo, t_hi - t_lo
+    dominated = _dominance_test(rows)
+    todo = np.flatnonzero((s_len > 0) & (s_len <= t_len))
+    todo = todo[_edges(dominated, s_lo[todo], t_lo[todo], t_len[todo])[1] > 0]
+    sizes = s_len[todo]
+    first = np.cumsum(sizes) - sizes
+    case = np.repeat(np.arange(len(todo)), sizes)
+    source = np.repeat(s_lo[todo] - first, sizes) + np.arange(len(case))
+    adjacency, degree = _edges(dominated, source, t_lo[todo][case], t_len[todo][case])
+    adjacency = adjacency.tolist()
+    bounds = [0, *np.cumsum(degree).tolist()]
+    out = (s_len == 0).tolist()
+    for c, lo, size, targets in zip(todo.tolist(), first.tolist(), sizes.tolist(),
+                                    t_len[todo].tolist()):
+        out[c] = _augmenting_matching_exists(adjacency, bounds[lo:lo + size + 1], targets)
+    return out
 
 
 def hall_matching_exists(caps: tuple[int, ...] | list[int], ell: int) -> bool:
     """Independent oracle: does M^l inject into M^{sigma-l} along dominance?
 
-    Augmenting-path bipartite matching; vacuously true on an empty source box.
+    Augmenting-path bipartite matching on the dominance graph of the two
+    boxes; vacuously true on an empty source box.  Boxes above
+    HALL_BOX_LIMIT elements are refused.
     """
     caps = tuple(caps)
-    source = enumerate_box(caps, ell)
-    if not source:
+    sigma = _check_caps(caps)
+    if not 0 <= ell <= sigma:
         return True
-    target = enumerate_box(caps, sum(caps) - ell)
-    if not target:
-        return False
-    # Dominance adjacency, vectorized: edge (i, j) iff source[i] <= target[j].
-    s = np.array(source, dtype=np.int64)
-    t = np.array(target, dtype=np.int64)
-    dominated = (s[:, None, :] <= t[None, :, :]).all(axis=2)
-    adj = [np.nonzero(row)[0].tolist() for row in dominated]
-    matched: list[int | None] = [None] * len(target)
+    size = _bounded_box_size(caps, ell, HALL_BOX_LIMIT)
+    rows = np.concatenate([_box_rows(caps, ell), _box_rows(caps, sigma - ell)])
+    return _hall_many(rows, np.array([[0, size, size, len(rows)]]))[0]
 
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if matched[j] is None or augment(matched[j], seen):
-                    matched[j] = i
-                    return True
-        return False
 
-    for i in range(len(source)):
-        if not augment(i, [False] * len(target)):
-            return False
-    return True
+def _sweep_chunks(caps_vectors: Iterable[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
+    # Consecutive caps vectors of one length, about _SWEEP_CHUNK_ROWS box rows at a time.
+    chunk: list[tuple[int, ...]] = []
+    rows = 0
+    for caps in caps_vectors:
+        caps = tuple(caps)
+        if not caps:
+            raise ValueError("caps must be non-empty")
+        _check_caps(caps)
+        size = math.prod(a + 1 for a in caps)
+        if size > _SWEEP_CHUNK_ROWS:
+            raise ValueError(f"the full box of caps {caps} has {size} elements, "
+                             f"above the sweep's limit {_SWEEP_CHUNK_ROWS}")
+        if chunk and (len(caps) != len(chunk[0]) or rows + size > _SWEEP_CHUNK_ROWS):
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append(caps)
+        rows += size
+    if chunk:
+        yield chunk
+
+
+def matching_sweep(
+    caps_vectors: Iterable[tuple[int, ...]],
+) -> Iterator[tuple[tuple[int, ...], list[MatchingVerdict], list[bool]]]:
+    """For each caps vector, the verdicts of the dominance matching at every
+    degree l <= sigma/2 and the Hall oracle's answers at every l <= sigma.
+
+    The same map, checks and oracle as ``dominance_matching``,
+    ``verify_matching`` and ``hall_matching_exists``, run on a batch of caps
+    vectors of one length at once: each full box is enumerated once and
+    sliced by degree, and the map and its checks run on all rows together.
+    Meant for many small boxes: a full box above _SWEEP_CHUNK_ROWS elements
+    is refused.
+    """
+    for chunk in _sweep_chunks(caps_vectors):
+        caps = np.array(chunk, np.int64)
+        sigma = caps.sum(axis=1)
+        stride = int(sigma.max()) + 1
+        rows, owner = _enumerate(caps)
+        dtype = _row_dtype(stride)
+        rows = rows.astype(dtype)
+        # Order the rows by (caps vector, degree), lexicographic within each.
+        key = owner * stride + rows.sum(axis=1)
+        order = np.argsort(key, kind="stable")
+        rows, owner, key = rows[order], owner[order], key[order]
+        bounds = np.searchsorted(key, np.arange(len(chunk) * stride + 1))
+        degree = key - owner * stride
+        matched = 2 * degree <= sigma[owner]
+        v, case = rows[matched], key[matched]
+        row_caps = caps[owner[matched]].astype(dtype)
+        w = _split_shift_images(v, row_caps)
+        outside, undominated, repeat = _violations(
+            v, w, row_caps, sigma[owner[matched]] - degree[matched], case)
+        failing = set(case[outside | undominated | (repeat >= 0)].tolist())
+        # Hall case q * stride + l: degree l into degree sigma_q - l of caps
+        # vector q (an empty source when l > sigma_q).
+        owners, degrees = np.divmod(np.arange(len(chunk) * stride), stride)
+        mirror = owners * stride + np.maximum(sigma[owners] - degrees, 0)
+        oracle = _hall_many(rows, np.stack(
+            [bounds[:-1], bounds[1:], bounds[mirror], bounds[mirror + 1]], axis=1))
+        starts = np.searchsorted(case, np.arange(len(chunk) * stride + 1)).tolist()
+        for q, caps_q in enumerate(chunk):
+            s = int(sigma[q])
+            verdicts = []
+            for ell in range(s // 2 + 1):
+                c = q * stride + ell
+                if c not in failing:
+                    verdicts.append(MatchingVerdict(True))
+                    continue
+                lo, hi = starts[c], starts[c + 1]
+                earlier = repeat[lo:hi]
+                verdicts.append(_verdict(
+                    _as_tuples(v[lo:hi]), _as_tuples(w[lo:hi]), outside[lo:hi],
+                    undominated[lo:hi], np.where(earlier >= 0, earlier - lo, -1)))
+            yield caps_q, verdicts, oracle[q * stride:q * stride + s + 1]
 
 
 def iter_caps_vectors(n_max: int, sigma_max: int) -> Iterator[tuple[int, ...]]:
-    """All caps vectors with 1 <= n <= n_max and sum(caps) <= sigma_max."""
-    def rec(prefix: tuple[int, ...], length: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if length == 0:
-            yield prefix
-            return
-        for a in range(budget + 1):
-            yield from rec(prefix + (a,), length - 1, budget - a)
-
+    """All caps vectors with 1 <= n <= n_max and sum(caps) <= sigma_max,
+    by length, then in lexicographic order."""
     for n in range(1, n_max + 1):
-        yield from rec((), n, sigma_max)
+        caps = [0] * n
+        total = 0
+        while True:
+            yield tuple(caps)
+            if total < sigma_max:
+                caps[-1] += 1
+                total += 1
+                continue
+            # The total is spent: zero the last positive entry and carry.
+            k = max((i for i in range(n) if caps[i]), default=0)
+            if k == 0:
+                break
+            total -= caps[k] - 1
+            caps[k] = 0
+            caps[k - 1] += 1

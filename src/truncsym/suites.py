@@ -204,32 +204,24 @@ def _matching_cases(caps_vectors) -> Cases:
     """The dominance matching up to half degree, checked and cross-checked by
     the Hall oracle; above half degree both must refuse."""
     caps_count = matched = boundary = 0
-    for caps in caps_vectors:
+    for caps, verdicts, oracle in boxes.matching_sweep(caps_vectors):
         caps_count += 1
         sigma = sum(caps)
         name = ",".join(map(str, caps))
-        for ell in range(sigma // 2 + 1):
+        for ell, verdict in enumerate(verdicts):
             matched += 1
-            key = f"caps={name} l={ell}"
-            try:
-                m = boxes.dominance_matching(caps, ell)
-            except ValueError as exc:  # pragma: no cover - construction must succeed
-                yield key, False, f"construction raised: {exc}"
-                continue
-            verdict = boxes.verify_matching(m)
-            oracle = boxes.hall_matching_exists(caps, ell)
             detail = []
             if not verdict.ok:
                 detail.append(f"{verdict.reason} at {verdict.witness}")
-            if not oracle:
+            if not oracle[ell]:
                 detail.append("oracle denies a matching the construction produced")
-            yield key, verdict.ok and oracle, "; ".join(detail)
+            yield f"caps={name} l={ell}", verdict.ok and oracle[ell], "; ".join(detail)
         # Above half the cap total no dominance matching can exist on the
         # (non-empty) box, and the constructor must refuse the degree.
         for ell in range(sigma // 2 + 1, sigma + 1):
             boundary += 1
             problems = []
-            if boxes.hall_matching_exists(caps, ell):
+            if oracle[ell]:
                 problems.append("oracle found a matching above half degree")
             try:
                 boxes.dominance_matching(caps, ell)

@@ -146,29 +146,45 @@ def test_matching_command_rejects_empty_caps():
     assert "non-empty" in _refused(["--caps", "", "--ell", "0"])
 
 
-def test_matching_command_rejects_inputs_beyond_recursion_depth():
-    assert "limit" in _refused(["--caps", "3000,3000", "--ell", "1500"])
-    assert "limit" in _refused(["--caps", ",".join(["1"] * 500), "--ell", "1"])
-    # The largest accepted inputs still run inside the default recursion limit.
-    for caps, ell, pairs in [("3000,3000", 398, 399), (",".join(["1"] * 400), 0, 1)]:
+def test_matching_command_answers_deep_inputs():
+    # The map takes at most 2 * len(caps) steps per element, whatever the
+    # degree, so long shift runs and many caps need no deep call stack.
+    for caps, ell, pairs in [("3000,3000", 1500, 1501), (",".join(["1"] * 500), 1, 500)]:
         result = CliRunner().invoke(main, ["matching", "--caps", caps, "--ell", str(ell)])
         assert result.exit_code == 0, result.exception
         assert len(result.output.splitlines()) == pairs
+    result = CliRunner().invoke(main, ["matching", "--caps", "3000,3000", "--ell", "1500"])
+    lines = result.output.splitlines()
+    assert lines[0] == "0,1500 -> 1500,3000" and lines[-1] == "1500,0 -> 3000,1500"
+
+
+def test_matching_command_answers_small_box_of_huge_caps():
+    t0 = time.perf_counter()
+    result = CliRunner().invoke(main, ["matching", "--caps", "1000000000", "--ell", "100000000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 0, result.exception
+    assert result.output == "100000000 -> 900000000\n"
 
 
 def test_matching_command_rejects_oversized_box():
-    # Ten caps of 100 at degree 240 pass the level limit, but the box has
-    # about 8e15 elements; it is refused from its size, before any enumeration.
+    # Ten caps of 100 at degree 240: the box has about 8e15 elements; it is
+    # refused from its size, before any enumeration.
     t0 = time.perf_counter()
     output = _refused(["--caps", ",".join(["100"] * 10), "--ell", "240"])
     assert time.perf_counter() - t0 < 1.0
     assert "8027667243448424 elements" in output and str(MATCHING_BOX_LIMIT) in output
     assert "Traceback" not in output
-    # Many caps are counted without a 2^len(caps) sum.
-    t0 = time.perf_counter()
-    assert "limit" in _refused(["--caps", ",".join(["1"] * 60), "--ell", "30"])
-    assert time.perf_counter() - t0 < 1.0
+    # Many caps are counted without a 2^len(caps) sum, and a huge degree
+    # without a degree-long table.
+    for caps, ell in [(",".join(["1"] * 60), 30), ("1000000000,1000000000", 100000000),
+                      (",".join(["1"] * 100000), 2), (",".join(map(str, range(1, 40))), 390)]:
+        t0 = time.perf_counter()
+        assert "limit" in _refused(["--caps", caps, "--ell", str(ell)])
+        assert time.perf_counter() - t0 < 1.0
+    assert "100000001 elements" in _refused(
+        ["--caps", "1000000000,1000000000", "--ell", "100000000"])
     assert "non-negative" in _refused(["--caps", "2,-3", "--ell", "1"])
+    assert "int64" in _refused(["--caps", f"{2 ** 62},{2 ** 62}", "--ell", "1"])
 
 
 def test_slopes_command_curve_scenario(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncsym.fp_linalg import (
+    MILLER_RABIN_LIMIT,
     FpMatrix,
     eliminate,
     is_prime,
@@ -44,6 +45,35 @@ def test_is_prime_small():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+def test_is_prime_matches_sieve_below_1e5():
+    limit = 10 ** 5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for f in range(2, int(limit ** 0.5) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytearray(len(range(f * f, limit, f)))
+    assert [n for n in range(-3, limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+                  5394826801, 232250619601, 9746347772161]
+    # Strong pseudoprimes to the first 4 and the first 9 prime bases.
+    strong = [3215031751, 3825123056546413051]
+    assert not any(is_prime(n) for n in carmichael + strong)
+    primes = [2 ** 31 - 1, 3037000493, 304250263527209, 10 ** 18 + 3, 2 ** 61 - 1,
+              2 ** 63 - 25, 2 ** 64 - 59]
+    assert all(is_prime(p) for p in primes)
+    assert not any(is_prime(p * q) for p, q in [(2 ** 31 - 1, 3037000493), (2 ** 61 - 1, 65537),
+                                                 (2 ** 31 - 1, 2 ** 31 - 1)])
+    t0 = time.perf_counter()
+    for n in (MILLER_RABIN_LIMIT, 10 ** 30 + 57, 2 ** 127 - 1):
+        with pytest.raises(ValueError, match="primality bound"):
+            is_prime(n)
+    assert time.perf_counter() - t0 < 1.0
+    assert not is_prime(MILLER_RABIN_LIMIT - 1)
+
+
 def test_composite_modulus_rejected():
     with pytest.raises(ValueError):
         FpMatrix([[1]], 4)
@@ -54,8 +84,8 @@ def test_composite_modulus_rejected():
 
 
 def test_huge_prime_modulus_refused_at_once():
-    # 10^18 + 3 is prime: trial division would run for about a minute, so
-    # the int64 size test must refuse it first.
+    # 10^18 + 3 is prime, but (p-1)^2 overflows int64: the size test
+    # refuses it before any primality test.
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="too large"):
         FpMatrix([[1]], 10 ** 18 + 3)

@@ -1,20 +1,69 @@
 import itertools
+import time
+from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import truncsym.monomial_box as boxes
 from truncsym.monomial_box import (
+    HALL_BOX_LIMIT,
+    MATCHING_BOX_LIMIT,
     Box,
     Matching,
+    MatchingVerdict,
     box_size,
     dominance_matching,
     dominates,
     enumerate_box,
+    grade_basis,
     hall_matching_exists,
     iter_caps_vectors,
+    matching_sweep,
     verify_matching,
 )
+
+
+def _split_last(w, cap):
+    # Inverse of the merge (v_1,..,v_{n-2}, v_{n-1}+v_n).
+    if w[-1] <= cap:
+        return w[:-1] + (w[-1], 0)
+    return w[:-1] + (cap, w[-1] - cap)
+
+
+@cache
+def reference_pairs(caps, ell):
+    """The paper's recursion, memoized: sorted (v, phi(v)) pairs.
+
+    Zero caps are stripped and restored; with n >= 2 positive caps the set
+    {v_{n-1} = a_{n-1} or v_n = 0} goes through the box with the last two
+    caps merged, and its complement through the box with both lowered by
+    one (and the degree by one), shifted back by e_n.
+    """
+    if ell < 0:
+        return ()
+    positive = [i for i, a in enumerate(caps) if a > 0]
+    if len(positive) < len(caps):
+        pairs = []
+        for v, w in reference_pairs(tuple(caps[i] for i in positive), ell):
+            fv, fw = [0] * len(caps), [0] * len(caps)
+            for slot, i in enumerate(positive):
+                fv[i], fw[i] = v[slot], w[slot]
+            pairs.append((tuple(fv), tuple(fw)))
+        return tuple(sorted(pairs))
+    if not caps:
+        return (((), ()),) if ell == 0 else ()
+    if len(caps) == 1:
+        return (((ell,), (caps[0] - ell,)),) if ell <= caps[0] else ()
+    merged = caps[:-2] + (caps[-2] + caps[-1],)
+    out = [(_split_last(v, caps[-2]), _split_last(w, caps[-2]))
+           for v, w in reference_pairs(merged, ell)]
+    reduced = caps[:-2] + (caps[-2] - 1, caps[-1] - 1)
+    out += [(v[:-1] + (v[-1] + 1,), w[:-1] + (w[-1] + 1,))
+            for v, w in reference_pairs(reduced, ell - 1)]
+    return tuple(sorted(out))
 
 
 def test_enumerate_examples():
@@ -100,18 +149,53 @@ def test_verify_matching_detects_violations():
     collide = Matching(src, tgt, {(0, 1): (2, 1), (1, 0): (2, 1)})
     v = verify_matching(collide)
     assert not v.ok and v.reason == "not injective"
+    assert v.witness == ((0, 1), (1, 0), (2, 1))
 
     off_box = Matching(src, tgt, {(0, 1): (1, 2), (1, 0): (0, 3)})
     v = verify_matching(off_box)
     assert not v.ok and v.reason == "image outside target box"
+    assert v.witness == ((1, 0), (0, 3))
 
     partial = Matching(src, tgt, {(0, 1): (1, 2)})
     v = verify_matching(partial)
     assert not v.ok and v.reason == "not total"
+    assert v.witness == ((1, 0),)
 
     not_dominating = Matching(box1, box1, {(0, 1): (1, 0), (1, 0): (0, 1)})
     v = verify_matching(not_dominating)
     assert not v.ok and v.reason == "dominance fails"
+    assert v.witness == ((0, 1), (1, 0))
+
+    # The first violation in source order wins, whatever its kind; images of
+    # the wrong length or beyond the caps lie outside the target.
+    mixed = Matching(Box((2, 2, 2), 2), Box((2, 2, 2), 4), {
+        (0, 0, 2): (0, 2, 2), (0, 1, 1): (0, 2, 2), (0, 2, 0): (0, 2, 1),
+        (1, 0, 1): (1, 1, 2), (1, 1, 0): (1, 2), (2, 0, 0): (2, 1, 1)})
+    assert verify_matching(mixed) == MatchingVerdict(
+        False, "not injective", ((0, 0, 2), (0, 1, 1), (0, 2, 2)))
+    del mixed.assignment[(0, 1, 1)]
+    assert verify_matching(mixed) == MatchingVerdict(False, "not total", ((0, 1, 1),))
+    mixed.assignment[(0, 1, 1)] = (0, 1, 3)
+    assert verify_matching(mixed) == MatchingVerdict(
+        False, "image outside target box", ((0, 1, 1), (0, 1, 3)))
+    mixed.assignment[(0, 1, 1)] = (1, 1, 2)
+    assert verify_matching(mixed) == MatchingVerdict(
+        False, "image outside target box", ((0, 2, 0), (0, 2, 1)))
+    mixed.assignment[(0, 2, 0)] = (2, 2, 0)
+    assert verify_matching(mixed) == MatchingVerdict(
+        False, "not injective", ((0, 1, 1), (1, 0, 1), (1, 1, 2)))
+    mixed.assignment[(1, 0, 1)] = (2, 0, 2)
+    assert verify_matching(mixed) == MatchingVerdict(
+        False, "image outside target box", ((1, 1, 0), (1, 2)))
+    mixed.assignment[(1, 1, 0)] = (10 ** 30, 1, 1)
+    assert verify_matching(mixed) == MatchingVerdict(
+        False, "image outside target box", ((1, 1, 0), (10 ** 30, 1, 1)))
+    mixed.assignment[(1, 1, 0)] = (1, 2, 1)
+    assert verify_matching(mixed) == MatchingVerdict(True)
+    # Dominance is checked before a repeated image.
+    mixed.assignment[(2, 0, 0)] = (1, 2, 1)
+    assert verify_matching(mixed) == MatchingVerdict(
+        False, "dominance fails", ((2, 0, 0), (1, 2, 1)))
 
 
 def test_hall_examples():
@@ -120,6 +204,10 @@ def test_hall_examples():
     assert hall_matching_exists((4, 4, 4), 6)
     # Empty source box: vacuous.
     assert hall_matching_exists((2, 2), 7)
+    # Rows too wide to pack into one int64 compare coordinate by coordinate.
+    assert hall_matching_exists((1,) * 32, 1)
+    assert not hall_matching_exists((1,) * 32, 31)
+    assert hall_matching_exists((1,) * 6 + (60,), 33)
 
 
 def test_construction_and_oracle_agree_small_sweep():
@@ -161,3 +249,131 @@ def test_dominates():
 def test_iter_caps_vectors_count():
     # Ordered tuples of length <= 2 with sum <= 3: 4 + 10.
     assert sum(1 for _ in iter_caps_vectors(2, 3)) == 14
+
+
+def test_array_map_equals_reference_on_sweep():
+    # Every matched case of the widest verify sweep, one batch per length.
+    by_length = {}
+    cases = 0
+    for caps in iter_caps_vectors(5, 12):
+        for ell in range(sum(caps) // 2 + 1):
+            cases += 1
+            for v, w in reference_pairs(caps, ell):
+                by_length.setdefault(len(caps), []).append((v, caps, w))
+    assert cases == 48_888
+    for rows in by_length.values():
+        v, caps, w = (np.array(col, np.int8) for col in zip(*rows))
+        assert np.array_equal(boxes._split_shift_images(v, caps), w)
+    reference_pairs.cache_clear()
+
+
+def test_dominance_matching_equals_reference_small_sweep():
+    for caps in iter_caps_vectors(3, 8):
+        for ell in range(sum(caps) // 2 + 1):
+            assert dominance_matching(caps, ell).pairs() == list(reference_pairs(caps, ell))
+    reference_pairs.cache_clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=3).map(tuple), st.data())
+def test_long_shift_runs_match_reference(caps, data):
+    ell = data.draw(st.integers(0, sum(caps) // 2))
+    m = dominance_matching(caps, ell)
+    assert m.pairs() == list(reference_pairs(caps, ell))
+    assert verify_matching(m).ok
+    reference_pairs.cache_clear()
+
+
+def test_no_recursion_error_on_large_inputs():
+    assert len(grade_basis(1200, 2, 1)) == 1200
+    assert hall_matching_exists((3000, 3000), 1500)
+    assert len(dominance_matching((3000, 3000), 1500).assignment) == 1501
+
+
+def test_library_refuses_by_box_size_at_once():
+    t0 = time.perf_counter()
+    assert dominance_matching((10 ** 9,), 10 ** 8).pairs() == [((10 ** 8,), (9 * 10 ** 8,))]
+    for caps, ell in [((10 ** 9, 10 ** 9), 10 ** 8), ((100,) * 10, 240), ((1,) * 60, 30)]:
+        with pytest.raises(ValueError, match="limit"):
+            dominance_matching(caps, ell)
+        with pytest.raises(ValueError, match="limit"):
+            hall_matching_exists(caps, ell)
+    # The C(60, 3) weight-3 0/1 vectors already exceed the limit.
+    with pytest.raises(ValueError, match="at least 34220 elements"):
+        dominance_matching((1,) * 60, 30)
+    with pytest.raises(ValueError, match="int64"):
+        dominance_matching((2 ** 62, 2 ** 62), 1)
+    # Every pair of these boxes is a dominance edge: the oracle takes at most
+    # HALL_BOX_LIMIT sources, the construction more.
+    with pytest.raises(ValueError, match=f"2049 elements, above the limit {HALL_BOX_LIMIT}"):
+        hall_matching_exists((20_000, 20_000), 2048)
+    assert len(dominance_matching((20_000, 20_000), 9999).assignment) == 10_000
+    assert time.perf_counter() - t0 < 1.0
+    assert box_size((100,) * 10, 240) == 8027667243448424 > MATCHING_BOX_LIMIT
+
+
+def _brute_force_matching_exists(adjacency, targets):
+    return any(all(j in nbrs for j, nbrs in zip(pick, adjacency))
+               for pick in itertools.permutations(range(targets), len(adjacency)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda t: st.tuples(
+    st.just(t), st.lists(st.frozensets(st.integers(0, max(t - 1, 0)), max_size=t),
+                         max_size=t))))
+def test_augmenting_search_matches_brute_force(graph):
+    targets, adjacency = graph
+    adjacency = [sorted(nbrs) for nbrs in adjacency]
+    flat = [j for nbrs in adjacency for j in nbrs]
+    bounds = list(itertools.accumulate((len(nbrs) for nbrs in adjacency), initial=0))
+    assert (boxes._augmenting_matching_exists(flat, bounds, targets)
+            == _brute_force_matching_exists(adjacency, targets))
+
+
+def test_sweep_reports_a_broken_map_like_verify_matching(monkeypatch):
+    honest = boxes._split_shift_images
+    seen = {}
+
+    def broken(v, caps):
+        w = honest(v, caps)
+        w[1::7] = w[::7][:len(w[1::7])]  # repeats and misplaced images
+        w[2::11] = v[2::11]  # images inside the source degree
+        seen.update(zip(zip(map(tuple, caps.tolist()), map(tuple, v.tolist())),
+                        map(tuple, w.tolist())))
+        return w
+
+    monkeypatch.setattr(boxes, "_split_shift_images", broken)
+    failures = 0
+    for caps, verdicts, oracle in matching_sweep(iter_caps_vectors(3, 6)):
+        for ell, verdict in enumerate(verdicts):
+            m = Matching(Box(caps, ell), Box(caps, sum(caps) - ell),
+                         {v: seen[caps, v] for v in enumerate_box(caps, ell)})
+            assert verdict == verify_matching(m), (caps, ell)
+            failures += not verdict.ok
+        assert oracle == [hall_matching_exists(caps, ell) for ell in range(sum(caps) + 1)]
+    assert failures > 100
+
+
+def test_sweep_equals_per_case_calls():
+    caps_list = list(iter_caps_vectors(3, 7)) + [(0, 4, 0, 1), (12,), (2, 0, 2, 0, 2)]
+    swept = list(matching_sweep(caps_list))
+    assert [caps for caps, _, _ in swept] == caps_list
+    for caps, verdicts, oracle in swept:
+        sigma = sum(caps)
+        assert verdicts == [MatchingVerdict(True)] * (sigma // 2 + 1)
+        assert oracle == [2 * ell <= sigma for ell in range(sigma + 1)]
+    with pytest.raises(ValueError, match="non-empty"):
+        list(matching_sweep([(1,), ()]))
+    with pytest.raises(ValueError, match="sweep"):
+        list(matching_sweep([(10 ** 9,)]))
+
+
+def test_iter_caps_vectors_order():
+    assert list(iter_caps_vectors(2, 2)) == [
+        (0,), (1,), (2,), (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert list(iter_caps_vectors(3, 0)) == [(0,), (0, 0), (0, 0, 0)]
+    for n_max, sigma_max in [(3, 5), (4, 3)]:
+        expected = [c for n in range(1, n_max + 1)
+                    for c in itertools.product(range(sigma_max + 1), repeat=n)
+                    if sum(c) <= sigma_max]
+        assert list(iter_caps_vectors(n_max, sigma_max)) == expected

@@ -24,7 +24,7 @@ def test_validate_bounds_top_degree_before_primality():
     SuiteConfig(n_max=4, primes=(2, 251)).validate()
     SuiteConfig(n_max=10, primes=(101,)).validate()
     SuiteConfig(n_max=1, primes=(997,)).validate()
-    # Above it the config is refused, and a huge prime never reaches trial division.
+    # Above it the config is refused before any primality test.
     for n_max, primes in [(5, (251,)), (4, (257,)), (1, (1009,)), (0, (1009,)),
                           (1, (1000003,)), (1, (10 ** 18 + 3,))]:
         t0 = time.perf_counter()
