@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Generator
 
 from . import filtration as filt
@@ -30,6 +31,11 @@ ALL_SUITES = ("filtration", "growth", "koszul", "matching", "ranks", "slopes")
 
 # Hard ceiling on the matching sweep (box counts grow fast past this).
 SIGMA_LIMIT = 12
+# The matching sweep visits every caps vector of length 1..n with total at
+# most sigma: sum_k C(k + sigma, sigma) = C(n + sigma + 1, sigma + 1) - 1 of
+# them.  At sigma = 12 that is 8,567 for n = 5, 77,519 for n = 7 and 203,489
+# for n = 8; a configuration above this limit is refused.
+MATCHING_CAPS_LIMIT = 120_000
 # Koszul ranks involve the full symmetric algebra; keep those grids smaller.
 KOSZUL_VOLUME_LIMIT = 64
 # The composite check skips a row with more words than this.  Every row of the
@@ -72,6 +78,11 @@ class SuiteConfig:
             problems.append(f"max_sigma must be in [0, {SIGMA_LIMIT}], got {self.max_sigma}")
         if self.matching_n_max < 1:
             problems.append(f"matching_n_max must be >= 1, got {self.matching_n_max}")
+        elif 0 <= self.max_sigma <= SIGMA_LIMIT:
+            caps = comb(self.matching_n_max + self.max_sigma + 1, self.max_sigma + 1) - 1
+            if caps > MATCHING_CAPS_LIMIT:
+                problems.append(f"the matching sweep would visit {caps} caps vectors, "
+                                f"above the limit {MATCHING_CAPS_LIMIT}")
         if self.random_subspaces_per_grade < 0:
             problems.append("random_subspaces_per_grade must be >= 0")
         if self.volume_limit < 2:
@@ -265,8 +276,8 @@ def _growth_cases(pairs, rng: random.Random, per_grade: int) -> Cases:
                 verdict = alg.check_upper_half_growth(sub)
                 random_cases += 1
                 yield (f"random n={n} p={p} l={ell} i={j}", verdict.ok,
-                       f"dim {verdict.dim_v} > image {verdict.image_dim}; "
-                       f"basis {sub.basis.entries}")
+                       "" if verdict.ok else f"dim {verdict.dim_v} > image {verdict.image_dim}; "
+                                             f"basis {verdict.witness.entries}")
     return {"coordinate_subspaces": coordinate_cases, "random_subspaces": random_cases}
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fp_linalg import FpMatrix, mat_mul, rank, row_reduce, stack
+from .fp_linalg import FpMatrix, _check_modulus, eliminate, stack
 from .monomial_box import MultiIndex, grade_basis
 
 
@@ -47,19 +47,21 @@ def apply_diff(op: MultiIndex, mono: MultiIndex, p: int) -> tuple[int, MultiInde
     return coeff, tuple(k - e for e, k in zip(op, mono))
 
 
+def _action_map(n: int, p: int, op: MultiIndex, ell: int) -> dict[int, tuple[int, int]]:
+    """t^op on grade ell of R as {source index: (target index, coeff)} over the
+    monomials it does not kill; distinct sources have distinct targets."""
+    index = {m: j for j, m in enumerate(grade_basis(n, p, ell - sum(op)))}
+    images = (apply_diff(op, mono, p) for mono in grade_basis(n, p, ell))
+    return {i: (index[res], coeff) for i, (coeff, res) in enumerate(images) if coeff}
+
+
 def diff_action_matrix(n: int, p: int, op: MultiIndex, ell: int) -> FpMatrix:
     """Matrix of t^op on grade ell of R (rows = source monomials)."""
-    source = grade_basis(n, p, ell)
-    target = grade_basis(n, p, ell - sum(op))
-    index = {m: j for j, m in enumerate(target)}
-    data = []
-    for mono in source:
-        vec = [0] * len(target)
-        coeff, res = apply_diff(op, mono, p)
-        if res is not None and coeff:
-            vec[index[res]] = coeff
-        data.append(vec)
-    return FpMatrix(data, p, cols=len(target))
+    width = len(grade_basis(n, p, ell - sum(op)))
+    data = [[0] * width for _ in grade_basis(n, p, ell)]
+    for i, (j, coeff) in _action_map(n, p, op, ell).items():
+        data[i][j] = coeff
+    return FpMatrix(data, p, cols=width)
 
 
 def omega_pairing_matrix(n: int, p: int, ell: int) -> FpMatrix:
@@ -75,25 +77,27 @@ def omega_pairing_matrix(n: int, p: int, ell: int) -> FpMatrix:
     return stack(blocks, p, len(grade_basis(n, p, top - ell)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedSubspace:
-    """A subspace of grade ``grade`` of R, stored as a reduced row basis."""
+    """A subspace of grade ``grade`` of R, stored as the pivot rows
+    {leading column: {column: entry}} that ``eliminate`` returns for its
+    spanning vectors.  Subspaces compare by identity."""
 
     n: int
     p: int
     grade: int
-    basis: FpMatrix
+    pivots: dict[int, dict[int, int]]
 
     @classmethod
     def from_vectors(cls, n: int, p: int, grade: int, vectors) -> "GradedSubspace":
+        _check_modulus(p)
         width = len(grade_basis(n, p, grade))
         rows = [list(v) for v in vectors]
         for r in rows:
             if len(r) != width:
                 raise ValueError(f"vector length {len(r)} != grade dimension {width}")
-        rref, rk = row_reduce(FpMatrix(rows, p, cols=width))
-        reduced = FpMatrix([rref.row(i) for i in range(rk)], p, cols=width)
-        return cls(n, p, grade, reduced)
+        return cls(n, p, grade,
+                   eliminate(({j: x for j, x in enumerate(r) if x} for r in rows), p, width))
 
     @classmethod
     def coordinate(cls, n: int, p: int, grade: int, monomial_indices) -> "GradedSubspace":
@@ -120,30 +124,38 @@ class GradedSubspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.pivots)
+
+    @property
+    def basis(self) -> FpMatrix:
+        """The pivot rows by leading column, as a matrix: an echelon basis."""
+        width = len(grade_basis(self.n, self.p, self.grade))
+        rows = [[self.pivots[key].get(j, 0) for j in range(width)] for key in sorted(self.pivots)]
+        return FpMatrix(rows, self.p, cols=width)
 
 
 @lru_cache(maxsize=1)
-def _bridging_actions(n: int, p: int, ell: int) -> tuple[FpMatrix, ...]:
+def _bridging_actions(n: int, p: int, ell: int) -> tuple[dict[int, tuple[int, int]], ...]:
     # One entry suffices: the growth claim visits the grades one at a time.
     d = 2 * ell - n * (p - 1)
-    return tuple(diff_action_matrix(n, p, op, ell) for op in grade_basis(n, p, d))
+    return tuple(_action_map(n, p, op, ell) for op in grade_basis(n, p, d))
 
 
 def spanned_image_dim(v: GradedSubspace) -> int:
     """Dimension of the span of all degree-(2l - n(p-1)) operator images of V.
 
-    Requires the grade to sit in the upper half of the grading; the basis of
-    V is multiplied by the action matrix of every operator monomial of the
-    bridging degree (built once per grade) and the stacked images are
-    row-reduced once.
+    Requires the grade to sit in the upper half of the grading.  The images
+    of the pivot rows of V under every operator monomial of the bridging
+    degree (their actions built once per grade) go to ``eliminate`` as
+    sparse rows, which stops once they span the whole target grade.
     """
     n, p, ell = v.n, v.p, v.grade
     top = n * (p - 1)
     if 2 * ell < top:
         raise ValueError(f"grade {ell} below half the top grade {top}")
-    images = [mat_mul(v.basis, a) for a in _bridging_actions(n, p, ell)]
-    return rank(stack(images, p, len(grade_basis(n, p, top - ell))))
+    images = ({hit[0]: x * hit[1] for i, x in row.items() if (hit := action.get(i))}
+              for action in _bridging_actions(n, p, ell) for row in v.pivots.values())
+    return len(eliminate(images, p, len(grade_basis(n, p, top - ell))))
 
 
 @dataclass(frozen=True)

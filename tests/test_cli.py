@@ -106,6 +106,20 @@ def test_verify_rejects_oversized_sigma():
     assert result.exit_code == 2
 
 
+def test_verify_rejects_oversized_matching_sweep():
+    # About 8.6e13 caps vectors at --matching-n-max 60: counted, not visited.
+    for n_max in ("60", "1000000000000000000"):
+        t0 = time.perf_counter()
+        result = CliRunner().invoke(main, ["verify", "--suites", "matching",
+                                           "--matching-n-max", n_max])
+        assert time.perf_counter() - t0 < 1.0
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # refused, not a traceback
+        assert "caps vectors" in result.output and "Traceback" not in result.output
+    result = CliRunner().invoke(main, ["verify", "--suites", "matching", "--matching-n-max", "5"])
+    assert result.exit_code == 0, result.output
+
+
 def test_matching_command_prints_pairs():
     runner = CliRunner()
     result = runner.invoke(main, ["matching", "--caps", "2,2,3", "--ell", "3"])

@@ -11,7 +11,6 @@ from truncsym.fp_linalg import (
     is_prime,
     mat_mul,
     rank,
-    row_reduce,
     stack,
 )
 from truncsym.trunc_power import symmetrization_matrix, trunc_rank
@@ -93,8 +92,8 @@ def test_huge_prime_modulus_refused_at_once():
 
 
 def test_rank_proportional_rows():
-    _, r = row_reduce(FpMatrix([[1, 2], [2, 4]], 5))
-    assert r == 1
+    assert rank(FpMatrix([[1, 2], [2, 4]], 5)) == 1
+    assert eliminate([{0: 1, 1: 2}, {0: 2, 1: 4}], 5) == {0: {0: 1, 1: 2}}
 
 
 def test_eliminate_takes_entries_mod_p():
@@ -114,10 +113,18 @@ def test_rank_unit_determinant_mod2():
 
 
 def test_rref_shape_and_pivots():
-    rref, r = row_reduce(FpMatrix([[0, 2, 4], [1, 1, 1]], 5))
-    assert r == 2
-    # Leading entries normalized to 1, pivot columns cleared.
-    assert rref.entries == ((1, 0, 4), (0, 1, 2))
+    assert rank(FpMatrix([[0, 2, 4], [1, 1, 1]], 5)) == 2
+    # Pivot rows keyed by their leading column and normalized to lead with 1;
+    # the later pivot columns are not cleared from earlier rows.
+    assert eliminate([{1: 2, 2: 4}, {0: 1, 1: 1, 2: 1}], 5) == {1: {1: 1, 2: 2},
+                                                                0: {0: 1, 1: 1, 2: 1}}
+    # With the width given, elimination stops at full rank: the third row,
+    # which would raise at its first read, is never reached.
+    def rows():
+        yield {0: 1}
+        yield {1: 3}
+        raise AssertionError("read past full rank")
+    assert eliminate(rows(), 5, width=2) == {0: {0: 1}, 1: {1: 1}}
 
 
 def test_stack_examples():
@@ -193,15 +200,6 @@ def matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
-def test_row_reduce_idempotent(m):
-    rref, r = row_reduce(m)
-    again, r2 = row_reduce(rref)
-    assert r == r2
-    assert again == rref
-
-
-@settings(max_examples=200, deadline=None)
-@given(matrices())
 def test_rank_equals_transpose_rank(m):
     assert rank(m) == rank(m.transpose())
 
@@ -242,10 +240,16 @@ def oracle_rows(draw):
 def test_rank_and_rref_match_reference_elimination(case):
     rows, p = case
     expected_rref, expected_rank = reference_rref(rows, p)
-    m = FpMatrix(rows, p)
-    rref, r = row_reduce(m)
-    assert r == expected_rank == rank(m)
-    assert rref.entries == tuple(tuple(row) for row in expected_rref)
+    ncols = len(rows[0])
+    assert rank(FpMatrix(rows, p)) == expected_rank
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    for pivots in (eliminate(sparse, p), eliminate(sparse, p, width=ncols)):
+        assert len(pivots) == expected_rank
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in pivots.values()]
+        # Each pivot row leads with 1 at its key, and the pivot rows span the
+        # row space of the input: they have its reduced echelon form.
+        assert all(row[key] == 1 and min(row) == key for key, row in pivots.items())
+        assert reference_rref(dense, p)[0] == expected_rref[:expected_rank]
 
 
 def test_symmetrization_rank_matches_reference_elimination():

@@ -1,11 +1,21 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
 
+from truncsym import trunc_algebra as alg
 from truncsym.slopes import TOP_DEGREE_LIMIT
-from truncsym.suites import ConfigError, SuiteConfig, run_suite, strip_timings
+from truncsym.suites import (
+    MATCHING_CAPS_LIMIT,
+    ConfigError,
+    SuiteConfig,
+    _growth_cases,
+    _suite_pairs,
+    run_suite,
+    strip_timings,
+)
 
 # sha256 of the default-config report (seed 0) without its timings, dumped as
 # the CLI prints it.  A change here is a change of the report contract.
@@ -16,6 +26,30 @@ def test_default_report_digest():
     report = strip_timings(run_suite(SuiteConfig()).to_dict())
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+# sha256 of the JSON list of [case key, dim V, image dim] over the growth cases
+# of the default config (seed 0).  The report keeps only verdicts; this pins
+# which subspaces are drawn and every image dimension.
+DEFAULT_GROWTH_CASES_SHA256 = "9a4190bd4b72237395187a41052d23b01da8b736d93262bba835c7566263b2c5"
+
+
+def test_default_growth_cases_digest(monkeypatch):
+    verdicts = []
+
+    def recording(v):
+        verdict = check(v)
+        verdicts.append(verdict)
+        return verdict
+
+    check = alg.check_upper_half_growth
+    monkeypatch.setattr(alg, "check_upper_half_growth", recording)
+    cfg = SuiteConfig()
+    cases = _growth_cases(_suite_pairs(cfg), random.Random(f"{cfg.seed}:growth"),
+                          cfg.random_subspaces_per_grade)
+    rows = [[key, verdicts[-1].dim_v, verdicts[-1].image_dim] for key, _, _ in cases]
+    assert len(rows) == len(verdicts) == 4304
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DEFAULT_GROWTH_CASES_SHA256
 
 
 def test_validate_bounds_top_degree_before_primality():
@@ -31,3 +65,17 @@ def test_validate_bounds_top_degree_before_primality():
         with pytest.raises(ConfigError, match="top degree"):
             SuiteConfig(n_max=n_max, primes=primes).validate()
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_validate_bounds_matching_sweep():
+    # C(n + 13, 13) - 1 caps vectors at max_sigma 12: n = 7 is accepted,
+    # n = 8 and beyond are refused from the count, before any work.
+    SuiteConfig(matching_n_max=7).validate()
+    SuiteConfig(matching_n_max=60, max_sigma=0).validate()
+    for n_max in (8, 60, 10 ** 18):
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match=f"above the limit {MATCHING_CAPS_LIMIT}"):
+            SuiteConfig(matching_n_max=n_max).validate()
+        assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(ConfigError, match="203489 caps vectors"):
+        SuiteConfig(matching_n_max=8).validate()

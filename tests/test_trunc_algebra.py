@@ -106,10 +106,22 @@ def test_omega_pairing_range_check():
 
 
 def test_subspace_construction_reduces():
-    sub = GradedSubspace.from_vectors(2, 3, 2, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    sub = GradedSubspace.from_vectors(2, 3, 2, [[0, 0, 2], [2, 1, 0], [1, 2, 0]])
     assert sub.dim == 2
+    # An echelon basis: rows by leading column, each leading with 1.
+    assert sub.basis.entries == ((1, 2, 0), (0, 0, 1))
     with pytest.raises(ValueError):
         GradedSubspace.from_vectors(2, 3, 2, [[1, 0]])
+
+
+def test_subspace_refuses_bad_modulus():
+    # A composite modulus, and primes whose (p-1)^2 reaches 2^63 (the size is
+    # refused before any primality test).
+    with pytest.raises(ValueError, match="prime"):
+        GradedSubspace.from_vectors(1, 4, 1, [[1]])
+    for p in (4294967311, 10 ** 18 + 3):
+        with pytest.raises(ValueError, match="too large"):
+            GradedSubspace.from_vectors(1, p, 1, [[1]])
 
 
 def test_spanned_image_examples():
@@ -202,7 +214,7 @@ def _reference_image_dim(v):
 def test_spanned_image_dim_matches_apply_diff_oracle():
     rng = random.Random(20261018)
     per_grade = []
-    for n, p in [(1, 5), (2, 3), (3, 2), (2, 5)]:
+    for n, p in [(1, 5), (2, 3), (3, 2), (2, 5), (3, 3), (2, 7), (4, 2)]:
         top = n * (p - 1)
         for ell in range((top + 1) // 2, top + 1):
             dim = len(grade_basis(n, p, ell))
@@ -214,5 +226,14 @@ def test_spanned_image_dim_matches_apply_diff_oracle():
     # operators cached for one grade cannot stand in for another's.
     cases = [v for v in chain.from_iterable(zip_longest(*per_grade)) if v is not None]
     assert len(cases) == sum(map(len, per_grade))
+    filled = proper = 0
     for v in cases:
-        assert spanned_image_dim(v) == _reference_image_dim(v), (v.n, v.p, v.grade, v.basis)
+        image = spanned_image_dim(v)
+        assert image == _reference_image_dim(v), (v.n, v.p, v.grade, v.basis)
+        # Images that fill the target grade stop the elimination early: every
+        # whole grade, and some proper subspaces.
+        if image == len(grade_basis(v.n, v.p, v.n * (v.p - 1) - v.grade)):
+            filled += 1
+            proper += v.dim < len(grade_basis(v.n, v.p, v.grade))
+    assert filled > proper > 0
+
