@@ -12,7 +12,7 @@ Submodules:
 - ``scenario``: batch slope evaluation from JSON records.
 """
 
-from .fp_linalg import FpMatrix, eliminate, is_prime, mat_mul, rank, stack
+from .fp_linalg import FpMatrix, eliminate, is_prime, mat_mul, rank, row_reduce, stack
 from .filtration import (
     CurveReport,
     NablaTerm,
@@ -129,6 +129,7 @@ __all__ = [
     "pushforward_rank",
     "pushforward_slope",
     "rank",
+    "row_reduce",
     "run_suite",
     "spanned_image_dim",
     "stack",

@@ -1,10 +1,10 @@
 """Exact linear algebra over prime fields F_p.
 
 Matrices are immutable and act on row vectors: rows span the subspace a
-matrix carries, so ``rank`` speaks about row spaces.
+matrix carries, so ``rank`` and ``row_reduce`` speak about row spaces.
 Entries are stored as int64 numpy arrays reduced mod p; a modulus with
 (p-1)^2 >= 2^63 is rejected, and so is a product whose dot products could
-reach 2^63.  Every rank and echelon basis comes from one elimination,
+reach 2^63.  Every rank and echelon form comes from one elimination,
 ``eliminate``, over sparse rows of Python ints, which also ranks the
 tensor-word rows of the truncated powers.  Scalars outside matrices are
 plain ints reduced into [0, p).
@@ -215,6 +215,24 @@ def _sparse_rows(m: FpMatrix) -> Iterator[dict[int, int]]:
 
 def rank(m: FpMatrix) -> int:
     return len(eliminate(_sparse_rows(m), m.modulus, m.ncols))
+
+
+def row_reduce(m: FpMatrix) -> tuple[FpMatrix, int]:
+    """Reduced row-echelon form and rank; the row space is preserved."""
+    p = m.modulus
+    pivots = eliminate(_sparse_rows(m), p, m.ncols)
+    # Clear every pivot column from the other pivot rows.  A pivot row only
+    # has entries right of its lead, so clearing from the rightmost pivot
+    # leftwards subtracts rows that are already reduced.
+    for key in sorted(pivots, reverse=True):
+        row = pivots[key]
+        for c in [c for c in row if c != key and c in pivots]:
+            _subtract(row, row[c], pivots[c], p)
+    data = np.zeros(m._data.shape, dtype=np.int64)
+    for i, key in enumerate(sorted(pivots)):
+        for j, v in pivots[key].items():
+            data[i, j] = v
+    return FpMatrix._from_array(data, p), len(pivots)
 
 
 def stack(blocks: Sequence[FpMatrix], modulus: int, cols: int) -> FpMatrix:

@@ -23,7 +23,7 @@ from . import monomial_box as boxes
 from . import slopes as slp
 from . import trunc_algebra as alg
 from . import trunc_power as tp
-from .fp_linalg import eliminate, is_prime, rank
+from .fp_linalg import FpMatrix, eliminate, is_prime, rank, row_reduce
 
 VERSION = "0.1.0"
 
@@ -78,7 +78,7 @@ class SuiteConfig:
             problems.append(f"max_sigma must be in [0, {SIGMA_LIMIT}], got {self.max_sigma}")
         if self.matching_n_max < 1:
             problems.append(f"matching_n_max must be >= 1, got {self.matching_n_max}")
-        elif 0 <= self.max_sigma <= SIGMA_LIMIT:
+        elif "matching" in self.suites and 0 <= self.max_sigma <= SIGMA_LIMIT:
             caps = comb(self.matching_n_max + self.max_sigma + 1, self.max_sigma + 1) - 1
             if caps > MATCHING_CAPS_LIMIT:
                 problems.append(f"the matching sweep would visit {caps} caps vectors, "
@@ -244,12 +244,13 @@ def _matching_cases(caps_vectors) -> Cases:
 
 
 def _pairing_cases(pairs) -> Cases:
-    """Multiplication against the top monomial is invertible on every grade."""
+    """Multiplication against the top monomial is invertible on every grade:
+    the pairing matrix row-reduces to the identity."""
     for n, p in pairs:
         for ell in range(n * (p - 1) + 1):
             m = alg.omega_pairing_matrix(n, p, ell)
-            r = rank(m)
-            yield (f"pairing n={n} p={p} l={ell}", m.nrows == m.ncols and r == m.nrows,
+            rref, r = row_reduce(m)
+            yield (f"pairing n={n} p={p} l={ell}", rref == FpMatrix.identity(m.nrows, p),
                    f"pairing matrix {m.nrows}x{m.ncols} rank {r}")
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fp_linalg import FpMatrix, _check_modulus, eliminate, stack
+from .fp_linalg import FpMatrix, _check_modulus, eliminate, row_reduce, stack
 from .monomial_box import MultiIndex, grade_basis
 
 
@@ -81,7 +81,7 @@ def omega_pairing_matrix(n: int, p: int, ell: int) -> FpMatrix:
 class GradedSubspace:
     """A subspace of grade ``grade`` of R, stored as the pivot rows
     {leading column: {column: entry}} that ``eliminate`` returns for its
-    spanning vectors.  Subspaces compare by identity."""
+    spanning vectors.  Subspaces compare and hash by their reduced basis."""
 
     n: int
     p: int
@@ -128,10 +128,21 @@ class GradedSubspace:
 
     @property
     def basis(self) -> FpMatrix:
-        """The pivot rows by leading column, as a matrix: an echelon basis."""
+        """The reduced row-echelon basis, built on demand from the pivot rows."""
         width = len(grade_basis(self.n, self.p, self.grade))
-        rows = [[self.pivots[key].get(j, 0) for j in range(width)] for key in sorted(self.pivots)]
-        return FpMatrix(rows, self.p, cols=width)
+        rows = [[row.get(j, 0) for j in range(width)] for row in self.pivots.values()]
+        return row_reduce(FpMatrix(rows, self.p, cols=width))[0]
+
+    def _canonical(self) -> tuple:
+        return self.n, self.p, self.grade, self.basis
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GradedSubspace):
+            return NotImplemented
+        return self._canonical() == other._canonical()
+
+    def __hash__(self) -> int:
+        return hash(self._canonical())
 
 
 @lru_cache(maxsize=1)

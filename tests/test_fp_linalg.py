@@ -11,6 +11,7 @@ from truncsym.fp_linalg import (
     is_prime,
     mat_mul,
     rank,
+    row_reduce,
     stack,
 )
 from truncsym.trunc_power import symmetrization_matrix, trunc_rank
@@ -92,7 +93,8 @@ def test_huge_prime_modulus_refused_at_once():
 
 
 def test_rank_proportional_rows():
-    assert rank(FpMatrix([[1, 2], [2, 4]], 5)) == 1
+    _, r = row_reduce(FpMatrix([[1, 2], [2, 4]], 5))
+    assert r == 1 == rank(FpMatrix([[1, 2], [2, 4]], 5))
     assert eliminate([{0: 1, 1: 2}, {0: 2, 1: 4}], 5) == {0: {0: 1, 1: 2}}
 
 
@@ -113,7 +115,10 @@ def test_rank_unit_determinant_mod2():
 
 
 def test_rref_shape_and_pivots():
-    assert rank(FpMatrix([[0, 2, 4], [1, 1, 1]], 5)) == 2
+    rref, r = row_reduce(FpMatrix([[0, 2, 4], [1, 1, 1]], 5))
+    assert r == 2 == rank(FpMatrix([[0, 2, 4], [1, 1, 1]], 5))
+    # Leading entries normalized to 1, pivot columns cleared.
+    assert rref.entries == ((1, 0, 4), (0, 1, 2))
     # Pivot rows keyed by their leading column and normalized to lead with 1;
     # the later pivot columns are not cleared from earlier rows.
     assert eliminate([{1: 2, 2: 4}, {0: 1, 1: 1, 2: 1}], 5) == {1: {1: 1, 2: 2},
@@ -200,6 +205,15 @@ def matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
+def test_row_reduce_idempotent(m):
+    rref, r = row_reduce(m)
+    again, r2 = row_reduce(rref)
+    assert r == r2
+    assert again == rref
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
 def test_rank_equals_transpose_rank(m):
     assert rank(m) == rank(m.transpose())
 
@@ -241,7 +255,10 @@ def test_rank_and_rref_match_reference_elimination(case):
     rows, p = case
     expected_rref, expected_rank = reference_rref(rows, p)
     ncols = len(rows[0])
-    assert rank(FpMatrix(rows, p)) == expected_rank
+    m = FpMatrix(rows, p)
+    rref, r = row_reduce(m)
+    assert r == expected_rank == rank(m)
+    assert rref.entries == tuple(tuple(row) for row in expected_rref)
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     for pivots in (eliminate(sparse, p), eliminate(sparse, p, width=ncols)):
         assert len(pivots) == expected_rank

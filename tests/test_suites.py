@@ -6,13 +6,16 @@ import time
 import pytest
 
 from truncsym import trunc_algebra as alg
+from truncsym.fp_linalg import FpMatrix
 from truncsym.slopes import TOP_DEGREE_LIMIT
 from truncsym.suites import (
     MATCHING_CAPS_LIMIT,
     ConfigError,
     SuiteConfig,
     _growth_cases,
+    _pairing_cases,
     _suite_pairs,
+    collect,
     run_suite,
     strip_timings,
 )
@@ -52,6 +55,19 @@ def test_default_growth_cases_digest(monkeypatch):
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DEFAULT_GROWTH_CASES_SHA256
 
 
+def test_pairing_cases_fail_unless_the_matrix_reduces_to_identity(monkeypatch):
+    # A singular square matrix, and full-rank matrices that are not square.
+    bad = [([[1, 2], [2, 4]], "2x2 rank 1"), ([[1, 0, 0], [0, 1, 0]], "2x3 rank 2"),
+           ([[1, 0], [0, 1], [1, 1]], "3x2 rank 2")]
+    for rows, shape in bad:
+        monkeypatch.setattr(alg, "omega_pairing_matrix", lambda n, p, ell: FpMatrix(rows, p))
+        result = collect(_pairing_cases([(1, 5)]))
+        assert result.cases == 5 and len(result.failures) == 5
+        assert result.failures[0]["detail"] == f"pairing matrix {shape}"
+    monkeypatch.undo()
+    assert collect(_pairing_cases([(1, 5), (2, 3)])).passed
+
+
 def test_validate_bounds_top_degree_before_primality():
     # n_max * (max(primes) - 1) == TOP_DEGREE_LIMIT is accepted.
     assert TOP_DEGREE_LIMIT == 1000
@@ -79,3 +95,5 @@ def test_validate_bounds_matching_sweep():
         assert time.perf_counter() - t0 < 1.0
     with pytest.raises(ConfigError, match="203489 caps vectors"):
         SuiteConfig(matching_n_max=8).validate()
+    # The bound is on the sweep, so it holds only when the sweep is selected.
+    SuiteConfig(matching_n_max=10 ** 18, suites=("growth",)).validate()

@@ -106,12 +106,26 @@ def test_omega_pairing_range_check():
 
 
 def test_subspace_construction_reduces():
-    sub = GradedSubspace.from_vectors(2, 3, 2, [[0, 0, 2], [2, 1, 0], [1, 2, 0]])
+    sub = GradedSubspace.from_vectors(2, 3, 2, [[0, 0, 2], [2, 1, 1], [1, 2, 2]])
     assert sub.dim == 2
-    # An echelon basis: rows by leading column, each leading with 1.
+    # The reduced basis: rows by leading column, each leading with 1, and the
+    # later pivot column cleared from the first row.
     assert sub.basis.entries == ((1, 2, 0), (0, 0, 1))
     with pytest.raises(ValueError):
         GradedSubspace.from_vectors(2, 3, 2, [[1, 0]])
+
+
+def test_subspaces_compare_by_span():
+    sub = GradedSubspace.from_vectors(2, 3, 2, [[0, 0, 2], [2, 1, 1]])
+    same = GradedSubspace.from_vectors(2, 3, 2, [[1, 2, 0], [0, 0, 1], [2, 1, 0]])
+    assert sub == same and hash(sub) == hash(same)
+    # Grades 1 and 3 of (2, 3) are both two-dimensional: the same basis.
+    others = [GradedSubspace.coordinate(2, 3, 2, [0, 2]),
+              GradedSubspace.from_vectors(2, 5, 2, [[1, 2, 0], [0, 0, 1]]),
+              GradedSubspace.from_vectors(2, 3, 1, [[1, 0], [0, 1]]),
+              GradedSubspace.from_vectors(2, 3, 3, [[0, 1], [1, 0]])]
+    assert others[2].basis == others[3].basis
+    assert len({sub, same, *others}) == 5
 
 
 def test_subspace_refuses_bad_modulus():
