@@ -45,6 +45,7 @@ from .slopes import (
     gap_lower_bound,
     graded_slope,
     instability_bound,
+    layer_slopes,
     make_slope_data,
     pushforward_c1,
     pushforward_rank,
@@ -119,6 +120,7 @@ __all__ = [
     "instability_bound",
     "is_prime",
     "koszul_complex",
+    "layer_slopes",
     "make_slope_data",
     "mat_mul",
     "matching_sweep",

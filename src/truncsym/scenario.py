@@ -40,7 +40,12 @@ def parse_rational(value, where: str) -> Fraction:
 
 
 def format_rational(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return _format_terms(f.numerator, f.denominator)
+
+
+def _format_terms(num: int, den: int) -> str:
+    """A rational given in lowest terms, as "a" or "a/b"."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _require_int(record: dict, key: str, where: str) -> int:
@@ -74,20 +79,15 @@ def _parse_record(record, idx: int) -> Scenario:
     if (top := max(n, 1) * (p - 1)) > slp.TOP_DEGREE_LIMIT:
         raise ScenarioError(f"{where}: top degree n*(p-1) = {top} exceeds {slp.TOP_DEGREE_LIMIT}")
 
-    kh = record.get("KH")
-    g = record.get("g")
-    mu_w = record.get("muW")
-    c1_wh = record.get("c1WH")
+    # Parsed before the try below, whose ValueError handler would prefix a
+    # ScenarioError's message with the record a second time.
+    kh, g, mu_w, c1_wh = (
+        None if record.get(key) is None
+        else parse_rational(record[key], f"{where}: field '{key}'")
+        for key in ("KH", "g", "muW", "c1WH")
+    )
     try:
-        sd = slp.make_slope_data(
-            n,
-            p,
-            rk_w,
-            kh=parse_rational(kh, f"{where}: field 'KH'") if kh is not None else None,
-            g=parse_rational(g, f"{where}: field 'g'") if g is not None else None,
-            mu_w=parse_rational(mu_w, f"{where}: field 'muW'") if mu_w is not None else None,
-            c1_wh=parse_rational(c1_wh, f"{where}: field 'c1WH'") if c1_wh is not None else None,
-        )
+        sd = slp.make_slope_data(n, p, rk_w, kh=kh, g=g, mu_w=mu_w, c1_wh=c1_wh)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
@@ -117,8 +117,7 @@ def _parse_record(record, idx: int) -> Scenario:
             raise ScenarioError(f"{where}: field 'instabilities' must be non-negative")
         inst = parsed
 
-    g_val = parse_rational(g, f"{where}: field 'g'") if g is not None else None
-    return Scenario(name, sd, g_val, profile, inst)
+    return Scenario(name, sd, g, profile, inst)
 
 
 def load_scenarios(path: str) -> list[Scenario]:
@@ -161,10 +160,7 @@ def evaluate_scenario(sc: Scenario) -> dict:
         "rk_pushforward": slp.pushforward_rank(sd),
         "mu_pushforward": format_rational(slp.pushforward_slope(sd)),
         "c1_pushforward": format_rational(slp.pushforward_c1(sd)),
-        "graded_slopes": [
-            format_rational(sd.mu_w + slp.graded_slope(sd.n, sd.p, ell, sd.kh))
-            for ell in range(sd.n * (sd.p - 1) + 1)
-        ],
+        "graded_slopes": [_format_terms(num, den) for num, den in slp.layer_slopes(sd)],
     }
     if sd.kh < 0:
         warnings.append("KH is negative: the instability bound hypothesis fails")

@@ -5,13 +5,16 @@ and first Chern number of a bundle under the p-power map, the slopes of the
 graded layers, and the lower bound on the slope gap of a subsheaf in terms
 of its rank profile and the layer instabilities.  Geometric inputs (ranks,
 slopes, canonical degree, per-layer instabilities) are supplied by the
-caller; no floating point is used anywhere.
+caller; no floating point is used anywhere.  Sums are taken on integer
+numerators over one common denominator, and a ``Fraction`` is built only for
+a value that leaves a function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .fp_linalg import is_prime
@@ -90,21 +93,47 @@ def pushforward_rank(sd: SlopeData) -> int:
 
 def pushforward_slope(sd: SlopeData) -> Fraction:
     """mu of the pushforward: ((p-1)/2 * K.H^{n-1} + mu(W)) / p."""
-    return (Fraction(sd.p - 1, 2) * sd.kh + sd.mu_w) / sd.p
+    kh, mu = sd.kh, sd.mu_w
+    return Fraction((sd.p - 1) * kh.numerator * mu.denominator + 2 * mu.numerator * kh.denominator,
+                    2 * sd.p * kh.denominator * mu.denominator)
 
 
 def pushforward_c1(sd: SlopeData) -> Fraction:
     """c1 of the pushforward against H^{n-1}:
     rk(W) (p^n - p^{n-1})/2 * K.H^{n-1} + p^{n-1} c1(W).H^{n-1}."""
-    p, n = sd.p, sd.n
-    return Fraction(sd.rk_w * (p ** n - p ** (n - 1)), 2) * sd.kh + p ** (n - 1) * sd.c1_wh
+    kh, c1 = sd.kh, sd.c1_wh
+    q = sd.p ** (sd.n - 1)
+    return Fraction(sd.rk_w * (sd.p - 1) * q * kh.numerator * c1.denominator
+                    + 2 * q * c1.numerator * kh.denominator,
+                    2 * kh.denominator * c1.denominator)
 
 
 def graded_slope(n: int, p: int, ell: int, kh: Rational) -> Fraction:
     """Slope of the degree-ell graded layer bundle: ell * K.H^{n-1} / n."""
     if not 0 <= ell <= n * (p - 1):
         raise ValueError(f"degree {ell} outside [0, {n * (p - 1)}]")
-    return Fraction(ell) * Fraction(kh) / n
+    return Fraction(ell * kh.numerator, n * kh.denominator)
+
+
+def layer_slopes(sd: SlopeData) -> list[tuple[int, int]]:
+    """Slopes mu(W) + ell * K.H^{n-1} / n of the layers W (x) T^ell, for
+    ell = 0..n(p-1), each as a (numerator, denominator) pair in lowest terms.
+
+    The row is affine in ell: over one common denominator its numerator
+    steps by the degree-1 layer slope, so each entry costs one addition and
+    one gcd, and no Fraction is built per layer.
+    """
+    step = graded_slope(sd.n, sd.p, 1, sd.kh)
+    mu = sd.mu_w
+    den = mu.denominator * step.denominator
+    num = mu.numerator * step.denominator
+    inc = step.numerator * mu.denominator
+    row = []
+    for _ in range(sd.n * (sd.p - 1) + 1):
+        g = gcd(num, den)
+        row.append((num // g, den // g))
+        num += inc
+    return row
 
 
 def validate_profile(
@@ -163,7 +192,7 @@ def gap_lower_bound(
 
     K.H^{n-1}/(n p rk) times the weighted sum of (n(p-1)/2 - l) r_l, minus
     1/(p rk) times the instability-weighted sum of the profile.  The profile
-    entries total the subsheaf rank rk.
+    entries total the subsheaf rank rk; instabilities are ints or Fractions.
     """
     rk = sum(profile)
     if rk <= 0:
@@ -173,16 +202,17 @@ def gap_lower_bound(
     top = sd.n * (sd.p - 1)
     if len(profile) > top + 1:
         raise ValueError(f"profile has {len(profile)} entries, more than {top + 1} layers")
-    weight_term = Fraction(sd.kh, sd.n * sd.p * rk) * Fraction(_weighted_sum_twice(sd.n, sd.p, profile), 2)
-    if instabilities is None:
-        inst_term = Fraction(0)
-    else:
-        if any(Fraction(i) < 0 for i in instabilities):
+    # gap = KH W2 / (2 n p rk) - S / (p rk), where W2 is the doubled weighted
+    # sum and S = sum r_l I_l = s / d over the instabilities' common d.
+    kh_num, kh_den = sd.kh.numerator, sd.kh.denominator
+    s, d = 0, 1
+    if instabilities is not None:
+        if any(i < 0 for i in instabilities):
             raise ValueError("instabilities must be non-negative")
-        inst_term = Fraction(
-            sum(r * Fraction(i) for r, i in zip(profile, instabilities)), sd.p * rk
-        )
-    return weight_term - inst_term
+        d = lcm(*(i.denominator for i in instabilities))
+        s = sum(r * i.numerator * (d // i.denominator) for r, i in zip(profile, instabilities))
+    return Fraction(kh_num * _weighted_sum_twice(sd.n, sd.p, profile) * d - 2 * sd.n * kh_den * s,
+                    2 * sd.n * kh_den * d * sd.p * rk)
 
 
 def curve_gap(g: Rational, p: int, profile: Sequence[int]) -> Fraction:
@@ -193,12 +223,28 @@ def curve_gap(g: Rational, p: int, profile: Sequence[int]) -> Fraction:
 
 @dataclass(frozen=True)
 class WeightSumVerdict:
+    """Both forms of the weighted sum, kept doubled so that they are integers."""
+
     hypothesis_ok: bool
     violations: tuple[str, ...]
-    direct: Fraction
-    rearranged: Fraction
-    equal: bool
-    nonnegative: bool
+    direct2: int
+    rearranged2: int
+
+    @property
+    def direct(self) -> Fraction:
+        return Fraction(self.direct2, 2)
+
+    @property
+    def rearranged(self) -> Fraction:
+        return Fraction(self.rearranged2, 2)
+
+    @property
+    def equal(self) -> bool:
+        return self.direct2 == self.rearranged2
+
+    @property
+    def nonnegative(self) -> bool:
+        return self.direct2 >= 0
 
 
 def weight_sum_check(
@@ -209,30 +255,23 @@ def weight_sum_check(
     The reflected form folds layers above the half degree onto their mirror
     images; under the symmetric (or monotone) profile hypothesis both of its
     groups are non-negative, which forces the direct sum to be non-negative.
-    The two forms must agree identically for every profile.
+    The two forms must agree identically for every profile.  Both are kept
+    doubled, as integers; ``direct`` and ``rearranged`` halve them on access.
     """
     top = n * (p - 1)
     issues = tuple(validate_profile(n, p, profile, mode=mode))
-    full = {ell: (profile[ell] if ell < len(profile) else 0) for ell in range(top + 1)}
     m = len(profile) - 1
-
-    direct2 = _weighted_sum_twice(n, p, profile)
-    tail2 = sum((2 * ell - top) * full[top - ell] for ell in range(m + 1, top + 1))
-    fold2 = sum(
-        (2 * ell - top) * (full[top - ell] - full[ell])
-        for ell in range(top + 1)
-        if 2 * ell > top and ell <= m
-    )
-    rearranged2 = tail2 + fold2
-    direct = Fraction(direct2, 2)
-    rearranged = Fraction(rearranged2, 2)
+    # The layers m < l <= top are absent: each weighs in through its mirror
+    # r_{top-l} (itself present only when top - l <= m).  The present layers
+    # above the half degree fold onto their mirrors, which are present too.
+    tail2 = sum((2 * ell - top) * profile[top - ell] for ell in range(max(m + 1, top - m), top + 1))
+    fold2 = sum((2 * ell - top) * (profile[top - ell] - profile[ell])
+                for ell in range(top // 2 + 1, min(m, top) + 1))
     return WeightSumVerdict(
         hypothesis_ok=not issues,
         violations=issues,
-        direct=direct,
-        rearranged=rearranged,
-        equal=direct2 == rearranged2,
-        nonnegative=direct2 >= 0,
+        direct2=_weighted_sum_twice(n, p, profile),
+        rearranged2=tail2 + fold2,
     )
 
 

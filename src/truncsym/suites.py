@@ -368,7 +368,8 @@ def _pushforward_cases(rng: random.Random, count: int, n_max: int, primes) -> Ca
             p * mu_fw == Fraction(p - 1, 2) * kh + sd.mu_w
             and slp.pushforward_c1(sd) == mu_fw * slp.pushforward_rank(sd)
         )
-        yield f"pushforward-consistency i={i}", ok, f"n={n} p={p} rk={rk_w} kh={kh} c1={c1}"
+        yield (f"pushforward-consistency i={i}", ok,
+               "" if ok else f"n={n} p={p} rk={rk_w} kh={kh} c1={c1}")
 
 
 def _curve_agreement_cases(rng: random.Random, count: int, primes) -> Cases:
@@ -382,7 +383,7 @@ def _curve_agreement_cases(rng: random.Random, count: int, primes) -> Cases:
             profile.append(rng.randint(0, profile[-1]))
         sd = slp.make_slope_data(1, p, 1, g=g, mu_w=0)
         ok = slp.curve_gap(g, p, profile) == slp.gap_lower_bound(sd, profile)
-        yield f"curve-agreement i={i}", ok, f"p={p} g={g} profile={profile}"
+        yield f"curve-agreement i={i}", ok, "" if ok else f"p={p} g={g} profile={profile}"
 
 
 def _weight_sum_cases(rng: random.Random, count: int, n_max: int, primes) -> Cases:
@@ -395,8 +396,8 @@ def _weight_sum_cases(rng: random.Random, count: int, n_max: int, primes) -> Cas
         verdict = slp.weight_sum_check(n, p, profile)
         ok = verdict.hypothesis_ok and verdict.equal and verdict.nonnegative
         yield (f"weight-sum i={i}", ok,
-               f"n={n} p={p} profile={profile} direct={verdict.direct} "
-               f"rearranged={verdict.rearranged}")
+               "" if ok else f"n={n} p={p} profile={profile} direct={verdict.direct} "
+                             f"rearranged={verdict.rearranged}")
     return {"weight_checks": count}
 
 
@@ -410,7 +411,9 @@ def _gap_cases(rng: random.Random, count: int, n_max: int, primes) -> Cases:
         sd = slp.make_slope_data(n, p, rk_w, kh=kh, mu_w=rng.randint(-3, 3))
         profile = _random_symmetric_profile(rng, n, p)
         gap = slp.gap_lower_bound(sd, profile)
-        yield f"gap-nonnegative i={i}", gap >= 0, f"n={n} p={p} kh={kh} profile={profile} gap={gap}"
+        ok = gap >= 0
+        yield (f"gap-nonnegative i={i}", ok,
+               "" if ok else f"n={n} p={p} kh={kh} profile={profile} gap={gap}")
 
 
 def _full_profile_cases(rng: random.Random, count: int, n_max: int, primes) -> Cases:
@@ -424,8 +427,8 @@ def _full_profile_cases(rng: random.Random, count: int, n_max: int, primes) -> C
         sd = slp.make_slope_data(n, p, rk_w, kh=rng.randint(0, 8), mu_w=rng.randint(-3, 3))
         gap = slp.gap_lower_bound(sd, profile)
         diag = slp.equality_diagnosis(n, p, profile)
-        yield (f"full-profile i={i}", gap == 0 and diag.full_length and diag.symmetric,
-               f"n={n} p={p} gap={gap}")
+        ok = gap == 0 and diag.full_length and diag.symmetric
+        yield f"full-profile i={i}", ok, "" if ok else f"n={n} p={p} gap={gap}"
 
 
 def _chain(*claims: Cases) -> Cases:

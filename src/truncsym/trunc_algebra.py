@@ -101,10 +101,13 @@ class GradedSubspace:
 
     @classmethod
     def coordinate(cls, n: int, p: int, grade: int, monomial_indices) -> "GradedSubspace":
-        """Span of a subset of the grade's monomial basis."""
+        """Span of a subset of the grade's monomial basis, given by indices
+        in [0, width); any other index is refused."""
         width = len(grade_basis(n, p, grade))
         rows = []
         for i in monomial_indices:
+            if not 0 <= i < width:
+                raise ValueError(f"monomial index {i} outside [0, {width})")
             vec = [0] * width
             vec[i] = 1
             rows.append(vec)

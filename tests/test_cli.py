@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import time
 
 from click.testing import CliRunner
@@ -6,6 +8,7 @@ from click.testing import CliRunner
 from truncsym.cli import main
 from truncsym.monomial_box import MATCHING_BOX_LIMIT
 from truncsym.suites import strip_timings
+from truncsym.trunc_power import trunc_rank
 
 FAST_ARGS = [
     "--n-max", "2",
@@ -256,6 +259,7 @@ def test_slopes_command_parse_error(tmp_path):
     result = runner.invoke(main, ["slopes", "--scenario", str(scenario)])
     assert result.exit_code == 2
     assert "scenario 0" in result.output and "muW" in result.output
+    assert result.output.count("scenario 0") == 1, result.output
 
 
 def test_slopes_command_rejects_zero_total_profile(tmp_path):
@@ -288,3 +292,55 @@ def test_slopes_command_malformed_json(tmp_path):
     result = runner.invoke(main, ["slopes", "--scenario", str(scenario)])
     assert result.exit_code == 2
     assert "line" in result.output
+
+
+def _pinned_scenarios() -> list[dict]:
+    """Seeded records mixing every input form the scenario loader accepts."""
+    rng = random.Random("slopes-output-pin")
+    records = []
+    for i in range(150):
+        n = rng.randint(1, 4)
+        p = rng.choice((2, 3, 5, 7))
+        top = n * (p - 1)
+        rec = {"name": f"rec-{i}", "n": n, "p": p, "rkW": rng.randint(1, 4)}
+        if n == 1 and i % 2:
+            rec["g"] = rng.randint(0, 5)
+        else:
+            rec["KH"] = f"{rng.randint(-6, 12)}/{rng.randint(1, 6)}"
+        if i % 3:
+            rec["muW"] = f"{rng.randint(-6, 6)}/{rng.randint(1, 6)}"
+        else:
+            rec["c1WH"] = rng.randint(-9, 9)
+        if i % 4:
+            profile = [rng.randint(0, 5) for _ in range(rng.randint(1, top + 1))]
+            profile[0] += 1
+            rec["profile"] = profile
+        if i % 5 < 2:
+            rec["instabilities"] = [f"{rng.randint(0, 4)}/{rng.randint(1, 3)}"
+                                    for _ in range(rng.randint(0, top + 1))]
+        records.append(rec)
+    # A zero gap: the full layer profile of the pushforward itself.
+    records.append({"name": "full", "n": 2, "p": 3, "rkW": 2, "KH": 3, "muW": "1/2",
+                    "profile": [2 * trunc_rank(2, 3, ell) for ell in range(5)]})
+    return records
+
+
+def test_slopes_command_output_is_pinned(tmp_path):
+    records = _pinned_scenarios()
+    assert any("g" in r for r in records) and any("KH" in r for r in records)
+    assert any("muW" in r for r in records) and any("c1WH" in r for r in records)
+    assert any("profile" in r and "instabilities" in r for r in records)
+    assert any("profile" in r and "instabilities" not in r for r in records)
+    assert any(str(r.get("KH", "")).startswith("-") for r in records)
+    assert max(r["n"] for r in records) == 4
+    scenario = tmp_path / "pin.json"
+    scenario.write_text(json.dumps(records))
+    out = tmp_path / "out.json"
+    result = CliRunner().invoke(main, ["slopes", "--scenario", str(scenario), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    evaluated = json.loads(out.read_text())["scenarios"]
+    assert evaluated[-1]["gap_lower_bound"] == "0" and "equality_diagnosis" in evaluated[-1]
+    assert any("KH is negative" in w for rec in evaluated for w in rec["warnings"])
+    # Recorded before the layer slopes moved onto one common denominator.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "140a224ccb3283b245b1da27a4aefe3f1157e0143debe5b3f33a96d0a7fce54c"

@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from truncsym.scenario import format_rational
 from truncsym.slopes import (
     curve_gap,
     equality_diagnosis,
     gap_lower_bound,
     graded_slope,
     instability_bound,
+    layer_slopes,
     make_slope_data,
     pushforward_c1,
     pushforward_rank,
@@ -218,3 +222,58 @@ def test_symmetric_profile_gap_nonnegative():
         sd = make_slope_data(n, p, 3, kh=Fraction(rng.randint(0, 8), rng.randint(1, 3)),
                              mu_w=rng.randint(-3, 3))
         assert gap_lower_bound(sd, profile) >= 0, (n, p, profile)
+
+
+# Rationals with denominators up to 6, negative values and zero included.
+rationals = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6))
+
+
+@st.composite
+def slope_inputs(draw):
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    sd = make_slope_data(n, p, draw(st.integers(1, 4)), kh=draw(rationals), mu_w=draw(rationals))
+    top = n * (p - 1)
+    profile = draw(st.lists(st.integers(0, 9), min_size=1, max_size=top + 1))
+    profile[0] += 1
+    instabilities = draw(st.none() | st.lists(
+        st.builds(Fraction, st.integers(0, 24), st.integers(1, 6)), max_size=top + 2))
+    return sd, profile, instabilities
+
+
+def _reference_weight_sums(n, p, profile):
+    """Direct and reflected weighted sums, term by term in Fractions."""
+    top = n * (p - 1)
+    half = Fraction(top, 2)
+    full = {ell: (profile[ell] if ell < len(profile) else 0) for ell in range(top + 1)}
+    m = len(profile) - 1
+    direct = sum(((half - ell) * r for ell, r in enumerate(profile)), Fraction(0))
+    tail = sum(((ell - half) * full[top - ell] for ell in range(m + 1, top + 1)), Fraction(0))
+    fold = sum(((ell - half) * (full[top - ell] - full[ell])
+                for ell in range(top + 1) if ell > half and ell <= m), Fraction(0))
+    return direct, tail + fold
+
+
+@settings(max_examples=300, deadline=None)
+@given(slope_inputs())
+def test_slope_arithmetic_matches_fraction_reference(data):
+    sd, profile, instabilities = data
+    n, p, kh, mu = sd.n, sd.p, sd.kh, sd.mu_w
+    row = [f"{a}/{b}" if b != 1 else str(a) for a, b in layer_slopes(sd)]
+    assert row == [format_rational(mu + Fraction(ell) * kh / n) for ell in range(n * (p - 1) + 1)]
+    assert all(graded_slope(n, p, ell, kh) == Fraction(ell) * kh / n
+               for ell in range(n * (p - 1) + 1))
+    assert pushforward_slope(sd) == (Fraction(p - 1, 2) * kh + mu) / p
+    assert pushforward_c1(sd) == (Fraction(sd.rk_w * (p ** n - p ** (n - 1)), 2) * kh
+                                  + p ** (n - 1) * sd.c1_wh)
+
+    for prof in (profile, profile + [1, 2]):  # entries past the top still compute
+        direct, rearranged = _reference_weight_sums(n, p, prof)
+        verdict = weight_sum_check(n, p, prof)
+        assert (verdict.direct, verdict.rearranged) == (direct, rearranged)
+        assert verdict.equal == (direct == rearranged) and verdict.nonnegative == (direct >= 0)
+
+    rk = sum(profile)
+    direct, _ = _reference_weight_sums(n, p, profile)
+    inst = sum((r * i for r, i in zip(profile, instabilities or ())), Fraction(0))
+    assert gap_lower_bound(sd, profile, instabilities) == kh / (n * p * rk) * direct - inst / (p * rk)

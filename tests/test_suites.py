@@ -2,9 +2,11 @@ import hashlib
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
+from truncsym import slopes as slp
 from truncsym import trunc_algebra as alg
 from truncsym.fp_linalg import FpMatrix
 from truncsym.slopes import TOP_DEGREE_LIMIT
@@ -12,9 +14,14 @@ from truncsym.suites import (
     MATCHING_CAPS_LIMIT,
     ConfigError,
     SuiteConfig,
+    _curve_agreement_cases,
+    _full_profile_cases,
+    _gap_cases,
     _growth_cases,
     _pairing_cases,
+    _pushforward_cases,
     _suite_pairs,
+    _weight_sum_cases,
     collect,
     run_suite,
     strip_timings,
@@ -97,3 +104,25 @@ def test_validate_bounds_matching_sweep():
         SuiteConfig(matching_n_max=8).validate()
     # The bound is on the sweep, so it holds only when the sweep is selected.
     SuiteConfig(matching_n_max=10 ** 18, suites=("growth",)).validate()
+
+
+@pytest.mark.parametrize("claim, target, fake, expected", [
+    (lambda rng: _pushforward_cases(rng, 20, 2, (2, 3)), "pushforward_c1",
+     lambda sd: Fraction(10 ** 9), " c1="),
+    (lambda rng: _curve_agreement_cases(rng, 20, (2, 3)), "curve_gap",
+     lambda g, p, profile: Fraction(-1), " profile=["),
+    (lambda rng: _weight_sum_cases(rng, 20, 2, (2, 3)), "weight_sum_check",
+     lambda n, p, profile: slp.WeightSumVerdict(True, (), 3, 1), " direct=3/2 rearranged=1/2"),
+    (lambda rng: _gap_cases(rng, 20, 2, (2, 3)), "gap_lower_bound",
+     lambda sd, profile: Fraction(-1, 2), " gap=-1/2"),
+    (lambda rng: _full_profile_cases(rng, 20, 2, (2, 3)), "gap_lower_bound",
+     lambda sd, profile: Fraction(1), " gap=1"),
+])
+def test_slope_claims_detail_only_failures(monkeypatch, claim, target, fake, expected):
+    passing = list(claim(random.Random(3)))
+    assert passing and all(ok and detail == "" for _, ok, detail in passing)
+    monkeypatch.setattr(slp, target, fake)
+    failing = list(claim(random.Random(3)))
+    assert [key for key, _, _ in failing] == [key for key, _, _ in passing]
+    assert all(not ok and detail.startswith(("n=", "p=")) and expected in detail
+               for _, ok, detail in failing)

@@ -138,6 +138,15 @@ def test_subspace_refuses_bad_modulus():
             GradedSubspace.from_vectors(1, p, 1, [[1]])
 
 
+def test_coordinate_subspace_refuses_out_of_range_indices():
+    # Grade 2 of (2, 3) has three monomials.  A negative index must not count
+    # from the end, and one past the end must not leak an IndexError.
+    assert GradedSubspace.coordinate(2, 3, 2, [0, 2]).dim == 2
+    for idxs in ([-1], [0, -3], [7], [3]):
+        with pytest.raises(ValueError, match="outside"):
+            GradedSubspace.coordinate(2, 3, 2, idxs)
+
+
 def test_spanned_image_examples():
     # Top grade of the single-variable algebra: degree-two operators hit 1.
     full = GradedSubspace.from_vectors(1, 3, 2, [[1]])
