@@ -21,6 +21,7 @@ from .filtration import (
     graded_nabla_matrix,
     nabla,
     nabla_power_row,
+    nabla_power_rows,
 )
 from .monomial_box import (
     Box,
@@ -71,6 +72,7 @@ from .trunc_power import (
     gl2_dim,
     koszul_complex,
     symmetrization_matrix,
+    symmetrized_rows,
     symmetrized_tensor,
     trunc_rank,
     verify_koszul_exact,
@@ -126,6 +128,7 @@ __all__ = [
     "matching_sweep",
     "nabla",
     "nabla_power_row",
+    "nabla_power_rows",
     "omega_pairing_matrix",
     "pushforward_c1",
     "pushforward_rank",
@@ -136,6 +139,7 @@ __all__ = [
     "spanned_image_dim",
     "stack",
     "symmetrization_matrix",
+    "symmetrized_rows",
     "symmetrized_tensor",
     "trunc_rank",
     "validate_profile",

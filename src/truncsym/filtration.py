@@ -12,12 +12,14 @@ the symmetrized tensors up to the sign (-1)^l.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .fp_linalg import FpMatrix
 from .monomial_box import MultiIndex, grade_basis
-from .trunc_power import WordLayout, WordRow
+from .trunc_power import (WordLayout, WordRow, _check_rows, _distinct_rows, _expand,
+                          _one_letter_rows, _row_batches)
 
 
 def filtration_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
@@ -79,51 +81,99 @@ def graded_nabla_matrix(n: int, p: int, ell: int) -> FpMatrix:
     return FpMatrix(data, p, cols=n * block)
 
 
-def nabla_power_row(n: int, p: int, k: MultiIndex) -> WordRow:
-    """Full connection composite applied to one degree-sum(k) monomial.
+def _derivative_walk(layout: WordLayout, left: np.ndarray, factor: np.ndarray, p: int,
+                     start: int, stop: int):
+    """Walk each exponent row of ``left`` down one derivative at a time, the
+    direction of each written at positions stop-1 down to start (newest letter
+    leftmost): every step extends each state by each direction i with m_i > 0
+    and multiplies its coefficient by factor[m_i] = -m_i mod p.  Taking the
+    directions in order, each over all states in order, keeps the words
+    sorted.  Returns the words, coefficients, the row each came from and the
+    exponents left, ordered by that row and then by word."""
+    words = layout.empty(len(left))
+    coeffs = np.ones(len(left), dtype=np.int64)
+    origin = np.arange(len(left))
+    for j in reversed(range(start, stop)):
+        # Direction-major: every state that can step in direction 0, then 1, ...
+        letter, src = np.nonzero(left.T)
+        words = words[src]
+        layout.write(words, j, letter)
+        origin, left = origin[src], left[src]
+        steps = np.arange(len(src))
+        coeffs = coeffs[src] * factor[left[steps, letter]] % p
+        left[steps, letter] -= 1
+    order = np.argsort(origin, kind="stable")
+    return words[order], coeffs[order], origin[order], left[order]
 
-    Walks the monomial down to degree zero one derivative at a time; the
-    direction chosen at each step is recorded as a word letter, the newest
-    letter leftmost (so the first derivative taken sits rightmost).  Every
-    path is one word, so the walk runs level by level on arrays: each step
-    extends every state by every direction i whose exponent m_i is still
-    positive, writes the letter i in front and multiplies the coefficient by
-    -m_i mod p.  Taking the directions in order, each over all states in
-    order, keeps the words sorted.
+
+def nabla_power_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> Iterator[WordRow]:
+    """Full connection composite on monomials of one degree l, one packed word
+    row each, in order.
+
+    Each monomial is walked down to degree zero one derivative at a time; the
+    direction chosen at each step is a word letter, the newest leftmost (the
+    first derivative taken sits rightmost), and the step multiplies the
+    coefficient by -m_i mod p.  Each word is split at h = l // 2.  The first
+    l - h derivatives of every row (the suffix) are walked at once; the last h
+    (the prefix) once per exponent vector a suffix leaves, and that block is
+    shared by every suffix, of any row, that leaves the same exponents.  A
+    path's coefficient is the product of its halves' coefficients, since each
+    factor depends only on the exponent still left.  A row is its prefixes,
+    sorted, each followed by the suffixes that leave its exponents, in order.
+    Bad input raises ``ValueError`` at the first row.
     """
-    if len(k) != n:
-        raise ValueError(f"monomial {k} does not have {n} exponents")
-    if (p - 1) ** 2 >= 2 ** 63:
-        raise ValueError(f"modulus {p} too large: coefficient products overflow int64")
-    ell = sum(k)
+    ell = _check_rows(n, p, monomials)
     layout = WordLayout(n, ell)
-    words = layout.empty(1)
-    coeffs = np.ones(1, dtype=np.int64)
-    variables = [i for i, e in enumerate(k) if e]
-    if len(variables) == 1:
-        # One variable: a single path, with the factors -ell, ..., -1.
-        layout.write_run(words, variables[0], 0, ell)
+    if n == 1:  # one path, with the factors -l, ..., -1
         scale = 1
         for m in range(ell, 0, -1):
             scale = scale * (-m % p) % p
-        coeffs[0] = scale
-    else:
-        # The remaining exponents per state, in the narrowest dtype that holds them.
-        left = np.array([k], dtype=np.min_scalar_type(max(k, default=0)))
-        factor = np.array([-m % p for m in range(max(k, default=0) + 1)], dtype=np.int64)
-        for j in reversed(range(ell)):
-            parts = []
-            for i in range(n):
-                src = np.flatnonzero(left[:, i])
-                if len(src):
-                    extended = words[src]
-                    layout.write(extended, j, i)
-                    rest = left[src]
-                    parts.append((extended, rest, coeffs[src] * factor[rest[:, i]] % p))
-                    rest[:, i] -= 1
-            words, left, coeffs = (np.concatenate(a) for a in zip(*parts))
-    keep = coeffs != 0
-    return WordRow(layout, words[keep], coeffs[keep])
+        yield from _one_letter_rows(layout, [scale] * len(monomials))
+        return
+    h = ell // 2
+    factor = np.array([-m % p for m in range(ell + 1)], dtype=np.int64)
+    suffixes, scoeffs, origin, rest = _derivative_walk(
+        layout, np.array(monomials, dtype=np.min_scalar_type(ell)).reshape(-1, n),
+        factor, p, h, ell)
+    exponents, group = _distinct_rows(rest)
+    prefixes, pcoeffs, block, _ = _derivative_walk(layout, exponents, factor, p, 0, h)
+    # Suffixes grouped by (row, exponents left), each group in word order.
+    key = origin * len(exponents) + group
+    order = np.argsort(key, kind="stable")
+    suffixes, scoeffs = suffixes[order], scoeffs[order]
+    pairs, pair_starts, pair_sizes = np.unique(key[order], return_index=True, return_counts=True)
+    block_sizes = np.bincount(block, minlength=len(exponents))
+    # Every prefix of every pair's exponents, sorted by (row, prefix word).
+    pair_group = pairs % len(exponents)
+    pair, prefix = _expand((np.cumsum(block_sizes) - block_sizes)[pair_group],
+                           block_sizes[pair_group])
+    row = pairs[pair] // len(exponents)
+    order = np.lexsort([prefixes[prefix, c] for c in reversed(range(prefixes.shape[1]))] + [row])
+    pair, prefix = pair[order], prefix[order]
+    entry_starts, entry_sizes = pair_starts[pair], pair_sizes[pair]
+
+    def assemble(e0, e1, counts):
+        entry, inner = _expand(entry_starts[e0:e1], entry_sizes[e0:e1])
+        pre = prefix[e0:e1][entry]
+        del entry  # as long as the batch
+        words = prefixes[pre]
+        words += suffixes[inner]
+        coeffs = pcoeffs[pre]
+        coeffs *= scoeffs[inner]
+        coeffs %= p
+        keep = coeffs != 0
+        if not keep.all():
+            kept = np.concatenate(([0], np.cumsum(keep)))[np.cumsum([0] + counts)]
+            words, coeffs, counts = words[keep], coeffs[keep], np.diff(kept).tolist()
+        return words, coeffs, counts
+
+    yield from _row_batches(layout, row[order], entry_sizes, len(monomials), assemble)
+
+
+def nabla_power_row(n: int, p: int, k: MultiIndex) -> WordRow:
+    """Full connection composite applied to one degree-sum(k) monomial: the
+    one-row case of ``nabla_power_rows``."""
+    return next(nabla_power_rows(n, p, [k]))
 
 
 @dataclass(frozen=True)

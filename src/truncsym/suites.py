@@ -302,22 +302,24 @@ def _filtration_cases(pairs) -> Cases:
             r = rank(m)
             yield f"graded-injective n={n} p={p} l={ell}", r == m.nrows, f"rank {r} < {m.nrows}"
         for ell in range(top + 1):
-            rows = []
+            rows, counts = [], []
             for k in boxes.grade_basis(n, p, ell):
                 words = tp.word_count(k)
                 if words > ROW_WORD_LIMIT:
                     skipped.append(f"n={n} p={p} k={k} ({words} words)")
                 else:
                     rows.append(k)
+                    counts.append(words)
             if not rows:
                 continue
             sign = (-1) ** ell % p
             bad = None
-            for k in rows:
-                # The same sorted words, each with (-1)^l prod(k_i!) mod p.
-                sym = tp.symmetrized_tensor(k, p)
-                if filt.nabla_power_row(n, p, k) != tp.WordRow(sym.layout, sym.words,
-                                                                sign * sym.coeffs % p):
+            composite = filt.nabla_power_rows(n, p, rows)
+            for k, words, sym in zip(rows, counts, tp.symmetrized_rows(n, p, rows)):
+                # The same sorted words, all word_count(k) of them, each with
+                # (-1)^l prod(k_i!) mod p.
+                if len(sym) != words or next(composite) != tp.WordRow(
+                        sym.layout, sym.words, sign * sym.coeffs % p):
                     bad = k
                     break
             yield (f"composite n={n} p={p} l={ell}", bad is None,

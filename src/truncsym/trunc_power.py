@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fp_linalg import FpMatrix, rank
+from .fp_linalg import FpMatrix, _check_modulus, rank
 from .monomial_box import MultiIndex, enumerate_box, grade_basis
 
 
@@ -86,8 +87,10 @@ class WordLayout:
         # The position (exclusive) where each column ends.
         self.ends = list(range(run, length, run)) + [length]
         self.column = np.arange(length) // run
-        self.place = np.array([n ** (self.ends[j // run] - 1 - j) for j in range(length)],
-                              dtype=np.int64)
+        # The place value of position j: n to the number of positions after
+        # it in its column (below n^run, so exact in int64).
+        after = np.array(self.ends)[self.column] - 1 - np.arange(length)
+        self.place = np.power(np.int64(n), after)
 
     def empty(self, count: int) -> np.ndarray:
         """``count`` words with every letter 0, to be written into."""
@@ -97,15 +100,6 @@ class WordLayout:
         """Write ``letters`` (one per word, or one for all) at position j,
         which must still hold 0."""
         words[:, self.column[j]] += letters * self.place[j]
-
-    def write_run(self, words: np.ndarray, letter: int, start: int, stop: int) -> None:
-        """Write one letter at positions start..stop-1 of every word."""
-        sums: dict[int, int] = {}
-        for j in range(start, stop):
-            c = int(self.column[j])
-            sums[c] = sums.get(c, 0) + int(self.place[j])
-        for c, total in sums.items():
-            words[:, c] += letter * total
 
     def codes(self, words: np.ndarray) -> list[int]:
         """Each word read in base n as one exact int (codes order like words)."""
@@ -146,35 +140,140 @@ class WordRow:
         return dict(zip(self.layout.codes(self.words), self.coeffs.tolist()))
 
 
-def symmetrized_tensor(k: MultiIndex, p: int) -> WordRow:
-    """Symmetrized tensor of the monomial k as a packed word row.
+def _check_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> int:
+    """Refuse a bad modulus or monomial before any array work; return the
+    degree the monomials share."""
+    _check_modulus(p)
+    degrees = set()
+    for k in monomials:
+        if len(k) != n:
+            raise ValueError(f"monomial {k} does not have {n} exponents")
+        if min(k, default=0) < 0:
+            raise ValueError(f"monomial {k} has a negative exponent")
+        degrees.add(sum(k))
+    if len(degrees) > 1:
+        raise ValueError(f"monomials of one grade must share a degree, got {sorted(degrees)}")
+    return degrees.pop() if degrees else 0
 
-    Every word of content k receives the coefficient prod(k_i!) mod p, so the
-    row vanishes exactly when some exponent reaches p.  The words are written
-    left to right: each level extends every prefix, in order, by each letter
-    it has left, in order, which keeps them sorted.
+
+def _expand(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (outer, inner) running through blocks: entry i of the outer
+    list repeats sizes[i] times, against starts[i], starts[i] + 1, ..."""
+    outer = np.repeat(np.arange(len(sizes)), sizes)
+    inner = (starts - np.cumsum(sizes) + sizes)[outer]
+    inner += np.arange(len(outer))
+    return outer, inner
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array in lexicographic order, and the index
+    of each input row among them."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+# A grade's rows are assembled in batches of consecutive rows holding at most
+# this many words (a larger row is a batch alone): small rows share their array
+# work, and no batch holds more than the largest row or this bound.
+BATCH_WORDS = 1 << 16
+
+
+def _row_batches(layout: WordLayout, entry_row: np.ndarray, entry_sizes: np.ndarray,
+                 rows: int, assemble) -> Iterator[WordRow]:
+    """Rows 0..rows-1 built from entries sorted by row, entry e standing for
+    entry_sizes[e] words.  Rows are cut into batches, and
+    ``assemble(e0, e1, counts)`` turns the entries e0..e1-1 of a batch, whose
+    rows hold ``counts`` words, into its words, coefficients and per-row entry
+    counts.  Each row is yielded as a view into its batch."""
+    first = np.searchsorted(entry_row, np.arange(rows + 1))
+    sizes = np.diff(np.concatenate(([0], np.cumsum(entry_sizes)))[first]).tolist()
+    a = 0
+    while a < rows:
+        b, total = a + 1, sizes[a]
+        while b < rows and total + sizes[b] <= BATCH_WORDS:
+            total += sizes[b]
+            b += 1
+        words, coeffs, counts = assemble(first[a], first[b], sizes[a:b])
+        start = 0
+        for count in counts:
+            yield WordRow(layout, words[start:start + count], coeffs[start:start + count])
+            start += count
+        a = b
+
+
+def _one_letter_rows(layout: WordLayout, coeffs: list[int]) -> Iterator[WordRow]:
+    """Rows over one letter: each is the one word 0...0 with its coefficient,
+    or no word where that is 0."""
+    for c in coeffs:
+        m = int(c != 0)
+        yield WordRow(layout, layout.empty(m), np.full(m, c, dtype=np.int64))
+
+
+def _letter_walk(layout: WordLayout, left: np.ndarray, start: int, stop: int):
+    """Arrange each content row of ``left`` at positions start..stop-1, left to
+    right: each level extends every word, in order, by each letter it has
+    left, in order.  Returns the words, the row each came from and the content
+    it has left; the words of each row stay consecutive and sorted."""
+    words = layout.empty(len(left))
+    origin = np.arange(len(left))
+    for j in range(start, stop):
+        src, letter = np.nonzero(left)
+        words = words[src]
+        layout.write(words, j, letter)
+        origin, left = origin[src], left[src]
+        left[np.arange(len(src)), letter] -= 1
+    return words, origin, left
+
+
+def symmetrized_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> Iterator[WordRow]:
+    """Symmetrized tensors of monomials of one degree l, one packed word row
+    each, in order.
+
+    Every word of content k receives the coefficient prod(k_i!) mod p, so a
+    row vanishes exactly when some exponent reaches p.  Each word is split at
+    h = l // 2.  The prefixes of every row are walked at once, left to right;
+    the suffixes are walked once per content a prefix leaves, and that block
+    is shared by every prefix, of any row, that leaves the same content.  A
+    row is its prefixes in order, each followed by its block, which keeps the
+    words sorted.  Bad input raises ``ValueError`` at the first row.
     """
-    n, length = len(k), sum(k)
+    length = _check_rows(n, p, monomials)
     layout = WordLayout(n, length)
-    coeff = 1
-    for e in k:
-        coeff = coeff * math.factorial(e) % p
-    if not coeff:
-        return WordRow(layout, layout.empty(0), np.zeros(0, dtype=np.int64))
-    words = layout.empty(1)
-    variables = [i for i, e in enumerate(k) if e]
-    if len(variables) == 1:  # one variable: the one word, its letter repeated
-        layout.write_run(words, variables[0], 0, length)
-    else:
-        # Letters left per prefix, in the narrowest dtype that holds them.
-        left = np.array([k], dtype=np.min_scalar_type(max(k, default=0)))
-        for j in range(length):
-            src, letter = np.nonzero(left)
-            words = words[src]
-            layout.write(words, j, letter)
-            left = left[src]
-            left[np.arange(len(src)), letter] -= 1
-    return WordRow(layout, words, np.full(len(words), coeff, dtype=np.int64))
+    coeffs = [math.prod(map(math.factorial, k)) % p for k in monomials]
+    if n == 1:
+        yield from _one_letter_rows(layout, coeffs)
+        return
+    live = [i for i, c in enumerate(coeffs) if c]
+    h = length // 2
+    start = np.array([monomials[i] for i in live], dtype=np.min_scalar_type(length))
+    prefixes, origin, rest = _letter_walk(layout, start.reshape(-1, n), 0, h)
+    contents, group = _distinct_rows(rest)
+    suffixes, block, _ = _letter_walk(layout, contents, h, length)
+    block_sizes = np.bincount(block, minlength=len(contents))
+    entry_starts = (np.cumsum(block_sizes) - block_sizes)[group]
+    entry_sizes = block_sizes[group]
+    row = np.array(live, dtype=np.int64)[origin]
+    prefix_coeffs = np.array(coeffs, dtype=np.int64)[row]
+
+    def assemble(e0, e1, counts):
+        entry, inner = _expand(entry_starts[e0:e1], entry_sizes[e0:e1])
+        entry += e0
+        words = prefixes[entry]
+        words += suffixes[inner]
+        return words, prefix_coeffs[entry], counts
+
+    yield from _row_batches(layout, row, entry_sizes, len(coeffs), assemble)
+
+
+def symmetrized_tensor(k: MultiIndex, p: int) -> WordRow:
+    """Symmetrized tensor of the monomial k as a packed word row: the one-row
+    case of ``symmetrized_rows``."""
+    return next(symmetrized_rows(len(k), p, [k]))
 
 
 def symmetrization_matrix(n: int, p: int, ell: int) -> list[dict[int, int]]:
@@ -185,7 +284,7 @@ def symmetrization_matrix(n: int, p: int, ell: int) -> list[dict[int, int]]:
     Rank (``fp_linalg.eliminate``) equals the truncated-power dimension;
     monomials with an exponent >= p span the kernel (their rows vanish).
     """
-    return [symmetrized_tensor(k, p).to_dict() for k in sym_basis(n, ell)]
+    return [row.to_dict() for row in symmetrized_rows(n, p, sym_basis(n, ell))]
 
 
 def degree_weight_check(n: int, p: int, ell: int) -> bool:

@@ -105,11 +105,13 @@ def test_criterion_06_pairing_isomorphism():
 
 
 def test_criterion_07_filtration_structure():
+    t0 = time.perf_counter()
     result = collect(_filtration_cases(PAIRS_243))
+    elapsed = time.perf_counter() - t0
     skipped = result.stats["skipped_word_checks"]
     # Every composite row is checked word by word, the (2, 13) rows included.
-    _report(7, "filtration structure", result.passed and skipped == [],
-            f"{len(PAIRS_243)} pairs, rows skipped for size: {skipped}, "
+    _report(7, "filtration structure", result.passed and skipped == [] and elapsed < 5.0,
+            f"{len(PAIRS_243)} pairs, rows skipped for size: {skipped}, {elapsed:.2f}s, "
             f"failures: {_failures(result)}")
 
 

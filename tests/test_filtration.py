@@ -1,4 +1,10 @@
+import hashlib
+import math
+from unittest import mock
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from truncsym.filtration import (
     curve_report,
@@ -6,10 +12,19 @@ from truncsym.filtration import (
     graded_nabla_matrix,
     nabla,
     nabla_power_row,
+    nabla_power_rows,
 )
 from truncsym.fp_linalg import eliminate, rank
 from truncsym.monomial_box import grade_basis
-from truncsym.trunc_power import symmetrized_tensor, trunc_rank, word_count
+from truncsym.suites import pair_grid
+from truncsym import trunc_power
+from truncsym.trunc_power import (
+    sym_basis,
+    symmetrized_rows,
+    symmetrized_tensor,
+    trunc_rank,
+    word_count,
+)
 
 PAIRS = [(1, 3), (1, 5), (2, 2), (2, 3), (3, 2), (2, 5), (3, 3)]
 # Rows whose words overflow one int64 code: 2^67 and 3^40 are >= 2^63.
@@ -128,6 +143,27 @@ def test_nabla_power_rejects_bad_input():
         nabla_power_row(1, 2 ** 62, (1,))
 
 
+def test_word_builders_reject_bad_input():
+    # Each used to give a wrong row or leak another exception.
+    with pytest.raises(ValueError, match="prime"):
+        symmetrized_tensor((2, 1), -3)
+    with pytest.raises(ValueError, match="prime"):
+        nabla_power_row(2, -5, (1, 1))
+    for build in (lambda: symmetrized_tensor((1, 1), 0), lambda: nabla_power_row(2, 0, (1, 1))):
+        with pytest.raises(ValueError, match="prime"):
+            build()
+    with pytest.raises(ValueError, match="too large"):
+        symmetrized_tensor((25,), 2 ** 70)
+    for build in (lambda: nabla_power_row(2, 5, (-1, 2)), lambda: symmetrized_tensor((-1, 2), 5)):
+        with pytest.raises(ValueError, match="negative"):
+            build()
+    # The grade builders refuse at the first row.
+    with pytest.raises(ValueError, match="share a degree"):
+        next(symmetrized_rows(2, 5, [(1, 1), (2, 1)]))
+    with pytest.raises(ValueError, match="exponents"):
+        next(nabla_power_rows(2, 5, [(1, 1), (1, 1, 0)]))
+
+
 def test_nabla_power_full_row_rank():
     for n, p in [(2, 3), (3, 2), (2, 5)]:
         for ell in range(n * (p - 1) + 1):
@@ -176,3 +212,105 @@ def test_curve_reports():
         assert report.graded_entries == tuple((-ell) % p for ell in range(1, p))
         assert report.ideal_dims == tuple(p - ell for ell in range(p)) + (0,)
         assert report.filtration_length == p
+
+
+# sha256 over (k, words bytes, coeffs bytes) of the composite row and then the
+# symmetrized row of every grade-basis monomial on the filtration-wide grid
+# (``verify --suites filtration --n-max 5 --primes 2,3,5,7,11``): 768 rows a
+# side.  It pins every packed word and coefficient, not only the verdicts.
+FILTRATION_WIDE_ROWS_SHA256 = "c745547e37e288e39ee13e3bde871d470af162a786f140c67ed160f0859d537d"
+
+
+def test_filtration_wide_rows_digest():
+    digest = hashlib.sha256()
+    rows = 0
+    for n, p in pair_grid((2, 3, 5, 7, 11), 243, 5):
+        for ell in range(n * (p - 1) + 1):
+            for k in grade_basis(n, p, ell):
+                for row in (nabla_power_row(n, p, k), symmetrized_tensor(k, p)):
+                    digest.update(repr(k).encode())
+                    digest.update(row.words.tobytes())
+                    digest.update(row.coeffs.tobytes())
+                rows += 1
+    assert rows == 768
+    assert digest.hexdigest() == FILTRATION_WIDE_ROWS_SHA256
+
+
+def reference_words(k):
+    """Every word of content k, sorted: the distinct arrangements of the
+    multiset, built by choosing the first letter and recursing."""
+    if not any(k):
+        return [()]
+    words = []
+    for i, e in enumerate(k):
+        if e:
+            words.extend((i,) + w for w in reference_words(k[:i] + (e - 1,) + k[i + 1:]))
+    return sorted(set(words))
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 41, 67]
+
+
+@st.composite
+def word_rows(draw):
+    """(n, p, k) with at most 2,000 words; one exponent may be long enough
+    that a word takes two int64 columns."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from(PRIMES))
+    k = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        k[draw(st.integers(0, n - 1))] = draw(st.integers(28, 70))
+    assume(word_count(k) <= 2_000)
+    return n, p, tuple(k)
+
+
+@settings(max_examples=250, deadline=None)
+@given(word_rows())
+@example((2, 67, (66, 1)))  # two columns: 63 + 4 binary letters
+@example((3, 41, (1, 38, 1)))  # 39 + 1 ternary letters
+@example((4, 13, (0, 30, 1, 1)))  # 31 + 1 letters of base 4
+def test_rows_match_pure_python_references(row):
+    n, p, k = row
+    words = reference_words(k)
+    scale = math.prod(math.factorial(e) for e in k) % p
+    sym = symmetrized_tensor(k, p)
+    assert sym.to_dict() == ({code(w, n): scale for w in words} if scale else {})
+    assert list(sym.to_dict()) == sorted(sym.to_dict())
+    composite = nabla_power_row(n, p, k)
+    reference = reference_nabla_power_row(n, p, k)
+    assert list(composite.to_dict().items()) == [(code(w, n), reference[w])
+                                                  for w in sorted(reference)]
+
+
+@st.composite
+def grades(draw):
+    """A grade of monomials (capped or not) with at most 4,000 words in all,
+    and a batch size small enough to split it."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from(PRIMES))
+    ell = draw(st.integers(0, 9))
+    monomials = sym_basis(n, ell) if draw(st.booleans()) else grade_basis(n, p, ell)
+    assume(sum(word_count(k) for k in monomials) <= 4_000)
+    return n, p, monomials, draw(st.integers(1, 300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grades())
+@example((2, 2, sym_basis(2, 3), 5))  # every row vanishes
+@example((3, 3, sym_basis(3, 4), 2))  # vanishing and live rows in one batch
+def test_grade_batches_equal_single_rows(grade):
+    n, p, monomials, batch = grade
+    with mock.patch.object(trunc_power, "BATCH_WORDS", batch):
+        sym = list(symmetrized_rows(n, p, monomials))
+        composite = list(nabla_power_rows(n, p, monomials))
+    assert sym == [symmetrized_tensor(k, p) for k in monomials]
+    assert composite == [nabla_power_row(n, p, k) for k in monomials]
+    # A row is a view into its batch, which holds at most `batch` words unless
+    # the row alone is larger.
+    for row in sym + composite:
+        batch_words = row.words if row.words.base is None else row.words.base
+        assert len(batch_words) <= max(batch, len(row))
+    for k, row in zip(monomials, composite):
+        reference = reference_nabla_power_row(n, p, k)
+        assert list(row.to_dict().items()) == [(code(w, n), reference[w])
+                                               for w in sorted(reference)]

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from truncsym import filtration as filt
 from truncsym import slopes as slp
 from truncsym import trunc_algebra as alg
+from truncsym import trunc_power as tp
 from truncsym.fp_linalg import FpMatrix
 from truncsym.slopes import TOP_DEGREE_LIMIT
 from truncsym.suites import (
@@ -15,6 +17,7 @@ from truncsym.suites import (
     ConfigError,
     SuiteConfig,
     _curve_agreement_cases,
+    _filtration_cases,
     _full_profile_cases,
     _gap_cases,
     _growth_cases,
@@ -73,6 +76,23 @@ def test_pairing_cases_fail_unless_the_matrix_reduces_to_identity(monkeypatch):
         assert result.failures[0]["detail"] == f"pairing matrix {shape}"
     monkeypatch.undo()
     assert collect(_pairing_cases([(1, 5), (2, 3)])).passed
+
+
+def test_composite_cases_count_the_words(monkeypatch):
+    # Both sides assemble their rows with the same batching; if it dropped a
+    # word from every row, the two would still agree, so the case also counts
+    # the words against the multinomial word_count(k).
+    batches = tp._row_batches
+
+    def short_rows(*args):
+        for row in batches(*args):
+            yield tp.WordRow(row.layout, row.words[1:], row.coeffs[1:])
+
+    assert collect(_filtration_cases([(2, 3)])).passed
+    monkeypatch.setattr(tp, "_row_batches", short_rows)
+    monkeypatch.setattr(filt, "_row_batches", short_rows)
+    failures = collect(_filtration_cases([(2, 3)])).failures
+    assert [f["case"] for f in failures] == [f"composite n=2 p=3 l={ell}" for ell in range(5)]
 
 
 def test_validate_bounds_top_degree_before_primality():

@@ -101,7 +101,8 @@ def test_word_layout_packs_long_words_exactly():
     # The top word of length 67 over two letters: every column at its maximum.
     layout = WordLayout(2, 67)
     words = layout.empty(1)
-    layout.write_run(words, 1, 0, 67)
+    for j in range(67):
+        layout.write(words, j, 1)
     assert words.tolist() == [[2 ** 63 - 1, 2 ** 4 - 1]]
     assert layout.codes(words) == [2 ** 67 - 1]
     row = symmetrized_tensor((66, 1), 67)
