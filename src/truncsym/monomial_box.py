@@ -12,6 +12,7 @@ many caps vectors per batch.  Nothing here recurses or caches without bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -47,7 +48,7 @@ def _row_dtype(bound: int) -> np.dtype:
 
 
 def _check_caps(caps: tuple[int, ...]) -> int:
-    if any(a < 0 for a in caps):
+    if min(caps, default=0) < 0:
         raise ValueError("caps must be non-negative")
     sigma = sum(caps)
     if sigma > CAPS_TOTAL_LIMIT:
@@ -221,6 +222,10 @@ class MatchingVerdict:
     witness: tuple | None = None
 
 
+# The verdict of every map that passes its checks.
+_MATCHED = MatchingVerdict(True)
+
+
 def _split_last(w: np.ndarray, i: np.ndarray, j: np.ndarray, cap: np.ndarray,
                 shift: np.ndarray) -> None:
     # Undo one step on the flat image array w, in place.  A merge (shift 0)
@@ -342,7 +347,7 @@ def _verdict(source: list[MultiIndex], images: list, outside, undominated,
     """The first violation in source order, from the flags of ``_violations``."""
     bad = outside | undominated | (repeat >= 0)
     if not bad.any():
-        return MatchingVerdict(True)
+        return _MATCHED
     k = int(np.argmax(bad))
     v, w = source[k], images[k]
     if outside[k]:
@@ -528,6 +533,40 @@ def _sweep_chunks(caps_vectors: Iterable[tuple[int, ...]]) -> Iterator[list[tupl
         yield chunk
 
 
+def _graded_rows(caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The full box of every caps vector (a row of ``caps``), enumerated once.
+
+    Returns the rows ordered by (caps vector q, degree l), lexicographic
+    within each, and their keys q * stride + l with stride = max sigma + 1.
+    """
+    stride = int(caps.sum(axis=1).max()) + 1
+    rows, owner = _enumerate(caps)
+    rows = rows.astype(_row_dtype(stride))
+    key = owner * stride + rows.sum(axis=1)
+    order = np.argsort(key, kind="stable")
+    return rows[order], key[order], stride
+
+
+def _shape(caps: tuple[int, ...]) -> tuple[int, ...]:
+    # The sorted positive caps: all the Hall oracle depends on (see matching_sweep).
+    return tuple(sorted(a for a in caps if a)) or (0,)
+
+
+def _shape_oracle(shapes: list[tuple[int, ...]]) -> list[list[bool]]:
+    """The Hall oracle's answers at every l <= sigma for shapes of one length."""
+    caps = np.array(shapes, np.int64)
+    sigma = caps.sum(axis=1)
+    rows, key, stride = _graded_rows(caps)
+    bounds = np.searchsorted(key, np.arange(len(shapes) * stride + 1))
+    # Hall case q * stride + l: degree l into degree sigma_q - l of shape q
+    # (an empty source when l > sigma_q).
+    owners, degrees = np.divmod(np.arange(len(shapes) * stride), stride)
+    mirror = owners * stride + np.maximum(sigma[owners] - degrees, 0)
+    oracle = _hall_many(rows, np.stack(
+        [bounds[:-1], bounds[1:], bounds[mirror], bounds[mirror + 1]], axis=1))
+    return [oracle[q * stride:q * stride + s + 1] for q, s in enumerate(sigma.tolist())]
+
+
 def matching_sweep(
     caps_vectors: Iterable[tuple[int, ...]],
 ) -> Iterator[tuple[tuple[int, ...], list[MatchingVerdict], list[bool]]]:
@@ -538,50 +577,45 @@ def matching_sweep(
     ``verify_matching`` and ``hall_matching_exists``, run on a batch of caps
     vectors of one length at once: each full box is enumerated once and
     sliced by degree, and the map and its checks run on all rows together.
-    Meant for many small boxes: a full box above _SWEEP_CHUNK_ROWS elements
-    is refused.
+    The oracle is solved once per shape, the sorted positive caps: permuting
+    coordinates and dropping a zero cap map a box onto the shape's box,
+    degree by degree, and keep dominance both ways, so a dominance matching
+    exists for the caps exactly when it does for the shape.  The answers
+    live for one call.  Meant for many small boxes: a full box above
+    _SWEEP_CHUNK_ROWS elements is refused.
     """
+    answers: dict[tuple[int, ...], list[bool]] = {}
     for chunk in _sweep_chunks(caps_vectors):
         caps = np.array(chunk, np.int64)
         sigma = caps.sum(axis=1)
-        stride = int(sigma.max()) + 1
-        rows, owner = _enumerate(caps)
-        dtype = _row_dtype(stride)
-        rows = rows.astype(dtype)
-        # Order the rows by (caps vector, degree), lexicographic within each.
-        key = owner * stride + rows.sum(axis=1)
-        order = np.argsort(key, kind="stable")
-        rows, owner, key = rows[order], owner[order], key[order]
-        bounds = np.searchsorted(key, np.arange(len(chunk) * stride + 1))
-        degree = key - owner * stride
+        rows, key, stride = _graded_rows(caps)
+        owner, degree = np.divmod(key, stride)
         matched = 2 * degree <= sigma[owner]
         v, case = rows[matched], key[matched]
-        row_caps = caps[owner[matched]].astype(dtype)
+        row_caps = caps[owner[matched]].astype(v.dtype)
         w = _split_shift_images(v, row_caps)
         outside, undominated, repeat = _violations(
             v, w, row_caps, sigma[owner[matched]] - degree[matched], case)
         failing = set(case[outside | undominated | (repeat >= 0)].tolist())
-        # Hall case q * stride + l: degree l into degree sigma_q - l of caps
-        # vector q (an empty source when l > sigma_q).
-        owners, degrees = np.divmod(np.arange(len(chunk) * stride), stride)
-        mirror = owners * stride + np.maximum(sigma[owners] - degrees, 0)
-        oracle = _hall_many(rows, np.stack(
-            [bounds[:-1], bounds[1:], bounds[mirror], bounds[mirror + 1]], axis=1))
+        shapes = [_shape(c) for c in chunk]
+        unsolved = sorted(set(shapes).difference(answers), key=lambda s: (len(s), s))
+        for _, group in itertools.groupby(unsolved, len):
+            group = list(group)
+            answers.update(zip(group, _shape_oracle(group)))
         starts = np.searchsorted(case, np.arange(len(chunk) * stride + 1)).tolist()
         for q, caps_q in enumerate(chunk):
-            s = int(sigma[q])
             verdicts = []
-            for ell in range(s // 2 + 1):
+            for ell in range(int(sigma[q]) // 2 + 1):
                 c = q * stride + ell
                 if c not in failing:
-                    verdicts.append(MatchingVerdict(True))
+                    verdicts.append(_MATCHED)
                     continue
                 lo, hi = starts[c], starts[c + 1]
                 earlier = repeat[lo:hi]
                 verdicts.append(_verdict(
                     _as_tuples(v[lo:hi]), _as_tuples(w[lo:hi]), outside[lo:hi],
                     undominated[lo:hi], np.where(earlier >= 0, earlier - lo, -1)))
-            yield caps_q, verdicts, oracle[q * stride:q * stride + s + 1]
+            yield caps_q, verdicts, list(answers[shapes[q]])
 
 
 def iter_caps_vectors(n_max: int, sigma_max: int) -> Iterator[tuple[int, ...]]:

@@ -368,6 +368,41 @@ def test_sweep_equals_per_case_calls():
         list(matching_sweep([(10 ** 9,)]))
 
 
+def test_sweep_oracle_per_shape_equals_direct_oracle():
+    # The sweep answers each caps vector from its shape's box; the direct
+    # oracle solves the caps vector's own box.
+    caps_list = list(iter_caps_vectors(4, 8)) + [
+        (1, 2, 3), (3, 2, 1), (0, 3, 0, 2, 1), (2, 0, 2, 0, 2), (0, 0, 0)]
+    swept = list(matching_sweep(caps_list))
+    assert [caps for caps, _, _ in swept] == caps_list
+    for caps, _, oracle in swept:
+        assert oracle == [hall_matching_exists(caps, ell) for ell in range(sum(caps) + 1)], caps
+
+
+def test_sweep_solves_each_shape_once_per_call(monkeypatch):
+    honest = boxes._hall_many
+    solved = []
+
+    def counting(rows, cases):
+        for s_lo, s_hi, t_lo, t_hi in cases.tolist():
+            if s_hi > s_lo:
+                solved.append((boxes._as_tuples(rows[s_lo:s_hi]),
+                               boxes._as_tuples(rows[t_lo:t_hi])))
+        return honest(rows, cases)
+
+    monkeypatch.setattr(boxes, "_hall_many", counting)
+    # Lengths 1..4, so most shapes recur in later chunks.
+    caps_list = list(iter_caps_vectors(4, 6))
+    shapes = {tuple(sorted(a for a in caps if a)) or (0,) for caps in caps_list}
+    once = [(enumerate_box(shape, ell), enumerate_box(shape, sum(shape) - ell))
+            for shape in shapes for ell in range(sum(shape) + 1)]
+    list(matching_sweep(caps_list))
+    assert sorted(solved) == sorted(once)
+    # The answers live for one call.
+    list(matching_sweep(caps_list))
+    assert sorted(solved) == sorted(once * 2)
+
+
 def test_iter_caps_vectors_order():
     assert list(iter_caps_vectors(2, 2)) == [
         (0,), (1,), (2,), (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]

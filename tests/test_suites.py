@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from truncsym import filtration as filt
+from truncsym import monomial_box as boxes
 from truncsym import slopes as slp
 from truncsym import trunc_algebra as alg
 from truncsym import trunc_power as tp
@@ -21,6 +22,7 @@ from truncsym.suites import (
     _full_profile_cases,
     _gap_cases,
     _growth_cases,
+    _matching_cases,
     _pairing_cases,
     _pushforward_cases,
     _suite_pairs,
@@ -39,6 +41,18 @@ def test_default_report_digest():
     report = strip_timings(run_suite(SuiteConfig()).to_dict())
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+# The same digest for the matching-wide report: the matching suite alone over
+# caps vectors of length at most 5 (92,820 cases).
+MATCHING_WIDE_REPORT_SHA256 = "ff8eaa02505303d24177d7f78b0cef27e1198aaa05d04c5789984faee861fcfb"
+
+
+def test_matching_wide_report_digest():
+    config = SuiteConfig(suites=("matching",), matching_n_max=5)
+    report = strip_timings(run_suite(config).to_dict())
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MATCHING_WIDE_REPORT_SHA256
 
 
 # sha256 of the JSON list of [case key, dim V, image dim] over the growth cases
@@ -93,6 +107,20 @@ def test_composite_cases_count_the_words(monkeypatch):
     monkeypatch.setattr(filt, "_row_batches", short_rows)
     failures = collect(_filtration_cases([(2, 3)])).failures
     assert [f["case"] for f in failures] == [f"composite n=2 p=3 l={ell}" for ell in range(5)]
+
+
+def test_matching_cases_fail_wherever_the_oracle_denies(monkeypatch):
+    # The sweep hands each caps vector its shape's answers; with an oracle
+    # that denies every matching, every matched case of every permutation
+    # of a shape must fail, and no boundary case.
+    monkeypatch.setattr(boxes, "_augmenting_matching_exists", lambda *args: False)
+    caps_list = list(boxes.iter_caps_vectors(3, 6))
+    result = collect(_matching_cases(caps_list))
+    failed = {f["case"] for f in result.failures}
+    assert failed == {f"caps={','.join(map(str, caps))} l={ell}"
+                      for caps in caps_list for ell in range(sum(caps) // 2 + 1)}
+    assert all(f["detail"] == "oracle denies a matching the construction produced"
+               for f in result.failures)
 
 
 def test_validate_bounds_top_degree_before_primality():
