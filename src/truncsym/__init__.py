@@ -10,6 +10,7 @@ Submodules:
 - ``slopes``: exact rational slope and stability-bound arithmetic.
 - ``suites``: parameterized verification suites with seeded reports.
 - ``scenario``: batch slope evaluation from JSON records.
+- ``jsonout``: the JSON text of both commands' output.
 """
 
 from .fp_linalg import FpMatrix, eliminate, is_prime, mat_mul, rank, row_reduce, stack

@@ -6,11 +6,11 @@ Exit codes: 0 when everything passes, 1 on a verification failure,
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
 
+from .jsonout import dumps
 from .monomial_box import dominance_matching
 from .scenario import ScenarioError, evaluate_scenarios, load_scenarios
 from .suites import ALL_SUITES, ConfigError, SuiteConfig, run_suite
@@ -102,7 +102,7 @@ def slopes(scenario_path, out_path):
         click.echo(f"scenario error: {exc}", err=True)
         sys.exit(2)
     result = evaluate_scenarios(scenarios)
-    text = json.dumps(result, indent=2, sort_keys=True)
+    text = dumps(result)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

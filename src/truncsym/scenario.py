@@ -11,6 +11,7 @@ A scenario file is JSON, either a list of records or an object with a
     name                 optional label
 
 Exact rationals are written as "a/b" strings (plain integers also parse).
+No integer of a record may have more than DIGIT_LIMIT digits.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import slopes as slp
 
@@ -26,17 +28,64 @@ class ScenarioError(ValueError):
     """Malformed scenario file; the message carries record index and field."""
 
 
+# Largest number of decimal digits of an integer in a record: of n, p, rkW
+# and the profile entries, of each rational's numerator and denominator in
+# lowest terms, and of the instabilities' common denominator.  The largest
+# value a record's evaluation prints then has about 4 * DIGIT_LIMIT digits,
+# inside Python's 4,300-digit limit on int <-> str conversion.
+DIGIT_LIMIT = 1000
+_DIGIT_BOUND = 10 ** DIGIT_LIMIT
+_ZERO = Fraction(0)
+
+
+def _too_many_digits(where: str) -> ScenarioError:
+    return ScenarioError(f"{where} has more than {DIGIT_LIMIT} digits")
+
+
+def _check_digits(value: int, where: str) -> None:
+    if not -_DIGIT_BOUND < value < _DIGIT_BOUND:
+        raise _too_many_digits(where)
+
+
+def _huge_exponent(text: str) -> bool:
+    """Whether ``text`` has an exponent above DIGIT_LIMIT + len(text) in
+    absolute value.  ``Fraction(text)`` would build that power of ten first
+    (10^(10^7) takes seconds), and with any nonzero mantissa the value has
+    more than DIGIT_LIMIT digits in its numerator or denominator anyway."""
+    _, e, exp = text.lower().partition("e")
+    exp = (exp[1:] if exp[:1] in ("+", "-") else exp).replace("_", "")
+    exp = exp.lstrip("0") or "0"
+    return bool(e) and exp.isdecimal() and (
+        len(exp) > 9 or int(exp) > DIGIT_LIMIT + len(text))
+
+
 def parse_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ScenarioError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
+    """An integer, or a string that ``Fraction`` reads; "a" and "a/b" with
+    ASCII digits are read with ``int``, without ``Fraction``'s regex."""
     if isinstance(value, str):
+        text = value.strip()
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        plain = text.isascii() and digits.isdigit() and (not slash or den.isdigit())
+        if not plain and _huge_exponent(text):
+            raise _too_many_digits(where)
         try:
-            return Fraction(value.strip())
+            if plain:
+                out = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            else:
+                out = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"{where}: cannot parse rational {value!r}: {exc}") from None
-    raise ScenarioError(f"{where}: expected an integer or 'a/b' string, got {type(value).__name__}")
+    elif isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected a rational, got a boolean")
+    elif isinstance(value, int):
+        out = Fraction(value)
+    else:
+        raise ScenarioError(
+            f"{where}: expected an integer or 'a/b' string, got {type(value).__name__}")
+    if -_DIGIT_BOUND < out.numerator < _DIGIT_BOUND and out.denominator < _DIGIT_BOUND:
+        return out
+    raise _too_many_digits(where)
 
 
 def format_rational(f: Fraction) -> str:
@@ -48,12 +97,18 @@ def _format_terms(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+def _format_half(twice: int) -> str:
+    """format_rational(Fraction(twice, 2)), without the Fraction."""
+    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
+
+
 def _require_int(record: dict, key: str, where: str) -> int:
     if key not in record:
         raise ScenarioError(f"{where}: missing field '{key}'")
     v = record[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ScenarioError(f"{where}: field '{key}' must be an integer")
+    _check_digits(v, f"{where}: field '{key}'")
     return v
 
 
@@ -97,6 +152,7 @@ def _parse_record(record, idx: int) -> Scenario:
             isinstance(r, int) and not isinstance(r, bool) and r >= 0 for r in profile
         ):
             raise ScenarioError(f"{where}: field 'profile' must be a list of non-negative integers")
+        _check_digits(max(profile, default=0), f"{where}: field 'profile'")
         if sum(profile) == 0:
             raise ScenarioError(f"{where}: field 'profile' must have a positive total (subsheaf rank)")
         top = n * (p - 1)
@@ -113,21 +169,48 @@ def _parse_record(record, idx: int) -> Scenario:
         parsed = tuple(
             parse_rational(x, f"{where}: field 'instabilities[{j}]'") for j, x in enumerate(inst)
         )
-        if any(x < 0 for x in parsed):
+        if any(x.numerator < 0 for x in parsed):
             raise ScenarioError(f"{where}: field 'instabilities' must be non-negative")
+        # The gap bound sums them over this common denominator.
+        _check_digits(lcm(*(x.denominator for x in parsed)),
+                      f"{where}: field 'instabilities': the common denominator")
         inst = parsed
 
     return Scenario(name, sd, g, profile, inst)
 
 
+def _clamped_int(literal: str) -> int:
+    """An integer literal, or for one that ``int`` refuses (beyond Python's
+    int <-> str digit limit) a value just past DIGIT_LIMIT, which the
+    record checks refuse by record and field."""
+    try:
+        return int(literal)
+    except ValueError:
+        return -_DIGIT_BOUND if literal.startswith("-") else _DIGIT_BOUND
+
+
+def _decode(text: str):
+    """``json.loads``, with the integer literals ``int`` refuses clamped."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        return json.loads(text, parse_int=_clamped_int)
+
+
 def load_scenarios(path: str) -> list[Scenario]:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+    try:
+        doc = _decode(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    except OSError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: nested too deeply") from None
     if isinstance(doc, dict) and "scenarios" in doc:
         records = doc["scenarios"]
     elif isinstance(doc, dict):
@@ -162,7 +245,7 @@ def evaluate_scenario(sc: Scenario) -> dict:
         "c1_pushforward": format_rational(slp.pushforward_c1(sd)),
         "graded_slopes": [_format_terms(num, den) for num, den in slp.layer_slopes(sd)],
     }
-    if sd.kh < 0:
+    if sd.kh.numerator < 0:
         warnings.append("KH is negative: the instability bound hypothesis fails")
 
     if sc.profile is not None:
@@ -177,8 +260,8 @@ def evaluate_scenario(sc: Scenario) -> dict:
             )
         ws = slp.weight_sum_check(sd.n, sd.p, sc.profile, mode=mode)
         out["weight_sum"] = {
-            "direct": format_rational(ws.direct),
-            "rearranged": format_rational(ws.rearranged),
+            "direct": _format_half(ws.direct2),
+            "rearranged": _format_half(ws.rearranged2),
             "hypothesis_ok": ws.hypothesis_ok,
         }
         if gap == 0:
@@ -190,7 +273,7 @@ def evaluate_scenario(sc: Scenario) -> dict:
             }
 
     if sc.instabilities is not None:
-        iwx = max(sc.instabilities, default=Fraction(0))
+        iwx = max(sc.instabilities, default=_ZERO)
         out["max_instability"] = format_rational(iwx)
         bound = slp.instability_bound(sd, iwx)
         if bound.value is None:

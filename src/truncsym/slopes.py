@@ -50,7 +50,8 @@ class SlopeData:
             raise ValueError(f"characteristic {self.p} is not prime")
         if self.rk_w < 1:
             raise ValueError("rank must be positive")
-        if self.mu_w * self.rk_w != self.c1_wh:
+        mu, c1 = self.mu_w, self.c1_wh
+        if mu.numerator * self.rk_w * c1.denominator != c1.numerator * mu.denominator:
             raise ValueError("mu_w must equal c1_wh / rk_w")
 
 
@@ -71,19 +72,24 @@ def make_slope_data(
     if g is not None:
         if n != 1:
             raise ValueError("genus input requires n = 1")
-        kh = 2 * Fraction(g) - 2
-    kh = Fraction(kh)
+        g = _fraction(g)
+        kh = Fraction(2 * (g.numerator - g.denominator), g.denominator)
+    kh = _fraction(kh)
+    if rk_w < 1:  # before c1_wh / rk_w below
+        raise ValueError("rank must be positive")
     if mu_w is None and c1_wh is None:
         raise ValueError("one of mu_w or c1_wh is required")
     if mu_w is not None and c1_wh is not None:
-        sd = SlopeData(n, p, rk_w, kh, Fraction(mu_w), Fraction(c1_wh))
-    elif mu_w is not None:
-        mu = Fraction(mu_w)
-        sd = SlopeData(n, p, rk_w, kh, mu, mu * rk_w)
-    else:
-        c1 = Fraction(c1_wh)
-        sd = SlopeData(n, p, rk_w, kh, Fraction(c1, rk_w), c1)
-    return sd
+        return SlopeData(n, p, rk_w, kh, _fraction(mu_w), _fraction(c1_wh))
+    if mu_w is not None:
+        mu = _fraction(mu_w)
+        return SlopeData(n, p, rk_w, kh, mu, Fraction(mu.numerator * rk_w, mu.denominator))
+    c1 = _fraction(c1_wh)
+    return SlopeData(n, p, rk_w, kh, Fraction(c1.numerator, c1.denominator * rk_w), c1)
+
+
+def _fraction(x: Rational) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def pushforward_rank(sd: SlopeData) -> int:
@@ -160,9 +166,10 @@ def validate_profile(
         issues.append("profile entries must be non-negative")
         return issues
     if rk_w is not None:
+        # Every layer has rank at least 1, so only an entry above rk_w needs
+        # its layer's rank.
         for ell, r in enumerate(profile):
-            cap = rk_w * trunc_rank(n, p, ell)
-            if ell <= top and r > cap:
+            if r > rk_w and ell <= top and r > (cap := rk_w * trunc_rank(n, p, ell)):
                 issues.append(f"r_{ell} = {r} exceeds layer rank {cap}")
     if mode == "monotone":
         for ell in range(1, len(profile)):
@@ -170,10 +177,12 @@ def validate_profile(
                 issues.append(f"profile not non-increasing at {ell}")
                 break
     else:
-        full = list(profile) + [0] * (top + 1 - len(profile))
-        for ell in range(top + 1):
-            if 2 * ell > top and full[ell] > full[top - ell]:
-                issues.append(f"r_{ell} = {full[ell]} exceeds mirror r_{top - ell} = {full[top - ell]}")
+        # Only the upper half has mirrors to exceed, and each of them is
+        # present: top - ell < ell.  An absent layer is 0 and exceeds nothing.
+        for ell in range(top // 2 + 1, min(len(profile), top + 1)):
+            if profile[ell] > profile[top - ell]:
+                issues.append(f"r_{ell} = {profile[ell]} exceeds mirror "
+                              f"r_{top - ell} = {profile[top - ell]}")
     return issues
 
 
@@ -207,7 +216,7 @@ def gap_lower_bound(
     kh_num, kh_den = sd.kh.numerator, sd.kh.denominator
     s, d = 0, 1
     if instabilities is not None:
-        if any(i < 0 for i in instabilities):
+        if any(i.numerator < 0 for i in instabilities):
             raise ValueError("instabilities must be non-negative")
         d = lcm(*(i.denominator for i in instabilities))
         s = sum(r * i.numerator * (d // i.denominator) for r, i in zip(profile, instabilities))
@@ -286,10 +295,10 @@ class InstabilityBound:
 
 def instability_bound(sd: SlopeData, iwx: Rational) -> InstabilityBound:
     """p^{n-1} rk(W) times the maximal layer instability, when K.H^{n-1} >= 0."""
-    iwx = Fraction(iwx)
-    if iwx < 0:
+    iwx = _fraction(iwx)
+    if iwx.numerator < 0:
         raise ValueError("instability must be non-negative")
-    if sd.kh < 0:
+    if sd.kh.numerator < 0:
         return InstabilityBound(None, False)
     return InstabilityBound(sd.p ** (sd.n - 1) * sd.rk_w * iwx, True)
 

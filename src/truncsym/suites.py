@@ -10,7 +10,6 @@ contract holds regardless of how the suites are scheduled.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -24,6 +23,7 @@ from . import slopes as slp
 from . import trunc_algebra as alg
 from . import trunc_power as tp
 from .fp_linalg import FpMatrix, eliminate, is_prime, rank, row_reduce
+from .jsonout import dumps
 
 VERSION = "0.1.0"
 
@@ -129,7 +129,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return dumps(self.to_dict())
 
 
 Case = tuple[str, bool, str]
@@ -292,7 +292,11 @@ def _filtration_cases(pairs) -> Cases:
     skipped = []
     for n, p in pairs:
         top = n * (p - 1)
-        dims = [len(filt.filtration_basis(n, p, ell)) for ell in range(top + 2)]
+        # dims[ell] = len(filtration_basis(n, p, ell)): the grade sizes from
+        # ell up, summed from the top down.
+        dims = [0] * (top + 2)
+        for ell in range(top, -1, -1):
+            dims[ell] = dims[ell + 1] + len(boxes.grade_basis(n, p, ell))
         for ell in range(top + 1):
             yield (f"layer-dim n={n} p={p} l={ell}",
                    dims[ell] - dims[ell + 1] == tp.trunc_rank(n, p, ell),

@@ -103,15 +103,15 @@ class GradedSubspace:
     def coordinate(cls, n: int, p: int, grade: int, monomial_indices) -> "GradedSubspace":
         """Span of a subset of the grade's monomial basis, given by indices
         in [0, width); any other index is refused."""
+        _check_modulus(p)
         width = len(grade_basis(n, p, grade))
-        rows = []
+        pivots = {}
         for i in monomial_indices:
             if not 0 <= i < width:
                 raise ValueError(f"monomial index {i} outside [0, {width})")
-            vec = [0] * width
-            vec[i] = 1
-            rows.append(vec)
-        return cls.from_vectors(n, p, grade, rows)
+            pivots[i] = {i: 1}
+        # Unit rows are already reduced: each is its own pivot row.
+        return cls(n, p, grade, pivots)
 
     @classmethod
     def random(cls, n: int, p: int, grade: int, dim: int, rng: random.Random) -> "GradedSubspace":

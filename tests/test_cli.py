@@ -344,3 +344,49 @@ def test_slopes_command_output_is_pinned(tmp_path):
     # Recorded before the layer slopes moved onto one common denominator.
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "140a224ccb3283b245b1da27a4aefe3f1157e0143debe5b3f33a96d0a7fce54c"
+
+
+def _huge_integer_scenarios() -> list[tuple[str, str]]:
+    """Records that once ended in a ValueError traceback from Python's
+    4,300-digit int <-> str limit, with the field each is refused for."""
+    return [
+        # json.load refuses the literal itself.
+        ('[{"n": 1, "p": 2, "rkW": ' + "1" * 5000 + ', "muW": 0, "g": 2}]', "rkW"),
+        # rk_pushforward = rkW * 2^1000 could not be printed.
+        (json.dumps([{"n": 1000, "p": 2, "rkW": int("1" * 4201), "muW": 0, "KH": 1}]), "rkW"),
+        # Nor could the pushforward slope.
+        (json.dumps([{"n": 1, "p": 2, "rkW": 1, "KH": "9" * 4000, "muW": "1/" + "7" * 4000}]),
+         "KH"),
+    ]
+
+
+def test_slopes_command_refuses_huge_integers(tmp_path):
+    scenario = tmp_path / "huge.json"
+    for text, field in _huge_integer_scenarios():
+        scenario.write_text(text)
+        result = CliRunner().invoke(main, ["slopes", "--scenario", str(scenario)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # refused, not a traceback
+        assert "Traceback" not in result.output
+        assert f"scenario 0: field '{field}' has more than 1000 digits" in result.output
+
+
+def test_slopes_command_refuses_zero_rank_with_c1(tmp_path):
+    # c1WH / rkW is taken only after the rank is checked.
+    scenario = tmp_path / "rank0.json"
+    scenario.write_text(json.dumps([{"n": 1, "p": 2, "rkW": 0, "c1WH": 1, "g": 2}]))
+    result = CliRunner().invoke(main, ["slopes", "--scenario", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "scenario 0: rank must be positive" in result.output
+
+
+def test_slopes_output_is_json_dumps(tmp_path):
+    # The package's writer gives exactly json.dumps(indent=2, sort_keys=True).
+    scenario = tmp_path / "pin.json"
+    scenario.write_text(json.dumps(_pinned_scenarios()))
+    out = tmp_path / "out.json"
+    result = CliRunner().invoke(main, ["slopes", "--scenario", str(scenario), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

@@ -147,6 +147,20 @@ def test_coordinate_subspace_refuses_out_of_range_indices():
             GradedSubspace.coordinate(2, 3, 2, idxs)
 
 
+def test_coordinate_subspace_equals_span_of_unit_vectors():
+    # The pivot rows are built directly; they must be what eliminate makes of
+    # the unit vectors, also for the empty set and repeated indices.
+    width = len(grade_basis(3, 3, 3))
+    for idxs in ([], [0], [4, 1, 4], [5, 5, 5], list(range(width)), [6, 0, 3, 0, 6]):
+        units = [[int(j == i) for j in range(width)] for i in idxs]
+        coord = GradedSubspace.coordinate(3, 3, 3, idxs)
+        span = GradedSubspace.from_vectors(3, 3, 3, units)
+        assert coord.pivots == span.pivots and coord == span
+        assert coord.dim == len(set(idxs))
+    with pytest.raises(ValueError, match="prime"):
+        GradedSubspace.coordinate(1, 4, 1, [0])
+
+
 def test_spanned_image_examples():
     # Top grade of the single-variable algebra: degree-two operators hit 1.
     full = GradedSubspace.from_vectors(1, 3, 2, [[1]])
