@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -80,6 +81,38 @@ def test_default_growth_cases_digest(monkeypatch):
     rows = [[key, verdicts[-1].dim_v, verdicts[-1].image_dim] for key, _, _ in cases]
     assert len(rows) == len(verdicts) == 4304
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DEFAULT_GROWTH_CASES_SHA256
+
+
+# sha256 of the calls the default config's slope claims make to the slope
+# functions, one repr((name, args, sorted kwargs)) per line, SlopeData as the
+# tuple of its fields.  The report keeps only counts and verdicts; this pins
+# every seeded draw behind them.
+DEFAULT_SLOPES_DRAWS_SHA256 = "39bbdc0912601b1817ebdba9c081450e0111817bdd51f63229d010530068dff0"
+
+
+def test_default_slopes_draws_digest(monkeypatch):
+    calls = []
+    depth = [0]  # calls the slope functions make among themselves are not the claims'
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            if not depth[0]:
+                plain = tuple(dataclasses.astuple(a) if isinstance(a, slp.SlopeData) else a
+                              for a in args)
+                calls.append(repr((name, plain, sorted(kwargs.items()))))
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in ("make_slope_data", "curve_gap", "weight_sum_check", "gap_lower_bound"):
+        monkeypatch.setattr(slp, name, recording(name, getattr(slp, name)))
+    assert run_suite(SuiteConfig(suites=("slopes",))).passed
+    assert len(calls) == 28403
+    digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
+    assert digest == DEFAULT_SLOPES_DRAWS_SHA256
 
 
 def test_pairing_cases_fail_unless_the_matrix_reduces_to_identity(monkeypatch):
