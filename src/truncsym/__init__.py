@@ -11,6 +11,7 @@ Submodules:
 - ``suites``: parameterized verification suites with seeded reports.
 - ``scenario``: batch slope evaluation from JSON records.
 - ``jsonout``: the JSON text of both commands' output.
+- ``seeded``: seeded draws equal to ``random.Random.randint``'s.
 """
 
 from .fp_linalg import FpMatrix, eliminate, is_prime, mat_mul, rank, row_reduce, stack
@@ -61,6 +62,7 @@ from .trunc_algebra import (
     GrowthVerdict,
     apply_diff,
     check_upper_half_growth,
+    coordinate_subspaces,
     diff_action_matrix,
     omega_pairing_matrix,
     spanned_image_dim,
@@ -104,6 +106,7 @@ __all__ = [
     "apply_diff",
     "box_size",
     "check_upper_half_growth",
+    "coordinate_subspaces",
     "curve_gap",
     "curve_report",
     "degree_weight_check",

@@ -168,7 +168,8 @@ def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     return FpMatrix._from_array(a._data @ b._data, a.modulus)
 
 
-def eliminate(rows: Iterable[dict], p: int, width: int | None = None) -> dict:
+def eliminate(rows: Iterable[dict], p: int, width: int | None = None,
+              start: dict | None = None) -> dict:
     """Gaussian elimination over sparse rows mod p: the one F_p kernel.
 
     Rows map comparable column labels (matrix indices, tensor words) to
@@ -178,8 +179,14 @@ def eliminate(rows: Iterable[dict], p: int, width: int | None = None) -> dict:
     Python ints.  ``width``, the number of column labels the rows can use,
     stops the elimination once that many pivots exist: no further row can
     add one, so the rest of ``rows`` is not read.
+
+    ``start``, pivot rows an earlier call returned, extends that span: the
+    result then spans ``start`` and ``rows``.  Neither the dict nor its rows
+    are modified; the result shares the rows.
     """
-    pivots: dict = {}
+    pivots: dict = {} if start is None else dict(start)
+    if len(pivots) == width:
+        return pivots
     for original in rows:
         row = dict(original)
         while row:

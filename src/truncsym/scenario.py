@@ -250,15 +250,16 @@ def evaluate_scenario(sc: Scenario) -> dict:
 
     if sc.profile is not None:
         mode = "monotone" if sd.n == 1 else "symmetric"
-        for issue in slp.validate_profile(sd.n, sd.p, sc.profile, rk_w=sd.rk_w, mode=mode):
-            warnings.append(f"profile: {issue}")
+        # One validation: the warnings name every violation, layer ranks
+        # included; hypothesis_ok leaves the layer ranks out.
+        ws = slp.weight_sum_check(sd.n, sd.p, sc.profile, mode=mode, rk_w=sd.rk_w)
+        warnings.extend(f"profile: {issue}" for issue in ws.violations)
         gap = slp.gap_lower_bound(sd, sc.profile, sc.instabilities)
         out["gap_lower_bound"] = format_rational(gap)
         if sd.n == 1 and sc.g is not None:
             out["curve_gap"] = format_rational(
                 slp.curve_gap(sc.g, sd.p, sc.profile)
             )
-        ws = slp.weight_sum_check(sd.n, sd.p, sc.profile, mode=mode)
         out["weight_sum"] = {
             "direct": _format_half(ws.direct2),
             "rearranged": _format_half(ws.rearranged2),

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import gt, mul, sub
 from typing import Sequence
 
 from .fp_linalg import is_prime
@@ -156,40 +157,61 @@ def validate_profile(
     Either way entries must be non-negative and fit under the layer ranks
     when rk_w is known.
     """
+    return _profile_issues(n, p, profile, rk_w, mode, _folds(n * (p - 1), profile))[0]
+
+
+def _folds(top: int, profile: Sequence[int]) -> list[int]:
+    """r_{top-l} - r_l for the layers l above the half degree top/2, by
+    increasing l; a layer past the profile is 0 (its mirror is present
+    whenever it is, since top - l < l)."""
+    full = list(profile[:top + 1])
+    full += [0] * (top + 1 - len(full))
+    lo = top // 2 + 1
+    return list(map(sub, reversed(full[:top - lo + 1]), full[lo:]))
+
+
+def _profile_issues(n: int, p: int, profile: Sequence[int], rk_w: int | None,
+                    mode: str, folds: list[int]) -> tuple[list[str], bool]:
+    """validate_profile's issues, and whether the profile meets the
+    hypothesis: no issue but an entry above its layer rank.  ``folds`` are
+    ``_folds(n(p-1), profile)``.  The checks compare whole sequences; a loop
+    runs only to word a violation."""
     if mode not in ("symmetric", "monotone"):
         raise ValueError(f"unknown profile mode {mode!r}")
     top = n * (p - 1)
     issues: list[str] = []
     if len(profile) > top + 1:
         issues.append(f"profile has {len(profile)} entries, more than {top + 1} layers")
-    if any(r < 0 for r in profile):
+    if profile and min(profile) < 0:
         issues.append("profile entries must be non-negative")
-        return issues
-    if rk_w is not None:
+        return issues, False
+    hypothesis_ok = not issues
+    if rk_w is not None and profile and max(profile) > rk_w:
         # Every layer has rank at least 1, so only an entry above rk_w needs
         # its layer's rank.
         for ell, r in enumerate(profile):
             if r > rk_w and ell <= top and r > (cap := rk_w * trunc_rank(n, p, ell)):
                 issues.append(f"r_{ell} = {r} exceeds layer rank {cap}")
     if mode == "monotone":
-        for ell in range(1, len(profile)):
-            if profile[ell] > profile[ell - 1]:
-                issues.append(f"profile not non-increasing at {ell}")
-                break
-    else:
-        # Only the upper half has mirrors to exceed, and each of them is
-        # present: top - ell < ell.  An absent layer is 0 and exceeds nothing.
+        if any(map(gt, profile[1:], profile)):
+            hypothesis_ok = False
+            ell = next(ell for ell in range(1, len(profile)) if profile[ell] > profile[ell - 1])
+            issues.append(f"profile not non-increasing at {ell}")
+    elif folds and min(folds) < 0:
+        # Only the upper half has mirrors to exceed; an absent layer is 0
+        # and exceeds nothing, the entries being non-negative.
+        hypothesis_ok = False
         for ell in range(top // 2 + 1, min(len(profile), top + 1)):
             if profile[ell] > profile[top - ell]:
                 issues.append(f"r_{ell} = {profile[ell]} exceeds mirror "
                               f"r_{top - ell} = {profile[top - ell]}")
-    return issues
+    return issues, hypothesis_ok
 
 
 def _weighted_sum_twice(n: int, p: int, profile: Sequence[int]) -> int:
     """2 * sum over layers of (n(p-1)/2 - l) r_l, exactly in integers."""
     top = n * (p - 1)
-    return sum((top - 2 * ell) * r for ell, r in enumerate(profile))
+    return sum(map(mul, range(top, top - 2 * len(profile), -2), profile))
 
 
 def gap_lower_bound(
@@ -206,7 +228,7 @@ def gap_lower_bound(
     rk = sum(profile)
     if rk <= 0:
         raise ValueError("subsheaf rank must be positive")
-    if any(r < 0 for r in profile):
+    if min(profile) < 0:  # not empty: rk > 0
         raise ValueError("profile entries must be non-negative")
     top = sd.n * (sd.p - 1)
     if len(profile) > top + 1:
@@ -257,31 +279,29 @@ class WeightSumVerdict:
 
 
 def weight_sum_check(
-    n: int, p: int, profile: Sequence[int], mode: str = "symmetric"
+    n: int, p: int, profile: Sequence[int], mode: str = "symmetric", rk_w: int | None = None
 ) -> WeightSumVerdict:
     """Evaluate the weighted sum both directly and in the reflected form.
 
     The reflected form folds layers above the half degree onto their mirror
-    images; under the symmetric (or monotone) profile hypothesis both of its
-    groups are non-negative, which forces the direct sum to be non-negative.
+    images; under the symmetric (or monotone) profile hypothesis each of its
+    terms is non-negative, which forces the direct sum to be non-negative.
     The two forms must agree identically for every profile.  Both are kept
     doubled, as integers; ``direct`` and ``rearranged`` halve them on access.
+
+    ``violations`` are ``validate_profile(n, p, profile, rk_w, mode)``; an
+    entry above its layer rank (known only with rk_w) is named there but is
+    no part of the hypothesis that ``hypothesis_ok`` reports.
     """
     top = n * (p - 1)
-    issues = tuple(validate_profile(n, p, profile, mode=mode))
-    m = len(profile) - 1
-    # The layers m < l <= top are absent: each weighs in through its mirror
-    # r_{top-l} (itself present only when top - l <= m).  The present layers
-    # above the half degree fold onto their mirrors, which are present too.
-    tail2 = sum((2 * ell - top) * profile[top - ell] for ell in range(max(m + 1, top - m), top + 1))
-    fold2 = sum((2 * ell - top) * (profile[top - ell] - profile[ell])
-                for ell in range(top // 2 + 1, min(m, top) + 1))
-    return WeightSumVerdict(
-        hypothesis_ok=not issues,
-        violations=issues,
-        direct2=_weighted_sum_twice(n, p, profile),
-        rearranged2=tail2 + fold2,
-    )
+    folds = _folds(top, profile)
+    issues, hypothesis_ok = _profile_issues(n, p, profile, rk_w, mode, folds)
+    # The reflected form: (2l - top)(r_{top-l} - r_l) summed over the layers
+    # l above the half degree, whose weights 2l - top run from 1 or 2 up to
+    # top; a layer past the profile weighs in through its mirror alone.
+    rearranged2 = sum(map(mul, range(2 - top % 2, top + 1, 2), folds))
+    return WeightSumVerdict(hypothesis_ok, tuple(issues),
+                            _weighted_sum_twice(n, p, profile), rearranged2)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from . import trunc_algebra as alg
 from . import trunc_power as tp
 from .fp_linalg import FpMatrix, eliminate, is_prime, rank, row_reduce
 from .jsonout import dumps
+from .seeded import _randint
 
 VERSION = "0.1.0"
 
@@ -264,15 +265,13 @@ def _growth_cases(pairs, rng: random.Random, per_grade: int) -> Cases:
         for ell in range((top + 1) // 2, top + 1):
             dim = len(boxes.grade_basis(n, p, ell))
             if dim <= COORD_DIM_LIMIT:
-                for mask in range(1 << dim):
-                    idxs = [i for i in range(dim) if mask >> i & 1]
-                    sub = alg.GradedSubspace.coordinate(n, p, ell, idxs)
+                for idxs, sub in alg.coordinate_subspaces(n, p, ell):
                     verdict = alg.check_upper_half_growth(sub)
                     coordinate_cases += 1
                     yield (f"coord n={n} p={p} l={ell} set={idxs}", verdict.ok,
-                           f"dim {verdict.dim_v} > image {verdict.image_dim}")
+                           "" if verdict.ok else f"dim {verdict.dim_v} > image {verdict.image_dim}")
             for j in range(per_grade):
-                target_dim = rng.randint(1, dim) if dim else 0
+                target_dim = _randint(rng, 1, dim) if dim else 0
                 sub = alg.GradedSubspace.random(n, p, ell, target_dim, rng)
                 verdict = alg.check_upper_half_growth(sub)
                 random_cases += 1
@@ -337,15 +336,12 @@ def _filtration_cases(pairs) -> Cases:
 
 def _random_symmetric_profile(rng: random.Random, n: int, p: int) -> list[int]:
     top = n * (p - 1)
-    full = [0] * (top + 1)
+    # Each layer above the half degree at most its mirror, drawn before it.
+    profile = []
     for ell in range(top + 1):
-        if 2 * ell <= top:
-            full[ell] = rng.randint(0, 9)
-        else:
-            full[ell] = rng.randint(0, full[top - ell])
-    m = rng.randint(0, top)
-    profile = full[: m + 1]
-    if sum(profile) == 0:
+        profile.append(_randint(rng, 0, 9 if 2 * ell <= top else profile[top - ell]))
+    del profile[_randint(rng, 0, top) + 1:]
+    if not any(profile):
         profile[0] = 1
     return profile
 
@@ -363,11 +359,11 @@ def _slope_anchor_cases() -> Cases:
 def _pushforward_cases(rng: random.Random, count: int, n_max: int, primes) -> Cases:
     """p mu(F_*W) = (p-1)/2 KH + mu(W), and c1 = mu rk, on random data."""
     for i in range(count):
-        n = rng.randint(1, n_max)
-        p = rng.choice(primes)
-        rk_w = rng.randint(1, 4)
-        kh = Fraction(rng.randint(-6, 12), rng.randint(1, 4))
-        c1 = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+        n = _randint(rng, 1, n_max)
+        p = primes[_randint(rng, 0, len(primes) - 1)]
+        rk_w = _randint(rng, 1, 4)
+        kh = Fraction(_randint(rng, -6, 12), _randint(rng, 1, 4))
+        c1 = Fraction(_randint(rng, -12, 12), _randint(rng, 1, 4))
         sd = slp.make_slope_data(n, p, rk_w, kh=kh, c1_wh=c1)
         mu_fw = slp.pushforward_slope(sd)
         ok = (
@@ -381,12 +377,12 @@ def _pushforward_cases(rng: random.Random, count: int, n_max: int, primes) -> Ca
 def _curve_agreement_cases(rng: random.Random, count: int, primes) -> Cases:
     """The curve gap formula agrees with the general gap bound at n = 1."""
     for i in range(count):
-        p = rng.choice(primes)
-        g = rng.randint(0, 5)
-        length = rng.randint(1, p)
-        profile = [rng.randint(1, 9)]
+        p = primes[_randint(rng, 0, len(primes) - 1)]
+        g = _randint(rng, 0, 5)
+        length = _randint(rng, 1, p)
+        profile = [_randint(rng, 1, 9)]
         for _ in range(length - 1):
-            profile.append(rng.randint(0, profile[-1]))
+            profile.append(_randint(rng, 0, profile[-1]))
         sd = slp.make_slope_data(1, p, 1, g=g, mu_w=0)
         ok = slp.curve_gap(g, p, profile) == slp.gap_lower_bound(sd, profile)
         yield f"curve-agreement i={i}", ok, "" if ok else f"p={p} g={g} profile={profile}"
@@ -396,8 +392,8 @@ def _weight_sum_cases(rng: random.Random, count: int, n_max: int, primes) -> Cas
     """Direct and reflected weight sums agree and are non-negative on random
     symmetric profiles."""
     for i in range(count):
-        n = rng.randint(1, n_max)
-        p = rng.choice(primes)
+        n = _randint(rng, 1, n_max)
+        p = primes[_randint(rng, 0, len(primes) - 1)]
         profile = _random_symmetric_profile(rng, n, p)
         verdict = slp.weight_sum_check(n, p, profile)
         ok = verdict.hypothesis_ok and verdict.equal and verdict.nonnegative
@@ -410,11 +406,11 @@ def _weight_sum_cases(rng: random.Random, count: int, n_max: int, primes) -> Cas
 def _gap_cases(rng: random.Random, count: int, n_max: int, primes) -> Cases:
     """The gap lower bound is non-negative for symmetric profiles and KH >= 0."""
     for i in range(count):
-        n = rng.randint(1, n_max)
-        p = rng.choice(primes)
-        rk_w = rng.randint(1, 3)
-        kh = Fraction(rng.randint(0, 10), rng.randint(1, 3))
-        sd = slp.make_slope_data(n, p, rk_w, kh=kh, mu_w=rng.randint(-3, 3))
+        n = _randint(rng, 1, n_max)
+        p = primes[_randint(rng, 0, len(primes) - 1)]
+        rk_w = _randint(rng, 1, 3)
+        kh = Fraction(_randint(rng, 0, 10), _randint(rng, 1, 3))
+        sd = slp.make_slope_data(n, p, rk_w, kh=kh, mu_w=_randint(rng, -3, 3))
         profile = _random_symmetric_profile(rng, n, p)
         gap = slp.gap_lower_bound(sd, profile)
         ok = gap >= 0
@@ -425,12 +421,12 @@ def _gap_cases(rng: random.Random, count: int, n_max: int, primes) -> Cases:
 def _full_profile_cases(rng: random.Random, count: int, n_max: int, primes) -> Cases:
     """The full profile rk(W) * rank_l has zero gap and a full, symmetric diagnosis."""
     for i in range(count):
-        n = rng.randint(1, n_max)
-        p = rng.choice(primes)
-        rk_w = rng.randint(1, 3)
+        n = _randint(rng, 1, n_max)
+        p = primes[_randint(rng, 0, len(primes) - 1)]
+        rk_w = _randint(rng, 1, 3)
         top = n * (p - 1)
         profile = [rk_w * tp.trunc_rank(n, p, ell) for ell in range(top + 1)]
-        sd = slp.make_slope_data(n, p, rk_w, kh=rng.randint(0, 8), mu_w=rng.randint(-3, 3))
+        sd = slp.make_slope_data(n, p, rk_w, kh=_randint(rng, 0, 8), mu_w=_randint(rng, -3, 3))
         gap = slp.gap_lower_bound(sd, profile)
         diag = slp.equality_diagnosis(n, p, profile)
         ok = gap == 0 and diag.full_length and diag.symmetric

@@ -11,11 +11,13 @@ subspace of a high grade with the span of its derivative images.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Iterator
 
 from .fp_linalg import FpMatrix, _check_modulus, eliminate, row_reduce, stack
 from .monomial_box import MultiIndex, grade_basis
+from .seeded import _randint
 
 
 def _falling(k: int, e: int, p: int) -> int:
@@ -81,28 +83,45 @@ def omega_pairing_matrix(n: int, p: int, ell: int) -> FpMatrix:
 class GradedSubspace:
     """A subspace of grade ``grade`` of R, stored as the pivot rows
     {leading column: {column: entry}} that ``eliminate`` returns for its
-    spanning vectors.  Subspaces compare and hash by their reduced basis."""
+    spanning vectors.  Subspaces compare and hash by their reduced basis.
+
+    ``parent_images``, when given, are pivot rows spanning the
+    bridging-operator images of the span of all pivot rows but the last
+    (see ``coordinate_subspaces``); the image span then eliminates only the
+    last row's images on top of them.  They are trusted, not checked, and
+    are no part of the subspace's identity."""
 
     n: int
     p: int
     grade: int
     pivots: dict[int, dict[int, int]]
+    parent_images: dict[int, dict[int, int]] | None = field(default=None, repr=False)
 
     @classmethod
     def from_vectors(cls, n: int, p: int, grade: int, vectors) -> "GradedSubspace":
+        """Span of the vectors: each a sequence of the grade's dimension, or
+        a dict {index: entry} of its nonzero entries, indices in [0, width)."""
         _check_modulus(p)
         width = len(grade_basis(n, p, grade))
-        rows = [list(v) for v in vectors]
-        for r in rows:
-            if len(r) != width:
-                raise ValueError(f"vector length {len(r)} != grade dimension {width}")
-        return cls(n, p, grade,
-                   eliminate(({j: x for j, x in enumerate(r) if x} for r in rows), p, width))
+        rows = []
+        for v in vectors:
+            if isinstance(v, dict):
+                if v and not (0 <= min(v) and max(v) < width):
+                    raise ValueError(f"vector indices outside [0, {width})")
+                rows.append(v)
+            else:
+                v = list(v)
+                if len(v) != width:
+                    raise ValueError(f"vector length {len(v)} != grade dimension {width}")
+                rows.append({j: x for j, x in enumerate(v) if x})
+        return cls(n, p, grade, eliminate(rows, p, width))
 
     @classmethod
-    def coordinate(cls, n: int, p: int, grade: int, monomial_indices) -> "GradedSubspace":
+    def coordinate(cls, n: int, p: int, grade: int, monomial_indices,
+                   parent_images: dict | None = None) -> "GradedSubspace":
         """Span of a subset of the grade's monomial basis, given by indices
-        in [0, width); any other index is refused."""
+        in [0, width); any other index is refused.  The pivot rows follow the
+        indices' order, so ``parent_images`` are those of all but the last."""
         _check_modulus(p)
         width = len(grade_basis(n, p, grade))
         pivots = {}
@@ -111,16 +130,19 @@ class GradedSubspace:
                 raise ValueError(f"monomial index {i} outside [0, {width})")
             pivots[i] = {i: 1}
         # Unit rows are already reduced: each is its own pivot row.
-        return cls(n, p, grade, pivots)
+        return cls(n, p, grade, pivots, parent_images)
 
     @classmethod
     def random(cls, n: int, p: int, grade: int, dim: int, rng: random.Random) -> "GradedSubspace":
-        """Uniform random subspace of the requested dimension (retries until full rank)."""
+        """Uniform random subspace of the requested dimension (retries until
+        full rank).  The entries are ``rng.randrange(p)``, row by row, drawn
+        straight into sparse rows."""
         width = len(grade_basis(n, p, grade))
         if dim > width:
             raise ValueError(f"dimension {dim} exceeds grade dimension {width}")
         while True:
-            rows = [[rng.randrange(p) for _ in range(width)] for _ in range(dim)]
+            rows = [{j: x for j in range(width) if (x := _randint(rng, 0, p - 1))}
+                    for _ in range(dim)]
             sub = cls.from_vectors(n, p, grade, rows)
             if sub.dim == dim:
                 return sub
@@ -128,6 +150,21 @@ class GradedSubspace:
     @property
     def dim(self) -> int:
         return len(self.pivots)
+
+    @cached_property
+    def _image_pivots(self) -> dict[int, dict[int, int]]:
+        """Pivot rows spanning the bridging-operator images of the subspace
+        (see ``spanned_image_dim``), eliminated on first use and kept."""
+        n, p, ell = self.n, self.p, self.grade
+        top = n * (p - 1)
+        if 2 * ell < top:
+            raise ValueError(f"grade {ell} below half the top grade {top}")
+        rows = list(self.pivots.values())
+        if self.parent_images is not None:
+            rows = rows[-1:]
+        images = ({hit[0]: x * hit[1] for i, x in row.items() if (hit := action.get(i))}
+                  for action in _bridging_actions(n, p, ell) for row in rows)
+        return eliminate(images, p, len(grade_basis(n, p, top - ell)), self.parent_images)
 
     @property
     def basis(self) -> FpMatrix:
@@ -161,15 +198,34 @@ def spanned_image_dim(v: GradedSubspace) -> int:
     Requires the grade to sit in the upper half of the grading.  The images
     of the pivot rows of V under every operator monomial of the bridging
     degree (their actions built once per grade) go to ``eliminate`` as
-    sparse rows, which stops once they span the whole target grade.
+    sparse rows, which stops once they span the whole target grade.  With
+    ``parent_images`` only the last pivot row's images are added to them.
+    The subspace keeps the resulting pivot rows.
     """
-    n, p, ell = v.n, v.p, v.grade
-    top = n * (p - 1)
-    if 2 * ell < top:
-        raise ValueError(f"grade {ell} below half the top grade {top}")
-    images = ({hit[0]: x * hit[1] for i, x in row.items() if (hit := action.get(i))}
-              for action in _bridging_actions(n, p, ell) for row in v.pivots.values())
-    return len(eliminate(images, p, len(grade_basis(n, p, top - ell))))
+    return len(v._image_pivots)
+
+
+def coordinate_subspaces(n: int, p: int,
+                         ell: int) -> Iterator[tuple[list[int], GradedSubspace]]:
+    """Every coordinate subspace of the upper-half grade ell, as (indices,
+    subspace) in the order of the index sets' bit masks, 0 to 2^width - 1.
+
+    Each subspace but the zero one carries the image pivots of its parent,
+    the mask without its highest bit, so ``spanned_image_dim`` adds the
+    images of one unit vector.  The spans of the parents, the masks below
+    2^(width-1), are kept while the grade is swept; each is eliminated once,
+    by whichever comes first of the consumer's check and the sweep.
+    """
+    width = len(grade_basis(n, p, ell))
+    parents = (1 << width) >> 1
+    spans: list[dict] = []  # image pivots by mask, for the parents
+    for mask in range(1 << width):
+        idxs = [i for i in range(width) if mask >> i & 1]
+        start = spans[mask ^ (1 << (mask.bit_length() - 1))] if mask else None
+        sub = GradedSubspace.coordinate(n, p, ell, idxs, start)
+        yield idxs, sub
+        if mask < parents:
+            spans.append(sub._image_pivots)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import copy
 import time
 
 import pytest
@@ -267,6 +268,34 @@ def test_rank_and_rref_match_reference_elimination(case):
         # row space of the input: they have its reduced echelon form.
         assert all(row[key] == 1 and min(row) == key for key, row in pivots.items())
         assert reference_rref(dense, p)[0] == expected_rref[:expected_rank]
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_rows(), st.integers(0, 6))
+def test_eliminate_extends_a_starting_span(case, k):
+    # Pivots of the first k rows, extended by the rest, span all the rows;
+    # the starting pivots are left as they were.
+    rows, p = case
+    ncols = len(rows[0])
+    expected_rref, expected_rank = reference_rref(rows, p)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    start = eliminate(sparse[:k], p, ncols)
+    before = copy.deepcopy(start)
+    pivots = eliminate(sparse[k:], p, ncols, start)
+    assert start == before
+    assert len(pivots) == expected_rank
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in pivots.values()]
+    assert reference_rref(dense, p)[0] == expected_rref[:expected_rank]
+
+
+def test_eliminate_from_a_full_start_reads_no_rows():
+    def unread():
+        raise AssertionError("a row was read")
+        yield {}
+
+    full = eliminate([{0: 1, 1: 2}, {1: 1}], 3, 2)
+    assert eliminate(unread(), 3, 2, full) == full
+    assert eliminate(unread(), 3, 0) == {}
 
 
 def test_symmetrization_rank_matches_reference_elimination():

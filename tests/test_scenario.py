@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from truncsym.scenario import DIGIT_LIMIT, ScenarioError, load_scenarios, parse_rational
+from truncsym import slopes as slp
+from truncsym.scenario import (
+    DIGIT_LIMIT,
+    ScenarioError,
+    evaluate_scenario,
+    load_scenarios,
+    parse_rational,
+)
 
 WHERE = "scenario 0: field 'KH'"
 
@@ -102,3 +109,22 @@ def test_unreadable_files_are_refused(tmp_path):
         load_scenarios(str(path))
     with pytest.raises(ScenarioError, match="nested too deeply"):
         _load(tmp_path, "[" * 100_000 + "]" * 100_000)
+
+
+def test_each_profile_is_validated_once(tmp_path, monkeypatch):
+    # The warnings (layer ranks included) and hypothesis_ok come from one
+    # validation of the profile.
+    records = [_record(profile=[1, 1]), _record(profile=[1, 3], rkW=1),
+               _record(n=2, p=2, KH=1, g=None, profile=[1, 3, 2], rkW=1)]
+    scenarios = _load(tmp_path, json.dumps(records))
+    calls = []
+    issues = slp._profile_issues
+    monkeypatch.setattr(slp, "_profile_issues", lambda *args: calls.append(args) or issues(*args))
+    out = [evaluate_scenario(sc) for sc in scenarios]
+    assert len(calls) == len(records)
+    assert [o["weight_sum"]["hypothesis_ok"] for o in out] == [True, False, False]
+    assert out[1]["warnings"] == ["profile: r_1 = 3 exceeds layer rank 1",
+                                  "profile: profile not non-increasing at 1"]
+    assert out[2]["warnings"] == ["profile: r_1 = 3 exceeds layer rank 2",
+                                  "profile: r_2 = 2 exceeds layer rank 1",
+                                  "profile: r_2 = 2 exceeds mirror r_0 = 1"]

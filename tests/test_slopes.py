@@ -178,6 +178,25 @@ def test_validate_profile_modes():
     assert validate_profile(2, 2, (1, 2, 1), rk_w=1) == []
 
 
+def test_weight_sum_check_names_layer_ranks_outside_the_hypothesis():
+    # With rk_w, violations are validate_profile's, layer ranks included; the
+    # hypothesis verdict is the one without rk_w.
+    v = weight_sum_check(2, 2, (1, 3, 1), rk_w=1)
+    assert v.violations == ("r_1 = 3 exceeds layer rank 2",) and v.hypothesis_ok
+    v = weight_sum_check(2, 2, (1, 3, 2), rk_w=1)
+    assert v.violations[-1] == "r_2 = 2 exceeds mirror r_0 = 1" and not v.hypothesis_ok
+    rng = random.Random(12)
+    for _ in range(3000):
+        n, p, rk_w = rng.randint(1, 3), rng.choice([2, 3, 5]), rng.randint(1, 4)
+        mode = rng.choice(["symmetric", "monotone"])
+        profile = [rng.randint(0, 9) for _ in range(rng.randint(0, n * (p - 1) + 2))]
+        v = weight_sum_check(n, p, profile, mode=mode, rk_w=rk_w)
+        assert list(v.violations) == validate_profile(n, p, profile, rk_w=rk_w, mode=mode)
+        assert v.hypothesis_ok == (not validate_profile(n, p, profile, mode=mode))
+        plain = weight_sum_check(n, p, profile, mode=mode)
+        assert (v.direct2, v.rearranged2) == (plain.direct2, plain.rearranged2)
+
+
 def test_instability_bound_examples():
     sd = make_slope_data(2, 3, 2, kh=1, mu_w=0)
     assert instability_bound(sd, Fraction(1, 2)).value == 3

@@ -210,3 +210,19 @@ def test_slope_claims_detail_only_failures(monkeypatch, claim, target, fake, exp
     assert [key for key, _, _ in failing] == [key for key, _, _ in passing]
     assert all(not ok and detail.startswith(("n=", "p=")) and expected in detail
                for _, ok, detail in failing)
+
+
+def test_growth_claims_detail_only_failures(monkeypatch):
+    # Coordinate and random cases word their detail only when they fail.
+    def claim():
+        return _growth_cases([(2, 3), (3, 2)], random.Random(3), 5)
+
+    passing = list(claim())
+    assert {key.split()[0] for key, _, _ in passing} == {"coord", "random"}
+    assert all(ok and detail == "" for _, ok, detail in passing)
+    monkeypatch.setattr(alg, "check_upper_half_growth", lambda v: alg.GrowthVerdict(
+        False, v.dim + 1, v.dim, v.n, v.p, v.grade, FpMatrix.identity(1, v.p)))
+    failing = list(claim())
+    assert [key for key, _, _ in failing] == [key for key, _, _ in passing]
+    assert all(not ok and detail.startswith("dim ") and " > image " in detail
+               for _, ok, detail in failing)

@@ -9,6 +9,7 @@ from truncsym.trunc_algebra import (
     GradedSubspace,
     apply_diff,
     check_upper_half_growth,
+    coordinate_subspaces,
     diff_action_matrix,
     omega_pairing_matrix,
     spanned_image_dim,
@@ -161,6 +162,39 @@ def test_coordinate_subspace_equals_span_of_unit_vectors():
         GradedSubspace.coordinate(1, 4, 1, [0])
 
 
+def test_subspace_from_sparse_rows_equals_dense():
+    # A dict row names the nonzero entries of a vector; mixed with dense rows
+    # it spans what the dense vectors span.
+    dense = [[0, 0, 2], [2, 1, 1], [1, 2, 2]]
+    sparse = [{2: 2}, {0: 2, 1: 1, 2: 1}, [1, 2, 2]]
+    a = GradedSubspace.from_vectors(2, 3, 2, dense)
+    b = GradedSubspace.from_vectors(2, 3, 2, sparse)
+    assert a.pivots == b.pivots and a == b
+    assert GradedSubspace.from_vectors(2, 3, 2, [{}]).dim == 0
+    for row in ({3: 1}, {-1: 1}, {0: 1, 5: 2}):
+        with pytest.raises(ValueError, match="outside"):
+            GradedSubspace.from_vectors(2, 3, 2, [row])
+
+
+def test_random_subspace_draws_randrange_entries_row_by_row():
+    # The draws of random.Random.randrange(p), width entries per row, dim
+    # rows per try, until a try has full rank: the same subspace, and the
+    # same bits consumed.
+    for n, p, ell in [(2, 3, 2), (3, 2, 2), (2, 5, 5), (1, 2, 1), (3, 3, 4)]:
+        width = len(grade_basis(n, p, ell))
+        for seed in range(40):
+            dim = random.Random(seed).randint(0, width)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            sub = GradedSubspace.random(n, p, ell, dim, ours)
+            while True:
+                rows = [[theirs.randrange(p) for _ in range(width)] for _ in range(dim)]
+                expected = GradedSubspace.from_vectors(n, p, ell, rows)
+                if expected.dim == dim:
+                    break
+            assert sub.pivots == expected.pivots
+            assert ours.getstate() == theirs.getstate()
+
+
 def test_spanned_image_examples():
     # Top grade of the single-variable algebra: degree-two operators hit 1.
     full = GradedSubspace.from_vectors(1, 3, 2, [[1]])
@@ -274,3 +308,26 @@ def test_spanned_image_dim_matches_apply_diff_oracle():
             proper += v.dim < len(grade_basis(v.n, v.p, v.grade))
     assert filled > proper > 0
 
+
+
+def test_coordinate_subspaces_through_parent_spans_match_oracle():
+    # Each subset's image span is its parent's (the mask without its highest
+    # bit) plus one unit vector's images: the same dimension as from scratch
+    # and as the apply_diff oracle, on every subset of the oracle test's grid.
+    checked = 0
+    for n, p in [(1, 5), (2, 3), (3, 2), (2, 5), (3, 3), (2, 7), (4, 2)]:
+        top = n * (p - 1)
+        for ell in range((top + 1) // 2, top + 1):
+            dim = len(grade_basis(n, p, ell))
+            masks = []
+            for idxs, sub in coordinate_subspaces(n, p, ell):
+                masks.append(sum(1 << i for i in idxs))
+                scratch = GradedSubspace.coordinate(n, p, ell, idxs)
+                assert sub == scratch and list(sub.pivots) == idxs
+                assert (sub.parent_images is None) == (not idxs)
+                image = spanned_image_dim(sub)
+                assert image == spanned_image_dim(scratch) == _reference_image_dim(sub), (
+                    n, p, ell, idxs)
+                checked += 1
+            assert masks == list(range(1 << dim))
+    assert checked == 630
