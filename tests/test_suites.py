@@ -29,6 +29,7 @@ from truncsym.suites import (
     _suite_pairs,
     _weight_sum_cases,
     collect,
+    pair_grid,
     run_suite,
     strip_timings,
 )
@@ -57,6 +58,41 @@ def test_matching_wide_report_digest():
     report = strip_timings(run_suite(config).to_dict())
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == MATCHING_WIDE_REPORT_SHA256
+
+
+# The same digest for the filtration-wide report: the filtration suite alone
+# over n <= 5 and the primes up to 11.
+FILTRATION_WIDE_REPORT_SHA256 = "d73eb3b426a1a7e75971a2cf059a1627779fdabfd9f67535133a4ed1c89556ed"
+
+
+def test_filtration_wide_report_digest():
+    config = SuiteConfig(suites=("filtration",), n_max=5, primes=(2, 3, 5, 7, 11))
+    report = strip_timings(run_suite(config).to_dict())
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FILTRATION_WIDE_REPORT_SHA256
+
+
+# sha256 of the JSON list of [builder, n, p, l, shape, entries] over the pairing
+# matrices, the graded connection matrices and the Koszul differentials of the
+# default grid, every grade: the matrices every F_p claim of the suites ranks.
+DEFAULT_BUILDERS_SHA256 = "5d38b0179e07dff4035a0c4d5498c80f055c4dcb6d023a5f61bdbffe58bca828"
+
+
+def test_default_builders_digest():
+    rows = []
+    for n, p in pair_grid((2, 3, 5), 243, 3):
+        top = n * (p - 1)
+        for ell in range(top + 1):
+            m = alg.omega_pairing_matrix(n, p, ell)
+            rows.append(["pairing", n, p, ell, [m.nrows, m.ncols], m.entries])
+        for ell in range(1, top + 1):
+            m = filt.graded_nabla_matrix(n, p, ell)
+            rows.append(["nabla", n, p, ell, [m.nrows, m.ncols], m.entries])
+        for ell in range(top + 2):
+            for q, m in enumerate(tp.koszul_complex(n, p, ell), 1):
+                rows.append([f"koszul {q}", n, p, ell, [m.nrows, m.ncols], m.entries])
+    assert len(rows) == 130
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DEFAULT_BUILDERS_SHA256
 
 
 # sha256 of the JSON list of [case key, dim V, image dim] over the growth cases
