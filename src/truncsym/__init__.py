@@ -14,7 +14,7 @@ Submodules:
 - ``seeded``: seeded draws equal to ``random.Random.randint``'s.
 """
 
-from .fp_linalg import FpMatrix, eliminate, is_prime, mat_mul, rank, row_reduce, stack
+from .fp_linalg import FpMatrix, eliminate, is_prime, mat_mul, rank, row_reduce
 from .filtration import (
     CurveReport,
     NablaTerm,
@@ -141,7 +141,6 @@ __all__ = [
     "row_reduce",
     "run_suite",
     "spanned_image_dim",
-    "stack",
     "symmetrization_matrix",
     "symmetrized_rows",
     "symmetrized_tensor",

@@ -72,13 +72,9 @@ def graded_nabla_matrix(n: int, p: int, ell: int) -> FpMatrix:
     target = grade_basis(n, p, ell - 1)
     index = {m: j for j, m in enumerate(target)}
     block = len(target)
-    data = []
-    for mono in source:
-        vec = [0] * (n * block)
-        for term in nabla(mono, p):
-            vec[term.direction * block + index[term.mono]] = term.coeff
-        data.append(vec)
-    return FpMatrix(data, p, cols=n * block)
+    rows = [{t.direction * block + index[t.mono]: t.coeff for t in nabla(mono, p)}
+            for mono in source]
+    return FpMatrix(rows, p, n * block)
 
 
 def _derivative_walk(layout: WordLayout, left: np.ndarray, factor: np.ndarray, p: int,
@@ -196,7 +192,7 @@ def curve_report(p: int) -> CurveReport:
             ok = False
             entries.append(0)
             continue
-        e = m.entry(0, 0)
+        e = m.rows[0].get(0, 0)
         entries.append(e)
         ok = ok and e != 0 and e == (-ell) % p
     dims = tuple(len(filtration_basis(1, p, ell)) for ell in range(p + 1))

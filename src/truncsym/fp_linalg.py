@@ -2,19 +2,17 @@
 
 Matrices are immutable and act on row vectors: rows span the subspace a
 matrix carries, so ``rank`` and ``row_reduce`` speak about row spaces.
-Entries are stored as int64 numpy arrays reduced mod p; a modulus with
-(p-1)^2 >= 2^63 is rejected, and so is a product whose dot products could
-reach 2^63.  Every rank and echelon form comes from one elimination,
-``eliminate``, over sparse rows of Python ints, which also ranks the
-tensor-word rows of the truncated powers.  Scalars outside matrices are
-plain ints reduced into [0, p).
+A matrix holds sparse rows of Python ints reduced mod p, so its products
+and eliminations are exact at any size.  Every rank and echelon form comes
+from one elimination, ``eliminate``, over sparse rows, which also ranks the
+tensor-word rows of the truncated powers.  A modulus with (p-1)^2 >= 2^63
+is refused: those word rows keep their coefficients in int64 and multiply
+two of them.  Scalars outside matrices are plain ints reduced into [0, p).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterable
 
 
 # The first 12 primes: as Miller-Rabin bases they decide primality exactly
@@ -68,104 +66,64 @@ def _check_modulus(p: int) -> None:
 
 
 class FpMatrix:
-    """Immutable dense matrix over F_p.
+    """Immutable matrix over F_p, held as sparse rows.
 
-    ``cols`` must be supplied when constructing a matrix with no rows, since
-    the width cannot be inferred from an empty row list.
+    ``rows`` are {column: entry} dicts with the entries reduced into [1, p)
+    and the zeros dropped; a column outside [0, ncols) is refused.  ``ncols``
+    is always given, since rows need not reach the last column.
     """
 
-    __slots__ = ("_data", "modulus")
+    __slots__ = ("rows", "ncols", "modulus")
 
-    def __init__(self, rows: Sequence[Sequence[int]], modulus: int, cols: int | None = None):
+    def __init__(self, rows: Iterable[dict[int, int]], modulus: int, cols: int):
         _check_modulus(modulus)
-        rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("rows have mismatched lengths")
-            if cols is not None and cols != width:
-                raise ValueError(f"cols={cols} disagrees with row width {width}")
-        else:
-            if cols is None:
-                raise ValueError("cols is required for a matrix with no rows")
-            width = cols
-        data = np.array(rows, dtype=np.int64).reshape(len(rows), width) % modulus
-        data.setflags(write=False)
-        object.__setattr__(self, "_data", data)
+        reduced = []
+        for row in rows:
+            if row and not (0 <= min(row) and max(row) < cols):
+                raise ValueError(f"column outside [0, {cols})")
+            reduced.append({j: w for j, v in row.items() if (w := v % modulus)})
+        object.__setattr__(self, "rows", tuple(reduced))
+        object.__setattr__(self, "ncols", cols)
         object.__setattr__(self, "modulus", modulus)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FpMatrix is immutable")
 
-    @classmethod
-    def _from_array(cls, data: np.ndarray, modulus: int) -> "FpMatrix":
-        m = object.__new__(cls)
-        data = (data % modulus).astype(np.int64)
-        data.setflags(write=False)
-        object.__setattr__(m, "_data", data)
-        object.__setattr__(m, "modulus", modulus)
-        return m
-
-    @classmethod
-    def identity(cls, n: int, modulus: int) -> "FpMatrix":
-        return cls._from_array(np.eye(n, dtype=np.int64), modulus)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, modulus: int) -> "FpMatrix":
-        return cls._from_array(np.zeros((rows, cols), dtype=np.int64), modulus)
-
     @property
     def nrows(self) -> int:
-        return int(self._data.shape[0])
-
-    @property
-    def ncols(self) -> int:
-        return int(self._data.shape[1])
+        return len(self.rows)
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(x) for x in row) for row in self._data)
-
-    def entry(self, i: int, j: int) -> int:
-        return int(self._data[i, j])
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self._data[i])
-
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix._from_array(self._data.T.copy(), self.modulus)
-
-    def is_zero(self) -> bool:
-        return not self._data.any()
+        """The dense view: every row as a tuple of ncols entries."""
+        return tuple(tuple(row.get(j, 0) for j in range(self.ncols)) for row in self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FpMatrix):
             return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self._data.shape == other._data.shape
-            and bool(np.array_equal(self._data, other._data))
-        )
+        return (self.modulus, self.ncols, self.rows) == (other.modulus, other.ncols, other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self._data.shape, self._data.tobytes()))
+        return hash((self.modulus, self.ncols, tuple(tuple(sorted(r.items())) for r in self.rows)))
 
     def __repr__(self) -> str:
-        return f"FpMatrix({self._data.tolist()!r}, modulus={self.modulus})"
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        return mat_mul(self, other)
+        return f"FpMatrix({list(self.rows)!r}, modulus={self.modulus}, cols={self.ncols})"
 
 
 def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    """Exact matrix product over the common modulus."""
+    """Exact matrix product over the common modulus, row by sparse row."""
     if a.modulus != b.modulus:
         raise ValueError("mixed moduli")
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch: {a.ncols} vs {b.nrows}")
-    if a.ncols * (a.modulus - 1) ** 2 >= _INT64_BOUND:
-        raise ValueError(f"inner dimension {a.ncols} too large for exact products mod {a.modulus}")
-    return FpMatrix._from_array(a._data @ b._data, a.modulus)
+    product = []
+    for row in a.rows:
+        acc: dict[int, int] = {}
+        for k, v in row.items():
+            for j, w in b.rows[k].items():
+                acc[j] = acc.get(j, 0) + v * w
+        product.append(acc)
+    return FpMatrix(product, a.modulus, b.ncols)
 
 
 def eliminate(rows: Iterable[dict], p: int, width: int | None = None,
@@ -216,18 +174,15 @@ def _subtract(row: dict, factor: int, piv: dict, p: int) -> None:
             del row[c]
 
 
-def _sparse_rows(m: FpMatrix) -> Iterator[dict[int, int]]:
-    return ({j: v for j, v in enumerate(row) if v} for row in m._data.tolist())
-
-
 def rank(m: FpMatrix) -> int:
-    return len(eliminate(_sparse_rows(m), m.modulus, m.ncols))
+    return len(eliminate(m.rows, m.modulus, m.ncols))
 
 
 def row_reduce(m: FpMatrix) -> tuple[FpMatrix, int]:
-    """Reduced row-echelon form and rank; the row space is preserved."""
+    """Reduced row-echelon form and rank; the row space is preserved.  The
+    pivot rows come by leading column, then empty rows up to ``m.nrows``."""
     p = m.modulus
-    pivots = eliminate(_sparse_rows(m), p, m.ncols)
+    pivots = eliminate(m.rows, p, m.ncols)
     # Clear every pivot column from the other pivot rows.  A pivot row only
     # has entries right of its lead, so clearing from the rightmost pivot
     # leftwards subtracts rows that are already reduced.
@@ -235,20 +190,5 @@ def row_reduce(m: FpMatrix) -> tuple[FpMatrix, int]:
         row = pivots[key]
         for c in [c for c in row if c != key and c in pivots]:
             _subtract(row, row[c], pivots[c], p)
-    data = np.zeros(m._data.shape, dtype=np.int64)
-    for i, key in enumerate(sorted(pivots)):
-        for j, v in pivots[key].items():
-            data[i, j] = v
-    return FpMatrix._from_array(data, p), len(pivots)
-
-
-def stack(blocks: Sequence[FpMatrix], modulus: int, cols: int) -> FpMatrix:
-    """The rows of the blocks, in order, as one matrix; no blocks give 0 x cols."""
-    _check_modulus(modulus)
-    for b in blocks:
-        if b.modulus != modulus:
-            raise ValueError("mixed moduli")
-        if b.ncols != cols:
-            raise ValueError(f"block width {b.ncols} != cols={cols}")
-    data = np.concatenate([np.zeros((0, cols), dtype=np.int64), *(b._data for b in blocks)])
-    return FpMatrix._from_array(data, modulus)
+    rows = [pivots[key] for key in sorted(pivots)] + [{}] * (m.nrows - len(pivots))
+    return FpMatrix(rows, p, m.ncols), len(pivots)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator
 
-from .fp_linalg import FpMatrix, _check_modulus, eliminate, row_reduce, stack
+from .fp_linalg import FpMatrix, _check_modulus, eliminate, row_reduce
 from .monomial_box import MultiIndex, grade_basis
 from .seeded import _randint
 
@@ -59,11 +59,10 @@ def _action_map(n: int, p: int, op: MultiIndex, ell: int) -> dict[int, tuple[int
 
 def diff_action_matrix(n: int, p: int, op: MultiIndex, ell: int) -> FpMatrix:
     """Matrix of t^op on grade ell of R (rows = source monomials)."""
-    width = len(grade_basis(n, p, ell - sum(op)))
-    data = [[0] * width for _ in grade_basis(n, p, ell)]
-    for i, (j, coeff) in _action_map(n, p, op, ell).items():
-        data[i][j] = coeff
-    return FpMatrix(data, p, cols=width)
+    action = _action_map(n, p, op, ell)
+    rows = [{hit[0]: hit[1]} if (hit := action.get(i)) else {}
+            for i in range(len(grade_basis(n, p, ell)))]
+    return FpMatrix(rows, p, len(grade_basis(n, p, ell - sum(op))))
 
 
 def omega_pairing_matrix(n: int, p: int, ell: int) -> FpMatrix:
@@ -75,8 +74,8 @@ def omega_pairing_matrix(n: int, p: int, ell: int) -> FpMatrix:
     top = n * (p - 1)
     if not 0 <= ell <= top:
         raise ValueError(f"grade {ell} outside [0, {top}]")
-    blocks = [diff_action_matrix(n, p, op, top) for op in grade_basis(n, p, ell)]
-    return stack(blocks, p, len(grade_basis(n, p, top - ell)))
+    rows = [row for op in grade_basis(n, p, ell) for row in diff_action_matrix(n, p, op, top).rows]
+    return FpMatrix(rows, p, len(grade_basis(n, p, top - ell)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +169,7 @@ class GradedSubspace:
     def basis(self) -> FpMatrix:
         """The reduced row-echelon basis, built on demand from the pivot rows."""
         width = len(grade_basis(self.n, self.p, self.grade))
-        rows = [[row.get(j, 0) for j in range(width)] for row in self.pivots.values()]
-        return row_reduce(FpMatrix(rows, self.p, cols=width))[0]
+        return row_reduce(FpMatrix(self.pivots.values(), self.p, width))[0]
 
     def _canonical(self) -> tuple:
         return self.n, self.p, self.grade, self.basis

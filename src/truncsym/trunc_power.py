@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fp_linalg import FpMatrix, _check_modulus, rank
+from .fp_linalg import FpMatrix, _check_modulus, mat_mul, rank
 from .monomial_box import MultiIndex, enumerate_box, grade_basis
 
 
@@ -326,18 +326,18 @@ def koszul_complex(n: int, p: int, ell: int) -> list[FpMatrix]:
         domain = _koszul_space(n, p, ell, q)
         codomain = _koszul_space(n, p, ell, q - 1)
         index = {elt: j for j, elt in enumerate(codomain)}
-        data = []
+        rows = []
         for mono, subset in domain:
-            vec = [0] * len(codomain)
+            # Each dropped factor raises a different variable: distinct columns.
+            row = {}
             for pos, i in enumerate(subset):
                 target = tuple(
                     e + (p if v == i else 0) for v, e in enumerate(mono)
                 )
                 dropped = subset[:pos] + subset[pos + 1:]
-                sign = 1 if pos % 2 == 0 else p - 1
-                vec[index[(target, dropped)]] = (vec[index[(target, dropped)]] + sign) % p
-            data.append(vec)
-        diffs.append(FpMatrix(data, p, cols=len(codomain)))
+                row[index[(target, dropped)]] = 1 if pos % 2 == 0 else p - 1
+            rows.append(row)
+        diffs.append(FpMatrix(rows, p, len(codomain)))
     return diffs
 
 
@@ -372,7 +372,7 @@ def verify_koszul_exact(n: int, p: int, ell: int) -> KoszulVerdict:
         return KoszulVerdict(False, n, p, ell, dims, ranks, coker, expected, msg)
 
     for q in range(1, q_max):
-        if not (diffs[q] @ diffs[q - 1]).is_zero():
+        if any(mat_mul(diffs[q], diffs[q - 1]).rows):
             return fail(f"composition at level {q + 1} is nonzero")
     for q in range(1, q_max):
         if ranks[q - 1] + ranks[q] != dims[q]:

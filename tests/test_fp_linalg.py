@@ -13,33 +13,14 @@ from truncsym.fp_linalg import (
     mat_mul,
     rank,
     row_reduce,
-    stack,
 )
 from truncsym.trunc_power import symmetrization_matrix, trunc_rank
 
+from reference import dense_matrix, reference_rref
+
 # 3037000493 is the largest prime p with (p-1)^2 < 2^63, the largest modulus
-# FpMatrix accepts.
+# the word rows' int64 coefficients allow and so the largest FpMatrix accepts.
 ORACLE_PRIMES = [2, 3, 5, 7, 2 ** 31 - 1, 3037000493]
-
-
-def reference_rref(rows, p):
-    """Textbook Gauss-Jordan elimination on lists of Python ints, column by
-    column: the reduced row-echelon rows (zero rows last) and the rank."""
-    a = [[x % p for x in row] for row in rows]
-    r = 0
-    for col in range(len(a[0]) if a else 0):
-        pivot = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = pow(a[r][col], -1, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-    return a, r
 
 
 def test_is_prime_small():
@@ -77,11 +58,11 @@ def test_is_prime_on_pseudoprimes_and_large_primes():
 
 def test_composite_modulus_rejected():
     with pytest.raises(ValueError):
-        FpMatrix([[1]], 4)
+        FpMatrix([{0: 1}], 4, 1)
     with pytest.raises(ValueError):
-        FpMatrix([[1]], 6)
+        FpMatrix([{0: 1}], 6, 1)
     with pytest.raises(ValueError):
-        FpMatrix([[1]], 1)
+        FpMatrix([{0: 1}], 1, 1)
 
 
 def test_huge_prime_modulus_refused_at_once():
@@ -89,13 +70,13 @@ def test_huge_prime_modulus_refused_at_once():
     # refuses it before any primality test.
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="too large"):
-        FpMatrix([[1]], 10 ** 18 + 3)
+        FpMatrix([{0: 1}], 10 ** 18 + 3, 1)
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_rank_proportional_rows():
-    _, r = row_reduce(FpMatrix([[1, 2], [2, 4]], 5))
-    assert r == 1 == rank(FpMatrix([[1, 2], [2, 4]], 5))
+    _, r = row_reduce(dense_matrix([[1, 2], [2, 4]], 5))
+    assert r == 1 == rank(dense_matrix([[1, 2], [2, 4]], 5))
     assert eliminate([{0: 1, 1: 2}, {0: 2, 1: 4}], 5) == {0: {0: 1, 1: 2}}
 
 
@@ -107,17 +88,17 @@ def test_eliminate_takes_entries_mod_p():
 
 
 def test_rank_identity_mod3():
-    assert rank(FpMatrix.identity(3, 3)) == 3
+    assert rank(dense_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)) == 3
 
 
 def test_rank_unit_determinant_mod2():
     # det = 1*2 - 1*1 = 1, nonzero mod 2
-    assert rank(FpMatrix([[1, 1], [1, 2]], 2)) == 2
+    assert rank(dense_matrix([[1, 1], [1, 2]], 2)) == 2
 
 
 def test_rref_shape_and_pivots():
-    rref, r = row_reduce(FpMatrix([[0, 2, 4], [1, 1, 1]], 5))
-    assert r == 2 == rank(FpMatrix([[0, 2, 4], [1, 1, 1]], 5))
+    rref, r = row_reduce(dense_matrix([[0, 2, 4], [1, 1, 1]], 5))
+    assert r == 2 == rank(dense_matrix([[0, 2, 4], [1, 1, 1]], 5))
     # Leading entries normalized to 1, pivot columns cleared.
     assert rref.entries == ((1, 0, 4), (0, 1, 2))
     # Pivot rows keyed by their leading column and normalized to lead with 1;
@@ -133,60 +114,58 @@ def test_rref_shape_and_pivots():
     assert eliminate(rows(), 5, width=2) == {0: {0: 1}, 1: {1: 1}}
 
 
-def test_stack_examples():
-    empty = stack([], 5, cols=3)
-    assert (empty.nrows, empty.ncols) == (0, 3)
-    assert rank(empty) == 0
-    m = stack([FpMatrix([(1, 0), (0, 1)], 2), FpMatrix([(1, 1)], 2)], 2, cols=2)
-    assert m.entries == ((1, 0), (0, 1), (1, 1))
-    assert rank(m) == 2
-    assert rank(stack([FpMatrix([(1, 2, 0)], 5), FpMatrix([(2, 4, 0)], 5)], 5, cols=3)) == 1
-    with pytest.raises(ValueError):
-        stack([FpMatrix([(1, 0)], 5), FpMatrix([(1,)], 5)], 5, cols=2)
-    with pytest.raises(ValueError):
-        stack([FpMatrix([(1, 0)], 5)], 3, cols=2)
-    with pytest.raises(ValueError):
-        FpMatrix([(1, 0), (1,)], 5)
+def test_sparse_rows_reduced_and_columns_in_range():
+    # Entries are taken mod p and the zeros dropped; the dense view pads them.
+    m = FpMatrix([{2: 7, 0: 5}, {}, {1: 10}], 5, 3)
+    assert m.rows == ({2: 2}, {}, {}) and (m.nrows, m.ncols) == (3, 3)
+    assert m.entries == ((0, 0, 2), (0, 0, 0), (0, 0, 0))
+    assert m == dense_matrix([[5, 0, 7], [0, 0, 0], [0, 10, 0]], 5)
+    assert hash(m) == hash(FpMatrix([{2: 2}, {}, {}], 5, 3))
+    assert m != FpMatrix([{2: 2}, {}, {}], 5, 4) and m != FpMatrix([{2: 2}, {}, {}], 7, 3)
+    for row in ({3: 1}, {-1: 1}, {0: 1, 2: 1}):
+        with pytest.raises(ValueError, match="column outside"):
+            FpMatrix([{0: 1}, row], 5, 2)
+    with pytest.raises(ValueError, match="column outside"):
+        dense_matrix([(1, 0), (1, 0, 1)], 5)
 
 
 def test_modulus_beyond_int64_products_refused():
-    # (p-1)^2 >= 2^63: row reduction and products would wrap around in int64.
+    # (p-1)^2 >= 2^63: the word rows' int64 coefficient products would wrap
+    # around, and a matrix refuses the same moduli.
     p = 4294967311
     assert is_prime(p)
-    with pytest.raises(ValueError):
-        rank(FpMatrix([[p - 1, p - 1], [1, 1]], p))
-    with pytest.raises(ValueError):
-        FpMatrix([[p - 1]], p) @ FpMatrix([[p - 1]], p)
+    with pytest.raises(ValueError, match="too large"):
+        dense_matrix([[p - 1, p - 1], [1, 1]], p)
 
 
-def test_mat_mul_exact_or_refused_by_inner_dimension():
-    p = 2 ** 31 - 1
-    # k * (p-1)^2 < 2^63 for k <= 2: exact, (p-1)^2 = 1 mod p.
-    for k in (1, 2):
-        a = FpMatrix([[p - 1] * k], p)
-        assert mat_mul(a, a.transpose()).entries == ((k,),)
-    a = FpMatrix([[p - 1] * 3], p)
-    with pytest.raises(ValueError):
-        mat_mul(a, a.transpose())
+def test_mat_mul_exact_at_any_inner_dimension():
+    # (p-1)^2 = 1 mod p, so a row of k entries p-1 times its column gives k.
+    # The products are Python ints: exact also where k (p-1)^2 >= 2^63.
+    for p in (2 ** 31 - 1, 3037000493):
+        for k in (1, 2, 3, 50):
+            a = dense_matrix([[p - 1] * k], p)
+            column = dense_matrix([[p - 1]] * k, p)
+            assert mat_mul(a, column).entries == ((k % p,),)
 
 
 def test_mat_mul_and_zero_matrix():
-    a = FpMatrix([[1, 2], [0, 1]], 3)
-    b = FpMatrix([[1, 0], [1, 1]], 3)
+    a = dense_matrix([[1, 2], [0, 1]], 3)
+    b = dense_matrix([[1, 0], [1, 1]], 3)
     assert mat_mul(a, b).entries == ((0, 2), (1, 1))
-    assert FpMatrix.zeros(2, 3, 5).is_zero()
+    # Entries that cancel mod p leave no nonzero row.
+    assert not any(mat_mul(dense_matrix([[1, 2]], 3), dense_matrix([[1], [1]], 3)).rows)
     with pytest.raises(ValueError):
-        mat_mul(a, FpMatrix([[1]], 3))
+        mat_mul(a, dense_matrix([[1]], 3))
     with pytest.raises(ValueError):
-        mat_mul(a, FpMatrix([[1, 0], [0, 1]], 5))
+        mat_mul(a, dense_matrix([[1, 0], [0, 1]], 5))
 
 
 def test_empty_matrix_needs_cols():
     m = FpMatrix([], 3, cols=4)
     assert (m.nrows, m.ncols) == (0, 4)
-    assert rank(m) == 0
-    with pytest.raises(ValueError):
-        FpMatrix([], 3)
+    assert rank(m) == 0 and m.entries == ()
+    assert row_reduce(m) == (m, 0)
+    assert m != FpMatrix([], 3, cols=5)
 
 
 @st.composite
@@ -201,7 +180,7 @@ def matrices(draw):
             max_size=nrows,
         )
     )
-    return FpMatrix(rows, p)
+    return dense_matrix(rows, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,12 +193,6 @@ def test_row_reduce_idempotent(m):
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrices())
-def test_rank_equals_transpose_rank(m):
-    assert rank(m) == rank(m.transpose())
-
-
-@settings(max_examples=200, deadline=None)
 @given(matrices(), st.randoms(use_true_random=False))
 def test_rank_invariant_under_row_permutation_and_scaling(m, rnd):
     rows = [list(r) for r in m.entries]
@@ -228,7 +201,7 @@ def test_rank_invariant_under_row_permutation_and_scaling(m, rnd):
     for row in rows:
         c = rnd.randrange(1, m.modulus)
         scaled.append([c * x % m.modulus for x in row])
-    assert rank(FpMatrix(scaled, m.modulus)) == rank(m)
+    assert rank(dense_matrix(scaled, m.modulus)) == rank(m)
 
 
 @st.composite
@@ -256,7 +229,7 @@ def test_rank_and_rref_match_reference_elimination(case):
     rows, p = case
     expected_rref, expected_rank = reference_rref(rows, p)
     ncols = len(rows[0])
-    m = FpMatrix(rows, p)
+    m = dense_matrix(rows, p)
     rref, r = row_reduce(m)
     assert r == expected_rank == rank(m)
     assert rref.entries == tuple(tuple(row) for row in expected_rref)

@@ -12,7 +12,6 @@ from truncsym import monomial_box as boxes
 from truncsym import slopes as slp
 from truncsym import trunc_algebra as alg
 from truncsym import trunc_power as tp
-from truncsym.fp_linalg import FpMatrix
 from truncsym.slopes import TOP_DEGREE_LIMIT
 from truncsym.suites import (
     MATCHING_CAPS_LIMIT,
@@ -33,6 +32,8 @@ from truncsym.suites import (
     run_suite,
     strip_timings,
 )
+
+from reference import dense_matrix
 
 # sha256 of the default-config report (seed 0) without its timings, dumped as
 # the CLI prints it.  A change here is a change of the report contract.
@@ -156,7 +157,7 @@ def test_pairing_cases_fail_unless_the_matrix_reduces_to_identity(monkeypatch):
     bad = [([[1, 2], [2, 4]], "2x2 rank 1"), ([[1, 0, 0], [0, 1, 0]], "2x3 rank 2"),
            ([[1, 0], [0, 1], [1, 1]], "3x2 rank 2")]
     for rows, shape in bad:
-        monkeypatch.setattr(alg, "omega_pairing_matrix", lambda n, p, ell: FpMatrix(rows, p))
+        monkeypatch.setattr(alg, "omega_pairing_matrix", lambda n, p, ell: dense_matrix(rows, p))
         result = collect(_pairing_cases([(1, 5)]))
         assert result.cases == 5 and len(result.failures) == 5
         assert result.failures[0]["detail"] == f"pairing matrix {shape}"
@@ -257,7 +258,7 @@ def test_growth_claims_detail_only_failures(monkeypatch):
     assert {key.split()[0] for key, _, _ in passing} == {"coord", "random"}
     assert all(ok and detail == "" for _, ok, detail in passing)
     monkeypatch.setattr(alg, "check_upper_half_growth", lambda v: alg.GrowthVerdict(
-        False, v.dim + 1, v.dim, v.n, v.p, v.grade, FpMatrix.identity(1, v.p)))
+        False, v.dim + 1, v.dim, v.n, v.p, v.grade, dense_matrix([[1]], v.p)))
     failing = list(claim())
     assert [key for key, _, _ in failing] == [key for key, _, _ in passing]
     assert all(not ok and detail.startswith("dim ") and " > image " in detail

@@ -144,7 +144,7 @@ def test_koszul_composition_is_zero():
     for n, p, ell in [(3, 2, 4), (3, 2, 5), (2, 3, 6), (3, 3, 7)]:
         diffs = koszul_complex(n, p, ell)
         for q in range(1, len(diffs)):
-            assert mat_mul(diffs[q], diffs[q - 1]).is_zero()
+            assert not any(mat_mul(diffs[q], diffs[q - 1]).rows)
 
 
 def test_koszul_truncates_when_degree_low():
