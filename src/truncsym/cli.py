@@ -30,20 +30,25 @@ def _parse_csv_ints(text: str, label: str) -> tuple[int, ...]:
 
 
 @main.command()
-@click.option("--n-max", default=3, show_default=True, help="Largest ambient dimension.")
-@click.option("--primes", default="2,3,5", show_default=True, help="Comma-separated primes.")
+@click.option("--n-max", default=SuiteConfig.n_max, show_default=True,
+              help="Largest ambient dimension.")
+@click.option("--primes", default=",".join(map(str, SuiteConfig.primes)), show_default=True,
+              help="Comma-separated primes.")
 @click.option(
     "--suites",
     "suite_list",
-    default=",".join(ALL_SUITES),
+    default=",".join(SuiteConfig.suites),
     show_default=True,
     help="Comma-separated subset of: " + ", ".join(ALL_SUITES),
 )
-@click.option("--seed", default=0, show_default=True, help="Seed for the randomized sweeps.")
-@click.option("--max-sigma", default=12, show_default=True, help="Cap total for the matching sweep.")
-@click.option("--matching-n-max", default=4, show_default=True, help="Max length of caps vectors.")
-@click.option("--random-subspaces", default=100, show_default=True,
-              help="Random subspaces per grade in the growth suite.")
+@click.option("--seed", default=SuiteConfig.seed, show_default=True,
+              help="Seed for the randomized sweeps.")
+@click.option("--max-sigma", default=SuiteConfig.max_sigma, show_default=True,
+              help="Cap total for the matching sweep.")
+@click.option("--matching-n-max", default=SuiteConfig.matching_n_max, show_default=True,
+              help="Max length of caps vectors.")
+@click.option("--random-subspaces", default=SuiteConfig.random_subspaces_per_grade,
+              show_default=True, help="Random subspaces per grade in the growth suite.")
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False, writable=True),
               help="Write the report here instead of stdout.")
 def verify(n_max, primes, suite_list, seed, max_sigma, matching_n_max, random_subspaces, out_path):

@@ -7,6 +7,10 @@ connection sends a monomial to minus the sum of its single-step derivatives
 tensored with the matching 1-form slot, so composing it l times lands the
 degree-l layer inside the l-fold tensor power of 1-forms, where it matches
 the symmetrized tensors up to the sign (-1)^l.
+
+``graded_nabla_matrix`` is one step, from the degree-l layer to the
+degree-(l-1) layer in each direction, written straight into sparse rows;
+``nabla_power_rows`` is the l-step composite as packed words.
 """
 
 from __future__ import annotations
@@ -36,35 +40,14 @@ def filtration_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
     return out
 
 
-@dataclass(frozen=True)
-class NablaTerm:
-    coeff: int  # in [1, p)
-    mono: MultiIndex
-    direction: int  # 0-based 1-form slot
-
-
-def nabla(mono: MultiIndex, p: int) -> list[NablaTerm]:
-    """Connection action on a difference monomial: -k_i times the monomial
-    with the i-th exponent lowered, in the i-th direction slot.
-
-    Terms with k_i = 0 are omitted; the coefficient -k_i is never zero mod p
-    for 0 < k_i <= p-1, so stored terms are all nonzero.
-    """
-    terms = []
-    for i, k in enumerate(mono):
-        if k:
-            lowered = mono[:i] + (k - 1,) + mono[i + 1:]
-            terms.append(NablaTerm(-k % p, lowered, i))
-    return terms
-
-
 def graded_nabla_matrix(n: int, p: int, ell: int) -> FpMatrix:
     """Induced map on graded layers, degree ell to degree ell-1.
 
     Rows are the degree-ell monomials; columns are the n direction blocks of
     degree-(ell-1) monomial coordinates (direction-major).  The map is
     injective for every 1 <= ell <= n(p-1), i.e. the matrix has full row
-    rank in the row-as-domain convention.
+    rank in the row-as-domain convention.  Row m holds -m_i mod p (nonzero,
+    as 0 < m_i < p) at m - e_i in direction block i, for each m_i > 0.
     """
     if not 1 <= ell <= n * (p - 1):
         raise ValueError(f"degree {ell} outside [1, {n * (p - 1)}]")
@@ -72,7 +55,8 @@ def graded_nabla_matrix(n: int, p: int, ell: int) -> FpMatrix:
     target = grade_basis(n, p, ell - 1)
     index = {m: j for j, m in enumerate(target)}
     block = len(target)
-    rows = [{t.direction * block + index[t.mono]: t.coeff for t in nabla(mono, p)}
+    rows = [{i * block + index[mono[:i] + (k - 1,) + mono[i + 1:]]: -k % p
+             for i, k in enumerate(mono) if k}
             for mono in source]
     return FpMatrix(rows, p, n * block)
 

@@ -178,11 +178,6 @@ def _bounded_box_size(caps: tuple[int, ...], degree: int, limit: int) -> int:
     return size
 
 
-def dominates(v: MultiIndex, w: MultiIndex) -> bool:
-    """True iff v <= w componentwise."""
-    return all(a <= b for a, b in zip(v, w))
-
-
 @dataclass(frozen=True)
 class Box:
     caps: tuple[int, ...]
@@ -190,17 +185,6 @@ class Box:
 
     def elements(self) -> list[MultiIndex]:
         return enumerate_box(self.caps, self.degree)
-
-    def __contains__(self, v: MultiIndex) -> bool:
-        return (
-            len(v) == len(self.caps)
-            and sum(v) == self.degree
-            and all(0 <= x <= a for x, a in zip(v, self.caps))
-        )
-
-    @property
-    def total(self) -> int:
-        return sum(self.caps)
 
 
 @dataclass(frozen=True)

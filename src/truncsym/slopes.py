@@ -143,23 +143,6 @@ def layer_slopes(sd: SlopeData) -> list[tuple[int, int]]:
     return row
 
 
-def validate_profile(
-    n: int,
-    p: int,
-    profile: Sequence[int],
-    rk_w: int | None = None,
-    mode: str = "symmetric",
-) -> list[str]:
-    """Hypothesis checks on a rank profile; returns human-readable violations.
-
-    ``monotone`` demands non-increasing ranks (the curve situation);
-    ``symmetric`` demands r_l <= r_{N-l} for l above the half degree N/2.
-    Either way entries must be non-negative and fit under the layer ranks
-    when rk_w is known.
-    """
-    return _profile_issues(n, p, profile, rk_w, mode, _folds(n * (p - 1), profile))[0]
-
-
 def _folds(top: int, profile: Sequence[int]) -> list[int]:
     """r_{top-l} - r_l for the layers l above the half degree top/2, by
     increasing l; a layer past the profile is 0 (its mirror is present
@@ -172,7 +155,7 @@ def _folds(top: int, profile: Sequence[int]) -> list[int]:
 
 def _profile_issues(n: int, p: int, profile: Sequence[int], rk_w: int | None,
                     mode: str, folds: list[int]) -> tuple[list[str], bool]:
-    """validate_profile's issues, and whether the profile meets the
+    """``weight_sum_check``'s violations, and whether the profile meets the
     hypothesis: no issue but an entry above its layer rank.  ``folds`` are
     ``_folds(n(p-1), profile)``.  The checks compare whole sequences; a loop
     runs only to word a violation."""
@@ -247,9 +230,21 @@ def gap_lower_bound(
 
 
 def curve_gap(g: Rational, p: int, profile: Sequence[int]) -> Fraction:
-    """Curve specialization: (2g-2)/(p rk) times the sum of ((p-1)/2 - l) r_l."""
-    sd = make_slope_data(1, p, 1, g=g, mu_w=0)
-    return gap_lower_bound(sd, profile)
+    """Curve specialization: (2g-2)/(p rk) times the sum of ((p-1)/2 - l) r_l,
+    that is (g-1) times the sum of (p-1-2l) r_l over p rk.  Evaluated from
+    the genus on its own, so it checks ``gap_lower_bound`` at n = 1."""
+    g = _fraction(g)
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    rk = sum(profile)
+    if rk <= 0:
+        raise ValueError("subsheaf rank must be positive")
+    if min(profile) < 0:  # not empty: rk > 0
+        raise ValueError("profile entries must be non-negative")
+    if len(profile) > p:
+        raise ValueError(f"profile has {len(profile)} entries, more than {p} layers")
+    weighted = sum((p - 1 - 2 * ell) * r for ell, r in enumerate(profile))
+    return Fraction((g.numerator - g.denominator) * weighted, g.denominator * p * rk)
 
 
 @dataclass(frozen=True)
@@ -289,8 +284,11 @@ def weight_sum_check(
     The two forms must agree identically for every profile.  Both are kept
     doubled, as integers; ``direct`` and ``rearranged`` halve them on access.
 
-    ``violations`` are ``validate_profile(n, p, profile, rk_w, mode)``; an
-    entry above its layer rank (known only with rk_w) is named there but is
+    ``violations`` are the profile's hypothesis checks, worded.  ``monotone``
+    demands non-increasing ranks (the curve situation); ``symmetric`` demands
+    r_l <= r_{N-l} for l above the half degree N/2.  Either way entries must
+    be non-negative and at most n(p-1)+1 in number, and with rk_w they must
+    fit under the layer ranks; an entry above its layer rank is named but is
     no part of the hypothesis that ``hypothesis_ok`` reports.
     """
     top = n * (p - 1)

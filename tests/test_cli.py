@@ -1,13 +1,19 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from types import SimpleNamespace
 
 from click.testing import CliRunner
 
+import truncsym
+import truncsym.cli as cli_mod
 from truncsym.cli import main
 from truncsym.monomial_box import MATCHING_BOX_LIMIT
-from truncsym.suites import strip_timings
+from truncsym.suites import SuiteConfig, strip_timings
 from truncsym.trunc_power import trunc_rank
 
 FAST_ARGS = [
@@ -75,6 +81,29 @@ def test_verify_exit_code_on_failure(monkeypatch):
     report = json.loads(result.output)
     assert report["passed"] is False
     assert report["suites"]["ranks"]["failures"][0]["case"] == "forced"
+
+
+def test_bare_verify_builds_the_default_config(monkeypatch):
+    configs = []
+
+    def record(config):
+        configs.append(config)
+        return SimpleNamespace(to_json=lambda: "{}", passed=True)
+
+    monkeypatch.setattr(cli_mod, "run_suite", record)
+    result = CliRunner().invoke(main, ["verify"])
+    assert result.exit_code == 0, result.output
+    assert configs == [SuiteConfig()]
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    code = ("import sys, truncsym; "
+            "print(sorted(m for m in sys.modules if m.startswith('truncsym.') or m == 'numpy'))")
+    src = os.path.dirname(os.path.dirname(truncsym.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
 
 
 def test_verify_rejects_bad_prime():

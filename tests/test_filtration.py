@@ -10,7 +10,6 @@ from truncsym.filtration import (
     curve_report,
     filtration_basis,
     graded_nabla_matrix,
-    nabla,
     nabla_power_row,
     nabla_power_rows,
 )
@@ -46,17 +45,6 @@ def test_layer_dimensions_match_trunc_rank():
         for ell in range(top + 1):
             drop = len(filtration_basis(n, p, ell)) - len(filtration_basis(n, p, ell + 1))
             assert drop == trunc_rank(n, p, ell)
-
-
-def test_nabla_terms():
-    terms = nabla((1, 1), 3)
-    assert [(t.coeff, t.mono, t.direction) for t in terms] == [
-        (2, (0, 1), 0),
-        (2, (1, 0), 1),
-    ]
-    terms = nabla((3,), 5)
-    assert [(t.coeff, t.mono, t.direction) for t in terms] == [(2, (2,), 0)]
-    assert nabla((0, 0), 3) == []
 
 
 def test_graded_matrix_examples():
@@ -189,20 +177,6 @@ def test_nabla_power_is_stepwise_composition():
                         rebuilt[word] = (rebuilt.get(word, 0) - ki * c) % p
                 rebuilt = {w: c for w, c in rebuilt.items() if c}
                 assert rebuilt == row, (n, p, ell, k)
-
-
-def test_direction_pairs_commute():
-    # Applying the connection in direction i then j reaches each monomial
-    # with the same coefficient as j then i (zero-curvature bookkeeping).
-    p = 5
-    for mono in [(2, 3), (4, 1), (1, 1, 2)]:
-        order_coeffs = {}
-        for t1 in nabla(mono, p):
-            for t2 in nabla(t1.mono, p):
-                key = (t1.direction, t2.direction, t2.mono)
-                order_coeffs[key] = t1.coeff * t2.coeff % p
-        for (i, j, m), c in order_coeffs.items():
-            assert order_coeffs.get((j, i, m)) == c
 
 
 def test_curve_reports():

@@ -16,7 +16,6 @@ from truncsym.monomial_box import (
     MatchingVerdict,
     box_size,
     dominance_matching,
-    dominates,
     enumerate_box,
     grade_basis,
     hall_matching_exists,
@@ -239,11 +238,6 @@ def test_capped_specialization_has_matching():
             m = dominance_matching(caps, ell)
             assert verify_matching(m).ok
             assert len(m.assignment) == len(enumerate_box(caps, ell))
-
-
-def test_dominates():
-    assert dominates((1, 0), (2, 1))
-    assert not dominates((1, 2), (2, 1))
 
 
 def test_iter_caps_vectors_count():

@@ -17,7 +17,6 @@ from truncsym.slopes import (
     pushforward_c1,
     pushforward_rank,
     pushforward_slope,
-    validate_profile,
     weight_sum_check,
 )
 from truncsym.trunc_power import trunc_rank
@@ -164,23 +163,26 @@ def test_weight_sum_flags_hypothesis_violation():
     assert v.equal
 
 
-def test_validate_profile_modes():
-    assert validate_profile(1, 3, (2, 1, 1), mode="monotone") == []
-    assert validate_profile(1, 3, (1, 2), mode="monotone") != []
-    assert validate_profile(2, 2, (1, 0, 1)) == []
-    assert validate_profile(2, 2, (0, 0, 1)) != []
-    assert validate_profile(1, 3, (1, 1, 1, 1)) != []  # too long
-    assert validate_profile(1, 3, (-1,)) != []
+def test_weight_sum_violation_modes():
+    def violations(n, p, profile, mode="symmetric", rk_w=None):
+        return weight_sum_check(n, p, profile, mode=mode, rk_w=rk_w).violations
+
+    assert violations(1, 3, (2, 1, 1), mode="monotone") == ()
+    assert violations(1, 3, (1, 2), mode="monotone") != ()
+    assert violations(2, 2, (1, 0, 1)) == ()
+    assert violations(2, 2, (0, 0, 1)) != ()
+    assert violations(1, 3, (1, 1, 1, 1)) != ()  # too long
+    assert violations(1, 3, (-1,)) != ()
     with pytest.raises(ValueError):
-        validate_profile(1, 3, (1,), mode="bogus")
+        violations(1, 3, (1,), mode="bogus")
     # Layer-rank cap bound when the ambient rank is known.
-    assert validate_profile(2, 2, (1, 3, 1), rk_w=1) != []
-    assert validate_profile(2, 2, (1, 2, 1), rk_w=1) == []
+    assert violations(2, 2, (1, 3, 1), rk_w=1) != ()
+    assert violations(2, 2, (1, 2, 1), rk_w=1) == ()
 
 
 def test_weight_sum_check_names_layer_ranks_outside_the_hypothesis():
-    # With rk_w, violations are validate_profile's, layer ranks included; the
-    # hypothesis verdict is the one without rk_w.
+    # With rk_w, violations name layer ranks too; the hypothesis verdict is
+    # the one without rk_w.
     v = weight_sum_check(2, 2, (1, 3, 1), rk_w=1)
     assert v.violations == ("r_1 = 3 exceeds layer rank 2",) and v.hypothesis_ok
     v = weight_sum_check(2, 2, (1, 3, 2), rk_w=1)
@@ -191,9 +193,10 @@ def test_weight_sum_check_names_layer_ranks_outside_the_hypothesis():
         mode = rng.choice(["symmetric", "monotone"])
         profile = [rng.randint(0, 9) for _ in range(rng.randint(0, n * (p - 1) + 2))]
         v = weight_sum_check(n, p, profile, mode=mode, rk_w=rk_w)
-        assert list(v.violations) == validate_profile(n, p, profile, rk_w=rk_w, mode=mode)
-        assert v.hypothesis_ok == (not validate_profile(n, p, profile, mode=mode))
         plain = weight_sum_check(n, p, profile, mode=mode)
+        assert set(plain.violations) <= set(v.violations)
+        assert all("layer rank" in issue for issue in set(v.violations) - set(plain.violations))
+        assert v.hypothesis_ok == plain.hypothesis_ok == (not plain.violations)
         assert (v.direct2, v.rearranged2) == (plain.direct2, plain.rearranged2)
 
 
