@@ -73,6 +73,19 @@ def test_filtration_wide_report_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == FILTRATION_WIDE_REPORT_SHA256
 
 
+# The same digest for the Koszul suite over its whole volume limit: n <= 6 and
+# the primes up to 7 (89 cases), the grid CI runs.
+KOSZUL_WIDE_REPORT_SHA256 = "be6d398cdfdbb875a4e986d9fe9ca848ce152d7b2cb6576d1c91f8c3dabdd354"
+
+
+def test_koszul_wide_report_digest():
+    config = SuiteConfig(suites=("koszul",), n_max=6, primes=(2, 3, 5, 7))
+    report = strip_timings(run_suite(config).to_dict())
+    assert report["suites"]["koszul"]["cases"] == 89
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == KOSZUL_WIDE_REPORT_SHA256
+
+
 # sha256 of the JSON list of [builder, n, p, l, shape, entries] over the pairing
 # matrices, the graded connection matrices and the Koszul differentials of the
 # default grid, every grade: the matrices every F_p claim of the suites ranks.
