@@ -68,14 +68,14 @@ def verify(n_max, primes, suite_list, seed, max_sigma, matching_n_max, random_su
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(2)
     report = run_suite(config)
-    text = report.to_json()
+    text = dumps(report)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        click.echo(("PASS" if report.passed else "FAIL") + f": report written to {out_path}")
+        click.echo(("PASS" if report["passed"] else "FAIL") + f": report written to {out_path}")
     else:
         click.echo(text)
-    sys.exit(0 if report.passed else 1)
+    sys.exit(0 if report["passed"] else 1)
 
 
 @main.command()
@@ -85,11 +85,11 @@ def matching(caps, ell):
     """Print the constructed dominance matching as explicit pairs."""
     caps_vec = _parse_csv_ints(caps, "caps")
     try:
-        m = dominance_matching(caps_vec, ell)
+        assignment = dominance_matching(caps_vec, ell)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    for v, w in m.pairs():
+    for v, w in assignment.items():
         click.echo(f"{','.join(map(str, v))} -> {','.join(map(str, w))}")
 
 

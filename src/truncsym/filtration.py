@@ -15,7 +15,6 @@ degree-(l-1) layer in each direction, written straight into sparse rows;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -156,18 +155,11 @@ def nabla_power_row(n: int, p: int, k: MultiIndex) -> WordRow:
     return next(nabla_power_rows(n, p, [k]))
 
 
-@dataclass(frozen=True)
-class CurveReport:
-    p: int
-    ok: bool
-    graded_entries: tuple[int, ...]
-    ideal_dims: tuple[int, ...]
-    filtration_length: int
-
-
-def curve_report(p: int) -> CurveReport:
-    """One-variable summary: every graded map is a nonzero 1x1 scalar and the
-    ideal dimensions step down from p to zero, so the filtration has length p."""
+def curve_report(p: int) -> str | None:
+    """One-variable check: every graded map is the nonzero 1x1 scalar -l mod p
+    and the ideal dimensions step down from p to zero, so the filtration has
+    length p.  Returns the entries and dimensions, worded, when that fails,
+    or None when it holds."""
     entries = []
     ok = True
     for ell in range(1, p):
@@ -181,4 +173,4 @@ def curve_report(p: int) -> CurveReport:
         ok = ok and e != 0 and e == (-ell) % p
     dims = tuple(len(filtration_basis(1, p, ell)) for ell in range(p + 1))
     ok = ok and dims == tuple(p - ell for ell in range(p)) + (0,)
-    return CurveReport(p, ok, tuple(entries), dims, p)
+    return None if ok else f"entries {tuple(entries)} dims {dims}"

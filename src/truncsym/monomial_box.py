@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -179,27 +179,6 @@ def _bounded_box_size(caps: tuple[int, ...], degree: int, limit: int) -> int:
 
 
 @dataclass(frozen=True)
-class Box:
-    caps: tuple[int, ...]
-    degree: int
-
-    def elements(self) -> list[MultiIndex]:
-        return enumerate_box(self.caps, self.degree)
-
-
-@dataclass(frozen=True)
-class Matching:
-    """An assignment v -> phi(v) from a source box into a target box."""
-
-    source: Box
-    target: Box
-    assignment: dict[MultiIndex, MultiIndex] = field(compare=False)
-
-    def pairs(self) -> list[tuple[MultiIndex, MultiIndex]]:
-        return sorted(self.assignment.items())
-
-
-@dataclass(frozen=True)
 class MatchingVerdict:
     ok: bool
     reason: str | None = None
@@ -274,8 +253,10 @@ def _split_shift_images(v: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return w.reshape(rows, n)
 
 
-def dominance_matching(caps: tuple[int, ...] | list[int], ell: int) -> Matching:
-    """The split-and-shift injective dominance matching M^l -> M^{sigma-l}.
+def dominance_matching(caps: tuple[int, ...] | list[int],
+                       ell: int) -> dict[MultiIndex, MultiIndex]:
+    """The split-and-shift injective dominance matching M^l -> M^{sigma-l},
+    as the assignment {v: phi(v)} in lexicographic order of v.
 
     Requires 2*ell <= sigma; outside that range no dominance matching can
     exist on a non-empty box, so the hypothesis violation is an error, and
@@ -294,8 +275,7 @@ def dominance_matching(caps: tuple[int, ...] | list[int], ell: int) -> Matching:
     dtype = _row_dtype(sigma)
     source = _box_rows(caps, ell).astype(dtype)
     images = _split_shift_images(source, np.tile(np.array(caps, dtype), (len(source), 1)))
-    assignment = dict(zip(_as_tuples(source), _as_tuples(images)))
-    return Matching(Box(caps, ell), Box(caps, sigma - ell), assignment)
+    return dict(zip(_as_tuples(source), _as_tuples(images)))
 
 
 def _earlier_equal(keys: list[np.ndarray]) -> np.ndarray:
@@ -341,19 +321,21 @@ def _verdict(source: list[MultiIndex], images: list, outside, undominated,
     return MatchingVerdict(False, "not injective", (source[repeat[k]], v, w))
 
 
-def verify_matching(m: Matching) -> MatchingVerdict:
-    """Check totality, injectivity, target membership and dominance.
+def verify_matching(caps: tuple[int, ...] | list[int], ell: int,
+                    assignment: dict[MultiIndex, MultiIndex]) -> MatchingVerdict:
+    """Check that ``assignment`` maps M^l into M^{sigma-l} totally,
+    injectively and along dominance.
 
     Returns the first violation found, scanning the source box in
     lexicographic order: a missing image first, then per element an image
     outside the target, dominance, and an image met before.
     """
-    source = m.source.elements()
-    images = [m.assignment.get(v) for v in source]
+    caps = tuple(caps)
+    source = enumerate_box(caps, ell)
+    images = [assignment.get(v) for v in source]
     for v, w in zip(source, images):
         if w is None:
             return MatchingVerdict(False, "not total", (v,))
-    caps = m.source.caps
     n, sigma = len(caps), sum(caps)
     # Rows of the wrong length or beyond the caps total lie outside the
     # target; -1 marks them as such and keeps the array exact.
@@ -363,7 +345,7 @@ def verify_matching(m: Matching) -> MatchingVerdict:
     w = np.array(rows, dtype).reshape(len(rows), n)
     v = np.array(source, dtype).reshape(len(source), n)
     zeros = np.zeros(len(source), np.int64)
-    flags = _violations(v, w, np.array(caps, dtype), m.target.degree, zeros)
+    flags = _violations(v, w, np.array(caps, dtype), sigma - ell, zeros)
     return _verdict(source, images, *flags)
 
 

@@ -266,21 +266,21 @@ def evaluate_scenario(sc: Scenario) -> dict:
             "hypothesis_ok": ws.hypothesis_ok,
         }
         if gap == 0:
-            diag = slp.equality_diagnosis(sd.n, sd.p, sc.profile)
+            full_length, asymmetric = slp.equality_diagnosis(sd.n, sd.p, sc.profile)
             out["equality_diagnosis"] = {
-                "full_length": diag.full_length,
-                "symmetric": diag.symmetric,
-                "asymmetric_layers": list(diag.asymmetric_layers),
+                "full_length": full_length,
+                "symmetric": not asymmetric,
+                "asymmetric_layers": list(asymmetric),
             }
 
     if sc.instabilities is not None:
         iwx = max(sc.instabilities, default=_ZERO)
         out["max_instability"] = format_rational(iwx)
         bound = slp.instability_bound(sd, iwx)
-        if bound.value is None:
+        if bound is None:
             warnings.append("instability bound omitted (KH < 0)")
         else:
-            out["instability_bound"] = format_rational(bound.value)
+            out["instability_bound"] = format_rational(bound)
 
     out["warnings"] = warnings
     return out

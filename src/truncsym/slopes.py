@@ -302,39 +302,26 @@ def weight_sum_check(
                             _weighted_sum_twice(n, p, profile), rearranged2)
 
 
-@dataclass(frozen=True)
-class InstabilityBound:
-    """Bound on the pushforward instability; ``value`` is None when the
+def instability_bound(sd: SlopeData, iwx: Rational) -> Fraction | None:
+    """p^{n-1} rk(W) times the maximal layer instability, or None when the
     canonical-degree hypothesis K.H^{n-1} >= 0 fails and no bound is asserted."""
-
-    value: Fraction | None
-    kh_nonnegative: bool
-
-
-def instability_bound(sd: SlopeData, iwx: Rational) -> InstabilityBound:
-    """p^{n-1} rk(W) times the maximal layer instability, when K.H^{n-1} >= 0."""
     iwx = _fraction(iwx)
     if iwx.numerator < 0:
         raise ValueError("instability must be non-negative")
     if sd.kh.numerator < 0:
-        return InstabilityBound(None, False)
-    return InstabilityBound(sd.p ** (sd.n - 1) * sd.rk_w * iwx, True)
+        return None
+    return sd.p ** (sd.n - 1) * sd.rk_w * iwx
 
 
-@dataclass(frozen=True)
-class EqualityDiagnosis:
-    full_length: bool
-    symmetric: bool
-    asymmetric_layers: tuple[int, ...]
-
-
-def equality_diagnosis(n: int, p: int, profile: Sequence[int]) -> EqualityDiagnosis:
+def equality_diagnosis(n: int, p: int, profile: Sequence[int]) -> tuple[bool, tuple[int, ...]]:
     """Necessary conditions for a zero gap with positive canonical degree:
-    the profile must reach the top layer and have mirror-symmetric ranks."""
+    the profile must reach the top layer and have mirror-symmetric ranks.
+    Returns whether it reaches the top layer, and the layers above the half
+    degree whose rank differs from their mirror's (none when symmetric)."""
     top = n * (p - 1)
     full = [profile[ell] if ell < len(profile) else 0 for ell in range(top + 1)]
     full_length = len(profile) == top + 1 and profile[-1] > 0
     bad = tuple(
         ell for ell in range(top + 1) if 2 * ell > top and full[ell] != full[top - ell]
     )
-    return EqualityDiagnosis(full_length, not bad, bad)
+    return full_length, bad

@@ -12,21 +12,19 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
 from typing import Generator
 
+from . import __version__
 from . import filtration as filt
 from . import monomial_box as boxes
 from . import slopes as slp
 from . import trunc_algebra as alg
 from . import trunc_power as tp
 from .fp_linalg import eliminate, is_prime, rank, row_reduce
-from .jsonout import dumps
 from .seeded import _randint
-
-VERSION = "0.1.0"
 
 ALL_SUITES = ("filtration", "growth", "koszul", "matching", "ranks", "slopes")
 
@@ -95,61 +93,32 @@ class SuiteConfig:
             raise ConfigError("; ".join(problems))
 
 
-@dataclass
-class SuiteResult:
-    passed: bool
-    cases: int
-    failures: list[dict] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "cases": self.cases,
-            "failures": sorted(self.failures, key=lambda f: f["case"])[:_FAILURE_RECORD_LIMIT],
-            "failure_count": len(self.failures),
-            "stats": self.stats,
-        }
-
-
-@dataclass
-class Report:
-    version: str
-    config: dict
-    passed: bool
-    suites: dict
-    timings: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "passed": self.passed,
-            "suites": self.suites,
-            "timings": self.timings,
-        }
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
-
-
 Case = tuple[str, bool, str]
 Cases = Generator[Case, None, dict | None]
 
 
-def collect(cases: Cases) -> SuiteResult:
-    """Drain a case generator; its return value becomes the result's stats."""
-    result = SuiteResult(True, 0)
+def collect(cases: Cases) -> dict:
+    """Drain a case generator into a suite's report entry: its verdict, case
+    count, first failures by case key, failure count, and stats (the
+    generator's return value)."""
+    count = 0
+    failures = []
     while True:
         try:
             key, ok, detail = next(cases)
         except StopIteration as stop:
-            result.stats = stop.value or {}
-            return result
-        result.cases += 1
+            stats = stop.value or {}
+            break
+        count += 1
         if not ok:
-            result.passed = False
-            result.failures.append({"case": key, "detail": detail})
+            failures.append({"case": key, "detail": detail})
+    return {
+        "passed": not failures,
+        "cases": count,
+        "failures": sorted(failures, key=lambda f: f["case"])[:_FAILURE_RECORD_LIMIT],
+        "failure_count": len(failures),
+        "stats": stats,
+    }
 
 
 def pair_grid(primes, volume_limit: int, n_max: int | None = None) -> list[tuple[int, int]]:
@@ -207,8 +176,8 @@ def _koszul_cases(pairs) -> Cases:
     for n, p in pairs:
         # One degree beyond the top exercises the vanishing cokernel.
         for ell in range(n * (p - 1) + 2):
-            verdict = tp.verify_koszul_exact(n, p, ell)
-            yield f"n={n} p={p} l={ell}", verdict.ok, verdict.failure or ""
+            failure = tp.verify_koszul_exact(n, p, ell)
+            yield f"n={n} p={p} l={ell}", failure is None, failure or ""
     return {"pairs": [f"n={n} p={p}" for n, p in pairs]}
 
 
@@ -267,18 +236,20 @@ def _growth_cases(pairs, rng: random.Random, per_grade: int) -> Cases:
             dim = len(boxes.grade_basis(n, p, ell))
             if dim <= COORD_DIM_LIMIT:
                 for idxs, sub in alg.coordinate_subspaces(n, p, ell):
-                    verdict = alg.check_upper_half_growth(sub)
+                    image = alg.spanned_image_dim(sub)
+                    ok = sub.dim <= image
                     coordinate_cases += 1
-                    yield (f"coord n={n} p={p} l={ell} set={idxs}", verdict.ok,
-                           "" if verdict.ok else f"dim {verdict.dim_v} > image {verdict.image_dim}")
+                    yield (f"coord n={n} p={p} l={ell} set={idxs}", ok,
+                           "" if ok else f"dim {sub.dim} > image {image}")
             for j in range(per_grade):
                 target_dim = _randint(rng, 1, dim) if dim else 0
                 sub = alg.GradedSubspace.random(n, p, ell, target_dim, rng)
-                verdict = alg.check_upper_half_growth(sub)
+                image = alg.spanned_image_dim(sub)
+                ok = sub.dim <= image
                 random_cases += 1
-                yield (f"random n={n} p={p} l={ell} i={j}", verdict.ok,
-                       "" if verdict.ok else f"dim {verdict.dim_v} > image {verdict.image_dim}; "
-                                             f"basis {verdict.witness.entries}")
+                yield (f"random n={n} p={p} l={ell} i={j}", ok,
+                       "" if ok else f"dim {sub.dim} > image {image}; "
+                                     f"basis {sub.basis.entries}")
     return {"coordinate_subspaces": coordinate_cases, "random_subspaces": random_cases}
 
 
@@ -329,9 +300,8 @@ def _filtration_cases(pairs) -> Cases:
             yield (f"composite n={n} p={p} l={ell}", bad is None,
                    f"composite row differs from signed symmetrization at {bad}")
         if n == 1:
-            report = filt.curve_report(p)
-            yield (f"curve p={p}", report.ok,
-                   f"entries {report.graded_entries} dims {report.ideal_dims}")
+            failure = filt.curve_report(p)
+            yield f"curve p={p}", failure is None, failure or ""
     return {"skipped_word_checks": skipped}
 
 
@@ -429,8 +399,8 @@ def _full_profile_cases(rng: random.Random, count: int, n_max: int, primes) -> C
         profile = [rk_w * tp.trunc_rank(n, p, ell) for ell in range(top + 1)]
         sd = slp.make_slope_data(n, p, rk_w, kh=_randint(rng, 0, 8), mu_w=_randint(rng, -3, 3))
         gap = slp.gap_lower_bound(sd, profile)
-        diag = slp.equality_diagnosis(n, p, profile)
-        ok = gap == 0 and diag.full_length and diag.symmetric
+        full_length, asymmetric = slp.equality_diagnosis(n, p, profile)
+        ok = gap == 0 and full_length and not asymmetric
         yield f"full-profile i={i}", ok, "" if ok else f"n={n} p={p} gap={gap}"
 
 
@@ -477,27 +447,24 @@ _SUITES = {
 }
 
 
-def run_suite(config: SuiteConfig) -> Report:
+def run_suite(config: SuiteConfig) -> dict:
     """Execute the selected suites and assemble the deterministic report."""
     config.validate()
     suites: dict = {}
     timings: dict = {}
-    overall = True
     start = time.perf_counter()
     for name in sorted(set(config.suites)):
         t0 = time.perf_counter()
-        result = collect(_SUITES[name](config))
+        suites[name] = collect(_SUITES[name](config))
         timings[name] = time.perf_counter() - t0
-        suites[name] = result.to_dict()
-        overall = overall and result.passed
     timings["total"] = time.perf_counter() - start
-    return Report(
-        version=VERSION,
-        config=asdict(config),
-        passed=overall,
-        suites=suites,
-        timings=timings,
-    )
+    return {
+        "version": __version__,
+        "config": asdict(config),
+        "passed": all(s["passed"] for s in suites.values()),
+        "suites": suites,
+        "timings": timings,
+    }
 
 
 def strip_timings(report_dict: dict) -> dict:

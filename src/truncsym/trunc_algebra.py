@@ -137,8 +137,8 @@ class GradedSubspace:
         full rank).  The entries are ``rng.randrange(p)``, row by row, drawn
         straight into sparse rows."""
         width = len(grade_basis(n, p, grade))
-        if dim > width:
-            raise ValueError(f"dimension {dim} exceeds grade dimension {width}")
+        if not 0 <= dim <= width:
+            raise ValueError(f"dimension {dim} outside [0, {width}]")
         while True:
             rows = [{j: x for j in range(width) if (x := _randint(rng, 0, p - 1))}
                     for _ in range(dim)]
@@ -225,24 +225,3 @@ def coordinate_subspaces(n: int, p: int,
         if mask < parents:
             spans.append(sub._image_pivots)
 
-
-@dataclass(frozen=True)
-class GrowthVerdict:
-    ok: bool
-    dim_v: int
-    image_dim: int
-    n: int
-    p: int
-    grade: int
-    witness: FpMatrix | None = None
-
-
-def check_upper_half_growth(v: GradedSubspace) -> GrowthVerdict:
-    """Verify dim(V) <= dim of the span of its bridging-operator images.
-
-    This always holds; a failing verdict carries the witness subspace and
-    signals an implementation bug rather than a mathematical possibility.
-    """
-    image = spanned_image_dim(v)
-    ok = v.dim <= image
-    return GrowthVerdict(ok, v.dim, image, v.n, v.p, v.grade, None if ok else v.basis)

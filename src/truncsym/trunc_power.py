@@ -341,21 +341,9 @@ def koszul_complex(n: int, p: int, ell: int) -> list[FpMatrix]:
     return diffs
 
 
-@dataclass(frozen=True)
-class KoszulVerdict:
-    ok: bool
-    n: int
-    p: int
-    ell: int
-    dims: tuple[int, ...]
-    ranks: tuple[int, ...]
-    cokernel_dim: int
-    expected_dim: int
-    failure: str | None = None
-
-
-def verify_koszul_exact(n: int, p: int, ell: int) -> KoszulVerdict:
-    """Check the resolution is exact and its cokernel has the truncated rank.
+def verify_koszul_exact(n: int, p: int, ell: int) -> str | None:
+    """Check the resolution is exact and its cokernel has the truncated rank;
+    return the first failure, worded, or None when the claim holds.
 
     Conditions: consecutive differentials compose to zero, interior ranks
     pair up to the full dimension, the deepest map is injective, and
@@ -363,24 +351,18 @@ def verify_koszul_exact(n: int, p: int, ell: int) -> KoszulVerdict:
     """
     diffs = koszul_complex(n, p, ell)
     q_max = len(diffs)
-    dims = tuple(len(_koszul_space(n, p, ell, q)) for q in range(q_max + 1))
-    ranks = tuple(rank(d) for d in diffs)
-    expected = trunc_rank(n, p, ell)
-    coker = dims[0] - (ranks[0] if diffs else 0)
-
-    def fail(msg: str) -> KoszulVerdict:
-        return KoszulVerdict(False, n, p, ell, dims, ranks, coker, expected, msg)
-
+    dims = [len(_koszul_space(n, p, ell, q)) for q in range(q_max + 1)]
+    ranks = [rank(d) for d in diffs]
     for q in range(1, q_max):
         if any(mat_mul(diffs[q], diffs[q - 1]).rows):
-            return fail(f"composition at level {q + 1} is nonzero")
+            return f"composition at level {q + 1} is nonzero"
     for q in range(1, q_max):
         if ranks[q - 1] + ranks[q] != dims[q]:
-            return fail(
-                f"not exact at level {q}: {ranks[q - 1]} + {ranks[q]} != {dims[q]}"
-            )
+            return f"not exact at level {q}: {ranks[q - 1]} + {ranks[q]} != {dims[q]}"
     if diffs and ranks[q_max - 1] != dims[q_max]:
-        return fail(f"leftmost map not injective: rank {ranks[q_max - 1]} < {dims[q_max]}")
+        return f"leftmost map not injective: rank {ranks[q_max - 1]} < {dims[q_max]}"
+    coker = dims[0] - (ranks[0] if diffs else 0)
+    expected = trunc_rank(n, p, ell)
     if coker != expected:
-        return fail(f"cokernel {coker} != expected dimension {expected}")
-    return KoszulVerdict(True, n, p, ell, dims, ranks, coker, expected)
+        return f"cokernel {coker} != expected dimension {expected}"
+    return None

@@ -13,7 +13,7 @@ from truncsym.filtration import (
     nabla_power_row,
     nabla_power_rows,
 )
-from truncsym.fp_linalg import eliminate, rank
+from truncsym.fp_linalg import FpMatrix, eliminate, rank
 from truncsym.monomial_box import grade_basis
 from truncsym.suites import pair_grid
 from truncsym import trunc_power
@@ -181,11 +181,22 @@ def test_nabla_power_is_stepwise_composition():
 
 def test_curve_reports():
     for p in (2, 3, 5, 7):
-        report = curve_report(p)
-        assert report.ok
-        assert report.graded_entries == tuple((-ell) % p for ell in range(1, p))
-        assert report.ideal_dims == tuple(p - ell for ell in range(p)) + (0,)
-        assert report.filtration_length == p
+        assert curve_report(p) is None
+        # The entries and dimensions the report checks.
+        assert [graded_nabla_matrix(1, p, ell).entries for ell in range(1, p)] == [
+            ((-ell % p,),) for ell in range(1, p)]
+        dims = [len(filtration_basis(1, p, ell)) for ell in range(p + 1)]
+        assert dims == [p - ell for ell in range(p)] + [0]
+
+
+def test_curve_report_words_a_failure():
+    with mock.patch("truncsym.filtration.graded_nabla_matrix",
+                    lambda n, p, ell: FpMatrix([{0: 1}], p, 1)):
+        assert curve_report(3) == "entries (1, 1) dims (3, 2, 1, 0)"
+        assert curve_report(2) is None  # -1 = 1 mod 2
+        assert curve_report(5) == "entries (1, 1, 1, 1) dims (5, 4, 3, 2, 1, 0)"
+    with mock.patch("truncsym.filtration.filtration_basis", lambda n, p, ell: []):
+        assert curve_report(3) == "entries (2, 1) dims (0, 0, 0, 0)"
 
 
 # sha256 over (k, words bytes, coeffs bytes) of the composite row and then the

@@ -11,8 +11,6 @@ import truncsym.monomial_box as boxes
 from truncsym.monomial_box import (
     HALL_BOX_LIMIT,
     MATCHING_BOX_LIMIT,
-    Box,
-    Matching,
     MatchingVerdict,
     box_size,
     dominance_matching,
@@ -104,20 +102,17 @@ def test_complement_bijection():
 def test_matching_single_variable_base_case():
     for a in range(5):
         for ell in range(a // 2 + 1):
-            m = dominance_matching((a,), ell)
-            assert m.assignment == {(ell,): (a - ell,)}
+            assert dominance_matching((a,), ell) == {(ell,): (a - ell,)}
 
 
 def test_matching_unit_caps_fixes_points():
-    m = dominance_matching((1, 1), 1)
-    assert m.assignment == {(1, 0): (1, 0), (0, 1): (0, 1)}
+    assert dominance_matching((1, 1), 1) == {(1, 0): (1, 0), (0, 1): (0, 1)}
 
 
 def test_matching_traced_values_caps22():
     # One branch rides the merged-coordinate identification, the other the
     # shift into lowered caps; both land on the traced images.
-    m = dominance_matching((2, 2), 1)
-    assert m.assignment == {(1, 0): (2, 1), (0, 1): (1, 2)}
+    assert dominance_matching((2, 2), 1) == {(1, 0): (2, 1), (0, 1): (1, 2)}
 
 
 def test_matching_rejects_degree_above_half():
@@ -127,73 +122,64 @@ def test_matching_rejects_degree_above_half():
 
 def test_matching_zero_caps_positions():
     m = dominance_matching((0, 3, 0), 1)
-    assert set(m.assignment) == {(0, 1, 0)}
-    assert m.assignment[(0, 1, 0)] == (0, 2, 0)
-    v = verify_matching(m)
-    assert v.ok
+    assert m == {(0, 1, 0): (0, 2, 0)}
+    assert verify_matching((0, 3, 0), 1, m).ok
 
 
 def test_matching_all_zero_caps():
-    m = dominance_matching((0, 0), 0)
-    assert m.assignment == {(0, 0): (0, 0)}
+    assert dominance_matching((0, 0), 0) == {(0, 0): (0, 0)}
 
 
 def test_verify_matching_detects_violations():
-    box1 = Box((1, 1), 1)
-    ident = Matching(box1, box1, {(0, 1): (0, 1), (1, 0): (1, 0)})
-    assert verify_matching(ident).ok
+    # M^1 of caps (1, 1) maps into M^1; M^1 of caps (2, 2) into M^3.
+    assert verify_matching((1, 1), 1, {(0, 1): (0, 1), (1, 0): (1, 0)}).ok
 
-    src = Box((2, 2), 1)
-    tgt = Box((2, 2), 3)
-    collide = Matching(src, tgt, {(0, 1): (2, 1), (1, 0): (2, 1)})
-    v = verify_matching(collide)
+    v = verify_matching((2, 2), 1, {(0, 1): (2, 1), (1, 0): (2, 1)})
     assert not v.ok and v.reason == "not injective"
     assert v.witness == ((0, 1), (1, 0), (2, 1))
 
-    off_box = Matching(src, tgt, {(0, 1): (1, 2), (1, 0): (0, 3)})
-    v = verify_matching(off_box)
+    v = verify_matching((2, 2), 1, {(0, 1): (1, 2), (1, 0): (0, 3)})
     assert not v.ok and v.reason == "image outside target box"
     assert v.witness == ((1, 0), (0, 3))
 
-    partial = Matching(src, tgt, {(0, 1): (1, 2)})
-    v = verify_matching(partial)
+    v = verify_matching((2, 2), 1, {(0, 1): (1, 2)})
     assert not v.ok and v.reason == "not total"
     assert v.witness == ((1, 0),)
 
-    not_dominating = Matching(box1, box1, {(0, 1): (1, 0), (1, 0): (0, 1)})
-    v = verify_matching(not_dominating)
+    v = verify_matching((1, 1), 1, {(0, 1): (1, 0), (1, 0): (0, 1)})
     assert not v.ok and v.reason == "dominance fails"
     assert v.witness == ((0, 1), (1, 0))
 
     # The first violation in source order wins, whatever its kind; images of
-    # the wrong length or beyond the caps lie outside the target.
-    mixed = Matching(Box((2, 2, 2), 2), Box((2, 2, 2), 4), {
+    # the wrong length or beyond the caps lie outside the target M^4.
+    caps = (2, 2, 2)
+    mixed = {
         (0, 0, 2): (0, 2, 2), (0, 1, 1): (0, 2, 2), (0, 2, 0): (0, 2, 1),
-        (1, 0, 1): (1, 1, 2), (1, 1, 0): (1, 2), (2, 0, 0): (2, 1, 1)})
-    assert verify_matching(mixed) == MatchingVerdict(
+        (1, 0, 1): (1, 1, 2), (1, 1, 0): (1, 2), (2, 0, 0): (2, 1, 1)}
+    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
         False, "not injective", ((0, 0, 2), (0, 1, 1), (0, 2, 2)))
-    del mixed.assignment[(0, 1, 1)]
-    assert verify_matching(mixed) == MatchingVerdict(False, "not total", ((0, 1, 1),))
-    mixed.assignment[(0, 1, 1)] = (0, 1, 3)
-    assert verify_matching(mixed) == MatchingVerdict(
+    del mixed[(0, 1, 1)]
+    assert verify_matching(caps, 2, mixed) == MatchingVerdict(False, "not total", ((0, 1, 1),))
+    mixed[(0, 1, 1)] = (0, 1, 3)
+    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
         False, "image outside target box", ((0, 1, 1), (0, 1, 3)))
-    mixed.assignment[(0, 1, 1)] = (1, 1, 2)
-    assert verify_matching(mixed) == MatchingVerdict(
+    mixed[(0, 1, 1)] = (1, 1, 2)
+    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
         False, "image outside target box", ((0, 2, 0), (0, 2, 1)))
-    mixed.assignment[(0, 2, 0)] = (2, 2, 0)
-    assert verify_matching(mixed) == MatchingVerdict(
+    mixed[(0, 2, 0)] = (2, 2, 0)
+    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
         False, "not injective", ((0, 1, 1), (1, 0, 1), (1, 1, 2)))
-    mixed.assignment[(1, 0, 1)] = (2, 0, 2)
-    assert verify_matching(mixed) == MatchingVerdict(
+    mixed[(1, 0, 1)] = (2, 0, 2)
+    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
         False, "image outside target box", ((1, 1, 0), (1, 2)))
-    mixed.assignment[(1, 1, 0)] = (10 ** 30, 1, 1)
-    assert verify_matching(mixed) == MatchingVerdict(
+    mixed[(1, 1, 0)] = (10 ** 30, 1, 1)
+    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
         False, "image outside target box", ((1, 1, 0), (10 ** 30, 1, 1)))
-    mixed.assignment[(1, 1, 0)] = (1, 2, 1)
-    assert verify_matching(mixed) == MatchingVerdict(True)
+    mixed[(1, 1, 0)] = (1, 2, 1)
+    assert verify_matching(caps, 2, mixed) == MatchingVerdict(True)
     # Dominance is checked before a repeated image.
-    mixed.assignment[(2, 0, 0)] = (1, 2, 1)
-    assert verify_matching(mixed) == MatchingVerdict(
+    mixed[(2, 0, 0)] = (1, 2, 1)
+    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
         False, "dominance fails", ((2, 0, 0), (1, 2, 1)))
 
 
@@ -213,8 +199,7 @@ def test_construction_and_oracle_agree_small_sweep():
     for caps in iter_caps_vectors(3, 9):
         sigma = sum(caps)
         for ell in range(sigma // 2 + 1):
-            m = dominance_matching(caps, ell)
-            assert verify_matching(m).ok, (caps, ell)
+            assert verify_matching(caps, ell, dominance_matching(caps, ell)).ok, (caps, ell)
             assert hall_matching_exists(caps, ell), (caps, ell)
         for ell in range(sigma // 2 + 1, sigma + 1):
             assert not hall_matching_exists(caps, ell), (caps, ell)
@@ -225,9 +210,9 @@ def test_construction_and_oracle_agree_small_sweep():
 def test_construction_verifies_on_random_caps(caps, data):
     ell = data.draw(st.integers(0, sum(caps) // 2))
     m = dominance_matching(caps, ell)
-    v = verify_matching(m)
+    v = verify_matching(caps, ell, m)
     assert v.ok, (caps, ell, v)
-    assert set(m.assignment) == set(enumerate_box(caps, ell))
+    assert set(m) == set(enumerate_box(caps, ell))
 
 
 def test_capped_specialization_has_matching():
@@ -236,8 +221,8 @@ def test_capped_specialization_has_matching():
         caps = (p - 1,) * n
         for ell in range(sum(caps) // 2 + 1):
             m = dominance_matching(caps, ell)
-            assert verify_matching(m).ok
-            assert len(m.assignment) == len(enumerate_box(caps, ell))
+            assert verify_matching(caps, ell, m).ok
+            assert len(m) == len(enumerate_box(caps, ell))
 
 
 def test_iter_caps_vectors_count():
@@ -264,7 +249,7 @@ def test_array_map_equals_reference_on_sweep():
 def test_dominance_matching_equals_reference_small_sweep():
     for caps in iter_caps_vectors(3, 8):
         for ell in range(sum(caps) // 2 + 1):
-            assert dominance_matching(caps, ell).pairs() == list(reference_pairs(caps, ell))
+            assert list(dominance_matching(caps, ell).items()) == list(reference_pairs(caps, ell))
     reference_pairs.cache_clear()
 
 
@@ -273,20 +258,20 @@ def test_dominance_matching_equals_reference_small_sweep():
 def test_long_shift_runs_match_reference(caps, data):
     ell = data.draw(st.integers(0, sum(caps) // 2))
     m = dominance_matching(caps, ell)
-    assert m.pairs() == list(reference_pairs(caps, ell))
-    assert verify_matching(m).ok
+    assert list(m.items()) == list(reference_pairs(caps, ell))
+    assert verify_matching(caps, ell, m).ok
     reference_pairs.cache_clear()
 
 
 def test_no_recursion_error_on_large_inputs():
     assert len(grade_basis(1200, 2, 1)) == 1200
     assert hall_matching_exists((3000, 3000), 1500)
-    assert len(dominance_matching((3000, 3000), 1500).assignment) == 1501
+    assert len(dominance_matching((3000, 3000), 1500)) == 1501
 
 
 def test_library_refuses_by_box_size_at_once():
     t0 = time.perf_counter()
-    assert dominance_matching((10 ** 9,), 10 ** 8).pairs() == [((10 ** 8,), (9 * 10 ** 8,))]
+    assert dominance_matching((10 ** 9,), 10 ** 8) == {(10 ** 8,): (9 * 10 ** 8,)}
     for caps, ell in [((10 ** 9, 10 ** 9), 10 ** 8), ((100,) * 10, 240), ((1,) * 60, 30)]:
         with pytest.raises(ValueError, match="limit"):
             dominance_matching(caps, ell)
@@ -301,7 +286,7 @@ def test_library_refuses_by_box_size_at_once():
     # HALL_BOX_LIMIT sources, the construction more.
     with pytest.raises(ValueError, match=f"2049 elements, above the limit {HALL_BOX_LIMIT}"):
         hall_matching_exists((20_000, 20_000), 2048)
-    assert len(dominance_matching((20_000, 20_000), 9999).assignment) == 10_000
+    assert len(dominance_matching((20_000, 20_000), 9999)) == 10_000
     assert time.perf_counter() - t0 < 1.0
     assert box_size((100,) * 10, 240) == 8027667243448424 > MATCHING_BOX_LIMIT
 
@@ -340,9 +325,8 @@ def test_sweep_reports_a_broken_map_like_verify_matching(monkeypatch):
     failures = 0
     for caps, verdicts, oracle in matching_sweep(iter_caps_vectors(3, 6)):
         for ell, verdict in enumerate(verdicts):
-            m = Matching(Box(caps, ell), Box(caps, sum(caps) - ell),
-                         {v: seen[caps, v] for v in enumerate_box(caps, ell)})
-            assert verdict == verify_matching(m), (caps, ell)
+            m = {v: seen[caps, v] for v in enumerate_box(caps, ell)}
+            assert verdict == verify_matching(caps, ell, m), (caps, ell)
             failures += not verdict.ok
         assert oracle == [hall_matching_exists(caps, ell) for ell in range(sum(caps) + 1)]
     assert failures > 100

@@ -12,6 +12,7 @@ from truncsym import monomial_box as boxes
 from truncsym import slopes as slp
 from truncsym import trunc_algebra as alg
 from truncsym import trunc_power as tp
+from truncsym.jsonout import dumps
 from truncsym.slopes import TOP_DEGREE_LIMIT
 from truncsym.suites import (
     MATCHING_CAPS_LIMIT,
@@ -42,9 +43,9 @@ DEFAULT_REPORT_SHA256 = "fcd32bc48abe502e8db96810ffad75597924220d0680a98e81b3c73
 
 def test_default_report_digest():
     full = run_suite(SuiteConfig())
-    # The report's own writer gives json.dumps's bytes, the float timings included.
-    assert full.to_json() == json.dumps(full.to_dict(), indent=2, sort_keys=True)
-    report = strip_timings(full.to_dict())
+    # The report writer gives json.dumps's bytes, the float timings included.
+    assert dumps(full) == json.dumps(full, indent=2, sort_keys=True)
+    report = strip_timings(full)
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
@@ -56,7 +57,7 @@ MATCHING_WIDE_REPORT_SHA256 = "ff8eaa02505303d24177d7f78b0cef27e1198aaa05d04c578
 
 def test_matching_wide_report_digest():
     config = SuiteConfig(suites=("matching",), matching_n_max=5)
-    report = strip_timings(run_suite(config).to_dict())
+    report = strip_timings(run_suite(config))
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == MATCHING_WIDE_REPORT_SHA256
 
@@ -68,7 +69,7 @@ FILTRATION_WIDE_REPORT_SHA256 = "d73eb3b426a1a7e75971a2cf059a1627779fdabfd9f6753
 
 def test_filtration_wide_report_digest():
     config = SuiteConfig(suites=("filtration",), n_max=5, primes=(2, 3, 5, 7, 11))
-    report = strip_timings(run_suite(config).to_dict())
+    report = strip_timings(run_suite(config))
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == FILTRATION_WIDE_REPORT_SHA256
 
@@ -80,7 +81,7 @@ KOSZUL_WIDE_REPORT_SHA256 = "be6d398cdfdbb875a4e986d9fe9ca848ce152d7b2cb6576d1c9
 
 def test_koszul_wide_report_digest():
     config = SuiteConfig(suites=("koszul",), n_max=6, primes=(2, 3, 5, 7))
-    report = strip_timings(run_suite(config).to_dict())
+    report = strip_timings(run_suite(config))
     assert report["suites"]["koszul"]["cases"] == 89
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == KOSZUL_WIDE_REPORT_SHA256
@@ -116,20 +117,20 @@ DEFAULT_GROWTH_CASES_SHA256 = "9a4190bd4b72237395187a41052d23b01da8b736d93262bba
 
 
 def test_default_growth_cases_digest(monkeypatch):
-    verdicts = []
+    dims = []
 
     def recording(v):
-        verdict = check(v)
-        verdicts.append(verdict)
-        return verdict
+        image = image_dim(v)
+        dims.append([v.dim, image])
+        return image
 
-    check = alg.check_upper_half_growth
-    monkeypatch.setattr(alg, "check_upper_half_growth", recording)
+    image_dim = alg.spanned_image_dim
+    monkeypatch.setattr(alg, "spanned_image_dim", recording)
     cfg = SuiteConfig()
     cases = _growth_cases(_suite_pairs(cfg), random.Random(f"{cfg.seed}:growth"),
                           cfg.random_subspaces_per_grade)
-    rows = [[key, verdicts[-1].dim_v, verdicts[-1].image_dim] for key, _, _ in cases]
-    assert len(rows) == len(verdicts) == 4304
+    rows = [[key, *dims[-1]] for key, _, _ in cases]
+    assert len(rows) == len(dims) == 4304
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DEFAULT_GROWTH_CASES_SHA256
 
 
@@ -159,7 +160,7 @@ def test_default_slopes_draws_digest(monkeypatch):
 
     for name in ("make_slope_data", "curve_gap", "weight_sum_check", "gap_lower_bound"):
         monkeypatch.setattr(slp, name, recording(name, getattr(slp, name)))
-    assert run_suite(SuiteConfig(suites=("slopes",))).passed
+    assert run_suite(SuiteConfig(suites=("slopes",)))["passed"]
     assert len(calls) == 28403
     digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
     assert digest == DEFAULT_SLOPES_DRAWS_SHA256
@@ -172,10 +173,10 @@ def test_pairing_cases_fail_unless_the_matrix_reduces_to_identity(monkeypatch):
     for rows, shape in bad:
         monkeypatch.setattr(alg, "omega_pairing_matrix", lambda n, p, ell: dense_matrix(rows, p))
         result = collect(_pairing_cases([(1, 5)]))
-        assert result.cases == 5 and len(result.failures) == 5
-        assert result.failures[0]["detail"] == f"pairing matrix {shape}"
+        assert result["cases"] == 5 and result["failure_count"] == len(result["failures"]) == 5
+        assert result["failures"][0]["detail"] == f"pairing matrix {shape}"
     monkeypatch.undo()
-    assert collect(_pairing_cases([(1, 5), (2, 3)])).passed
+    assert collect(_pairing_cases([(1, 5), (2, 3)]))["passed"]
 
 
 def test_composite_cases_count_the_words(monkeypatch):
@@ -188,10 +189,10 @@ def test_composite_cases_count_the_words(monkeypatch):
         for row in batches(*args):
             yield tp.WordRow(row.layout, row.words[1:], row.coeffs[1:])
 
-    assert collect(_filtration_cases([(2, 3)])).passed
+    assert collect(_filtration_cases([(2, 3)]))["passed"]
     monkeypatch.setattr(tp, "_row_batches", short_rows)
     monkeypatch.setattr(filt, "_row_batches", short_rows)
-    failures = collect(_filtration_cases([(2, 3)])).failures
+    failures = collect(_filtration_cases([(2, 3)]))["failures"]
     assert [f["case"] for f in failures] == [f"composite n=2 p=3 l={ell}" for ell in range(5)]
 
 
@@ -201,12 +202,12 @@ def test_matching_cases_fail_wherever_the_oracle_denies(monkeypatch):
     # of a shape must fail, and no boundary case.
     monkeypatch.setattr(boxes, "_augmenting_matching_exists", lambda *args: False)
     caps_list = list(boxes.iter_caps_vectors(3, 6))
-    result = collect(_matching_cases(caps_list))
-    failed = {f["case"] for f in result.failures}
-    assert failed == {f"caps={','.join(map(str, caps))} l={ell}"
-                      for caps in caps_list for ell in range(sum(caps) // 2 + 1)}
-    assert all(f["detail"] == "oracle denies a matching the construction produced"
-               for f in result.failures)
+    failures = [(key, detail) for key, ok, detail in _matching_cases(caps_list) if not ok]
+    assert {key for key, _ in failures} == {
+        f"caps={','.join(map(str, caps))} l={ell}"
+        for caps in caps_list for ell in range(sum(caps) // 2 + 1)}
+    assert all(detail == "oracle denies a matching the construction produced"
+               for _, detail in failures)
 
 
 def test_validate_bounds_top_degree_before_primality():
@@ -270,9 +271,11 @@ def test_growth_claims_detail_only_failures(monkeypatch):
     passing = list(claim())
     assert {key.split()[0] for key, _, _ in passing} == {"coord", "random"}
     assert all(ok and detail == "" for _, ok, detail in passing)
-    monkeypatch.setattr(alg, "check_upper_half_growth", lambda v: alg.GrowthVerdict(
-        False, v.dim + 1, v.dim, v.n, v.p, v.grade, dense_matrix([[1]], v.p)))
+    monkeypatch.setattr(alg, "spanned_image_dim", lambda v: v.dim - 1)
     failing = list(claim())
     assert [key for key, _, _ in failing] == [key for key, _, _ in passing]
     assert all(not ok and detail.startswith("dim ") and " > image " in detail
                for _, ok, detail in failing)
+    # A random case names the subspace's basis.
+    assert all(detail.endswith(")") and "; basis ((" in detail
+               for key, _, detail in failing if key.startswith("random"))

@@ -8,7 +8,6 @@ from truncsym.monomial_box import box_size, grade_basis
 from truncsym.trunc_algebra import (
     GradedSubspace,
     apply_diff,
-    check_upper_half_growth,
     coordinate_subspaces,
     diff_action_matrix,
     omega_pairing_matrix,
@@ -221,8 +220,7 @@ def test_spanned_image_grade_precondition():
 
 def test_growth_zero_subspace():
     zero = GradedSubspace.from_vectors(2, 3, 3, [])
-    verdict = check_upper_half_growth(zero)
-    assert verdict.ok and verdict.dim_v == 0 and verdict.image_dim == 0
+    assert zero.dim == 0 and spanned_image_dim(zero) == 0
 
 
 def test_growth_top_grade_lines():
@@ -230,15 +228,13 @@ def test_growth_top_grade_lines():
         top = n * (p - 1)
         dim = len(grade_basis(n, p, top))
         assert dim == 1
-        verdict = check_upper_half_growth(GradedSubspace.coordinate(n, p, top, [0]))
-        assert verdict.ok and verdict.image_dim >= 1
+        assert spanned_image_dim(GradedSubspace.coordinate(n, p, top, [0])) >= 1
 
 
 def test_growth_example_n2_p3():
     basis = grade_basis(2, 3, 3)
     idx = basis.index((2, 1))
-    verdict = check_upper_half_growth(GradedSubspace.coordinate(2, 3, 3, [idx]))
-    assert verdict.ok and verdict.image_dim >= 1
+    assert spanned_image_dim(GradedSubspace.coordinate(2, 3, 3, [idx])) >= 1
 
 
 def test_growth_coordinate_sweep_small():
@@ -248,8 +244,8 @@ def test_growth_coordinate_sweep_small():
             dim = len(grade_basis(n, p, ell))
             for mask in range(1 << dim):
                 idxs = [i for i in range(dim) if mask >> i & 1]
-                verdict = check_upper_half_growth(GradedSubspace.coordinate(n, p, ell, idxs))
-                assert verdict.ok, (n, p, ell, idxs, verdict)
+                image = spanned_image_dim(GradedSubspace.coordinate(n, p, ell, idxs))
+                assert len(idxs) <= image, (n, p, ell, idxs, image)
 
 
 def test_growth_random_subspaces_seeded():
@@ -260,8 +256,19 @@ def test_growth_random_subspaces_seeded():
             dim = len(grade_basis(n, p, ell))
             for _ in range(100):
                 sub = GradedSubspace.random(n, p, ell, rng.randint(1, dim), rng)
-                verdict = check_upper_half_growth(sub)
-                assert verdict.ok, (n, p, ell, sub.basis.entries)
+                assert sub.dim <= spanned_image_dim(sub), (n, p, ell, sub.basis.entries)
+
+
+def test_random_subspace_refuses_a_dimension_outside_the_grade(monkeypatch):
+    # Refused before any span is drawn: no span has a negative dimension, so
+    # a retry loop would never end.
+    def no_span(*args):
+        raise AssertionError("drew a span for a dimension no span has")
+
+    monkeypatch.setattr(GradedSubspace, "from_vectors", no_span)
+    for dim in (-1, -7, 3):  # grade 3 of (2, 3) has dimension 2
+        with pytest.raises(ValueError, match=rf"dimension {dim} outside \[0, 2\]"):
+            GradedSubspace.random(2, 3, 3, dim, random.Random(0))
 
 
 def _reference_image_dim(v):
