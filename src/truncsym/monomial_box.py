@@ -5,9 +5,10 @@ and sum(v) = l.  For l <= sigma/2 (sigma = sum of caps) there is an
 injective map phi from M^l into M^{sigma-l} with v <= phi(v) componentwise;
 ``dominance_matching`` builds it by the split-and-shift construction, and
 ``hall_matching_exists`` is an independent bipartite-matching oracle for
-the same statement.  Boxes are enumerated as numpy rows; the map is
-computed for all source elements at once, and ``matching_sweep`` checks
-many caps vectors per batch.  Nothing here recurses or caches without bound.
+the same statement.  Boxes are enumerated as numpy rows; the map is one
+fold over the columns of all source elements at once, and
+``matching_sweep`` checks many caps vectors per batch.  Nothing here
+recurses or caches without bound.
 """
 
 from __future__ import annotations
@@ -189,74 +190,57 @@ class MatchingVerdict:
 _MATCHED = MatchingVerdict(True)
 
 
-def _split_last(w: np.ndarray, i: np.ndarray, j: np.ndarray, cap: np.ndarray,
-                shift: np.ndarray) -> None:
-    # Undo one step on the flat image array w, in place.  A merge (shift 0)
-    # is split back: the merged value goes into slot i up to its cap, the
-    # overflow into the empty slot j.  A shift run (cap beyond any value)
-    # leaves slot i and adds its length to slot j.
-    wi = w[i]
-    kept = np.minimum(wi, cap)
-    w[j] += shift + (wi - kept)
-    w[i] = kept
-
-
 def _split_shift_images(v: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """The dominance matching of each row of v inside the box of its caps row.
 
-    Positive caps are the active coordinates.  A step looks at the last two,
-    i < j: if v_i = a_i or v_j = 0 the two merge into slot i with cap
-    a_i + a_j; otherwise t = min(a_i - v_i, v_j) shifts happen at once
-    (v_j, a_i and a_j all drop by t), after which the row merges or a cap
-    reaches zero.  So a row takes at most 2 * len(caps) steps, whatever its
-    degree.  One active coordinate maps to a_j - v_j; the logged steps are
-    then unwound in reverse: a merge is split back, a shift adds t to slot j.
-
-    Only slots i and j ever change, so the active slots below i are those of
-    the input caps: ``below`` links each slot to the active one before it,
-    and i and j are tracked as flat indices of the rows still stepping.
+    One fold over the columns, right to left, carries each row's merged
+    suffix: its slot s, value x and cap a.  A column k of positive cap c
+    meets it with t = min(c - v_k, x) shifts at once (c, x and a all drop by
+    t); after them v_k = c - t or x = t, so while both caps stay positive the
+    two merge into slot k with value v_k + x - t and cap c + a - 2t.  A spent
+    cap leaves the other coordinate as the suffix, two leave none.  The
+    suffix maps to a - x in its slot, every other slot to 0, and one pass
+    left to right undoes the columns: slot k keeps at most c - t, which
+    binds only after a merge, and the rest and the t shifts go to slot s.
+    So each row takes two passes over its columns, whatever its degree.
     """
     rows, n = v.shape
-    v, caps = v.ravel().copy(), caps.ravel().copy()
-    active = np.where(caps.reshape(rows, n) > 0, np.arange(n), -1)
-    last = np.maximum.accumulate(active, axis=1)
-    flat = np.arange(rows)[:, None] * n
-    below = np.full((rows, n), -1, np.int64)
-    below[:, 1:] = np.where(last[:, :-1] >= 0, flat + last[:, :-1], -1)
-    # A final -1 entry makes below[-1] == -1.
-    below = np.append(below.ravel(), -1)
-    j = np.where(last[:, -1] >= 0, flat[:, 0] + last[:, -1], -1)
-    i = below[j]
-    j, i = j[i >= 0], i[i >= 0]
-    no_cap = np.iinfo(v.dtype).max
+    v, caps = np.ascontiguousarray(v.T), np.ascontiguousarray(caps.T)
+    r = np.arange(rows)
+    # The suffix's slot as a flat index into the (n, rows) images; a row
+    # without a suffix has x = a = 0, so its steps change nothing.
+    s = r.copy()
+    x = np.zeros(rows, v.dtype)
+    a = np.zeros(rows, v.dtype)
     log = []
-    while len(i):
-        vi, vj, ci, cj = v[i], v[j], caps[i], caps[j]
-        merge = (vi == ci) | (vj == 0)
-        t = np.where(merge, 0, np.minimum(ci - vi, vj))
-        log.append((i, j, np.where(merge, ci, no_cap), t))
-        ci = np.where(merge, ci + cj, ci - t)
-        cj = np.where(merge, 0, cj - t)
-        caps[i], caps[j] = ci, cj
-        v[i] = np.where(merge, vi + vj, vi)
-        v[j] = np.where(merge, 0, vj - t)
-        # The last two active slots now: j stays unless its cap is spent,
-        # i unless it took j's place or its cap is spent.
-        bi = below[i]
-        keep_i, keep_j = ci > 0, cj > 0
-        j, i = (np.where(keep_j, j, np.where(keep_i, i, bi)),
-                np.where(keep_j, np.where(keep_i, i, bi), np.where(keep_i, bi, below[bi])))
-        j, i = j[i >= 0], i[i >= 0]
-    w = caps - v
-    for i, j, cap, shift in reversed(log):
-        _split_last(w, i, j, cap, shift)
-    return w.reshape(rows, n)
+    for k in range(n - 1, -1, -1):
+        c, vk = caps[k], v[k]
+        if not c.any():
+            continue
+        t = np.minimum(c - vk, x)
+        c = c - t
+        a = a - t
+        log.append((k, s, t, c))
+        x = vk + (x - t)
+        a = c + a
+        s = np.where(c > 0, k * rows + r, s)
+    w = np.zeros((n, rows), v.dtype)
+    flat = w.ravel()
+    flat[s] = a - x
+    for k, s, t, cap in reversed(log):
+        wk = w[k].copy()
+        w[k] = np.minimum(wk, cap)
+        flat[s] += t + (wk - w[k])
+    return w.T
 
 
 def dominance_matching(caps: tuple[int, ...] | list[int],
                        ell: int) -> dict[MultiIndex, MultiIndex]:
     """The split-and-shift injective dominance matching M^l -> M^{sigma-l},
     as the assignment {v: phi(v)} in lexicographic order of v.
+
+    The map runs on every source element at once, two passes over the
+    columns whatever the degree (``_split_shift_images``).
 
     Requires 2*ell <= sigma; outside that range no dominance matching can
     exist on a non-empty box, so the hypothesis violation is an error, and
@@ -283,11 +267,25 @@ def _earlier_equal(keys: list[np.ndarray]) -> np.ndarray:
     count = len(keys[0])
     if not count:
         return np.zeros(0, np.int64)
-    order = np.lexsort([np.arange(count), *reversed(keys)])
-    same = np.ones(count - 1, bool)
-    for key in keys:
-        ordered = key[order]
-        same &= ordered[1:] == ordered[:-1]
+    lows = [int(key.min()) for key in keys]
+    spans = [int(key.max()) - low + 1 for key, low in zip(keys, lows)]
+    if math.prod(spans) <= 1 << 62:
+        # One int64 per row, the keys as mixed-radix digits, the first most
+        # significant: a stable sort of it is the lexsort below.
+        packed = np.zeros(count, np.int64)
+        for key, low, span in zip(keys, lows, spans):
+            packed *= span
+            packed += key
+            packed -= low
+        order = np.argsort(packed, kind="stable")
+        ordered = packed[order]
+        same = ordered[1:] == ordered[:-1]
+    else:
+        order = np.lexsort([np.arange(count), *reversed(keys)])
+        same = np.ones(count - 1, bool)
+        for key in keys:
+            ordered = key[order]
+            same &= ordered[1:] == ordered[:-1]
     starts = np.concatenate([[True], ~same])
     leader = order[starts][np.cumsum(starts) - 1]
     first = np.empty(count, np.int64)
@@ -500,10 +498,11 @@ def _sweep_chunks(caps_vectors: Iterable[tuple[int, ...]]) -> Iterator[list[tupl
 
 
 def _graded_rows(caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The full box of every caps vector (a row of ``caps``), enumerated once.
+    """The full box of every shape (a row of ``caps``) for the Hall oracle,
+    which needs the target degrees above sigma/2 as well.
 
-    Returns the rows ordered by (caps vector q, degree l), lexicographic
-    within each, and their keys q * stride + l with stride = max sigma + 1.
+    Returns the rows ordered by (shape q, degree l), lexicographic within
+    each, and their keys q * stride + l with stride = max sigma + 1.
     """
     stride = int(caps.sum(axis=1).max()) + 1
     rows, owner = _enumerate(caps)
@@ -541,8 +540,11 @@ def matching_sweep(
 
     The same map, checks and oracle as ``dominance_matching``,
     ``verify_matching`` and ``hall_matching_exists``, run on a batch of caps
-    vectors of one length at once: each full box is enumerated once and
-    sliced by degree, and the map and its checks run on all rows together.
+    vectors of one length at once.  Only the matched half is enumerated,
+    degree-major: for each l the boxes of degree l of every caps vector with
+    2l <= sigma, so case l * count + q (caps vector q of the batch's count)
+    rises along the rows and each case's rows stay in lexicographic order.
+    The map and its checks run on all rows together.
     The oracle is solved once per shape, the sorted positive caps: permuting
     coordinates and dropping a zero cap map a box onto the shape's box,
     degree by degree, and keep dominance both ways, so a dominance matching
@@ -554,25 +556,31 @@ def matching_sweep(
     for chunk in _sweep_chunks(caps_vectors):
         caps = np.array(chunk, np.int64)
         sigma = caps.sum(axis=1)
-        rows, key, stride = _graded_rows(caps)
-        owner, degree = np.divmod(key, stride)
-        matched = 2 * degree <= sigma[owner]
-        v, case = rows[matched], key[matched]
-        row_caps = caps[owner[matched]].astype(v.dtype)
+        top, count = int(sigma.max()), len(chunk)
+        parts, cases = [], []
+        for ell in range(top // 2 + 1):
+            owners = np.flatnonzero(2 * ell <= sigma)
+            rows, owner = _enumerate(caps[owners], ell)
+            parts.append(rows)
+            cases.append(ell * count + owners[owner])
+        dtype = _row_dtype(top + 1)
+        v = np.concatenate(parts).astype(dtype, copy=False)
+        case = np.concatenate(cases)
+        degree, owner = np.divmod(case, count)
+        row_caps = caps.astype(dtype)[owner]
         w = _split_shift_images(v, row_caps)
-        outside, undominated, repeat = _violations(
-            v, w, row_caps, sigma[owner[matched]] - degree[matched], case)
+        outside, undominated, repeat = _violations(v, w, row_caps, sigma[owner] - degree, case)
         failing = set(case[outside | undominated | (repeat >= 0)].tolist())
         shapes = [_shape(c) for c in chunk]
         unsolved = sorted(set(shapes).difference(answers), key=lambda s: (len(s), s))
         for _, group in itertools.groupby(unsolved, len):
             group = list(group)
             answers.update(zip(group, _shape_oracle(group)))
-        starts = np.searchsorted(case, np.arange(len(chunk) * stride + 1)).tolist()
+        starts = np.searchsorted(case, np.arange((top // 2 + 1) * count + 1)).tolist()
         for q, caps_q in enumerate(chunk):
             verdicts = []
             for ell in range(int(sigma[q]) // 2 + 1):
-                c = q * stride + ell
+                c = ell * count + q
                 if c not in failing:
                     verdicts.append(_MATCHED)
                     continue

@@ -103,9 +103,11 @@ class WordLayout:
 
     def codes(self, words: np.ndarray) -> list[int]:
         """Each word read in base n as one exact int (codes order like words)."""
-        out = sum(words[:, c].astype(object) * self.n ** (self.length - end)
-                  for c, end in enumerate(self.ends))
-        return out.tolist()
+        out = words[:, 0].tolist()
+        for c in range(1, len(self.ends)):
+            scale = self.n ** (self.ends[c] - self.ends[c - 1])
+            out = [high * scale + low for high, low in zip(out, words[:, c].tolist())]
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -246,6 +246,64 @@ def test_array_map_equals_reference_on_sweep():
     reference_pairs.cache_clear()
 
 
+def test_array_map_equals_reference_on_edge_cases():
+    # Long caps vectors at small sigma, then one batch of edge cases: both
+    # caps spent by one shift, zero caps between active ones, all caps zero,
+    # and a cap of 10^9 alone and among small ones.
+    t0 = time.perf_counter()
+    long_caps = [c for c in iter_caps_vectors(7, 4) if len(c) >= 6]
+    edge_caps = [(2, 2), (2, 0, 3), (1, 0, 0, 2), (0, 3, 0, 0, 1, 0), (0, 0, 0), (0,),
+                 (10 ** 9,), (3, 10 ** 9, 2), (2, 0, 10 ** 9)]
+    edge_degrees = {(10 ** 9,): [0, 10 ** 8], (3, 10 ** 9, 2): [0, 1, 4],
+                    (2, 0, 10 ** 9): [1, 3]}
+    batches = [[(caps, ell) for caps in long_caps for ell in range(sum(caps) // 2 + 1)],
+               [(caps, ell) for caps in edge_caps
+                for ell in edge_degrees.get(caps, range(sum(caps) // 2 + 1))]]
+    for batch in batches:
+        rows = [(v, caps, w) for caps, ell in batch for v, w in reference_pairs(caps, ell)]
+        dtype = boxes._row_dtype(max(sum(caps) for caps, _ in batch))
+        by_length = {}
+        for row in rows:
+            by_length.setdefault(len(row[0]), []).append(row)
+        for group in by_length.values():
+            v, caps, w = (np.array(col, dtype) for col in zip(*group))
+            assert np.array_equal(boxes._split_shift_images(v, caps), w)
+    reference_pairs.cache_clear()
+    assert reference_pairs((2, 2), 2)[0] == ((0, 2), (0, 2))
+    v = np.array([[0, 2]], np.int8)
+    assert boxes._split_shift_images(v, np.array([[2, 2]], np.int8)).tolist() == [[0, 2]]
+    assert time.perf_counter() - t0 < 2.0
+
+
+def _first_equal_reference(keys):
+    first, out = {}, []
+    for i, row in enumerate(zip(*(key.tolist() for key in keys))):
+        out.append(first.setdefault(row, i))
+    return [-1 if j == i else j for i, j in enumerate(out)]
+
+
+def test_earlier_equal_packed_equals_lexsort():
+    rng = np.random.default_rng(7)
+    for rows, n, hi in [(1, 3, 2), (200, 3, 2), (2_000, 5, 6), (500, 7, 12)]:
+        case = np.sort(rng.integers(0, max(rows // 8, 1), rows))
+        # -1 marks the images verify_matching puts outside the target.
+        images = rng.integers(-1, hi + 1, (rows, n)).astype(np.int8)
+        keys = [case, *images.T]
+        expected = _first_equal_reference(keys)
+        assert boxes._earlier_equal(keys).tolist() == expected
+        # A key that is a function of another leaves equal rows equal, and
+        # this one's range of 2^63 takes the lexsort path.
+        wide = np.where(images[:, 0] < 0, -(2 ** 62), 2 ** 62)
+        if len(set(wide.tolist())) > 1:
+            assert boxes._earlier_equal([*keys, wide]).tolist() == expected
+    assert boxes._earlier_equal([np.zeros(0, np.int64), np.zeros(0, np.int8)]).tolist() == []
+    # Keys beyond 62 bits of range on their own.
+    big = np.array([2 ** 62, -(2 ** 62), 2 ** 62, 5, -(2 ** 62), 5], np.int64)
+    small = np.array([0, 0, 0, 1, 1, 1], np.int8)
+    assert boxes._earlier_equal([big]).tolist() == [-1, -1, 0, -1, 1, 3]
+    assert boxes._earlier_equal([small, big]).tolist() == [-1, -1, 0, -1, -1, 3]
+
+
 def test_dominance_matching_equals_reference_small_sweep():
     for caps in iter_caps_vectors(3, 8):
         for ell in range(sum(caps) // 2 + 1):
