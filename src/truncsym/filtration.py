@@ -21,8 +21,8 @@ import numpy as np
 
 from .fp_linalg import FpMatrix
 from .monomial_box import MultiIndex, grade_basis
-from .trunc_power import (WordLayout, WordRow, _check_rows, _distinct_rows, _expand,
-                          _one_letter_rows, _row_batches)
+from .trunc_power import (WordLayout, _check_rows, _distinct_rows, _expand, _one_letter_rows,
+                          _row_batches)
 
 
 def filtration_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
@@ -85,9 +85,10 @@ def _derivative_walk(layout: WordLayout, left: np.ndarray, factor: np.ndarray, p
     return words[order], coeffs[order], origin[order], left[order]
 
 
-def nabla_power_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> Iterator[WordRow]:
+def nabla_power_rows(n: int, p: int,
+                     monomials: Sequence[MultiIndex]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Full connection composite on monomials of one degree l, one packed word
-    row each, in order.
+    row ``(words, coeffs)`` each, in order.
 
     Each monomial is walked down to degree zero one derivative at a time; the
     direction chosen at each step is a word letter, the newest leftmost (the
@@ -146,13 +147,7 @@ def nabla_power_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> Iterato
             words, coeffs, counts = words[keep], coeffs[keep], np.diff(kept).tolist()
         return words, coeffs, counts
 
-    yield from _row_batches(layout, row[order], entry_sizes, len(monomials), assemble)
-
-
-def nabla_power_row(n: int, p: int, k: MultiIndex) -> WordRow:
-    """Full connection composite applied to one degree-sum(k) monomial: the
-    one-row case of ``nabla_power_rows``."""
-    return next(nabla_power_rows(n, p, [k]))
+    yield from _row_batches(row[order], entry_sizes, len(monomials), assemble)
 
 
 def curve_report(p: int) -> str | None:

@@ -103,9 +103,6 @@ class FpMatrix:
             return NotImplemented
         return (self.modulus, self.ncols, self.rows) == (other.modulus, other.ncols, other.rows)
 
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.ncols, tuple(tuple(sorted(r.items())) for r in self.rows)))
-
     def __repr__(self) -> str:
         return f"FpMatrix({list(self.rows)!r}, modulus={self.modulus}, cols={self.ncols})"
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -179,17 +178,6 @@ def _bounded_box_size(caps: tuple[int, ...], degree: int, limit: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class MatchingVerdict:
-    ok: bool
-    reason: str | None = None
-    witness: tuple | None = None
-
-
-# The verdict of every map that passes its checks.
-_MATCHED = MatchingVerdict(True)
-
-
 def _split_shift_images(v: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """The dominance matching of each row of v inside the box of its caps row.
 
@@ -305,35 +293,38 @@ def _violations(v: np.ndarray, w: np.ndarray, caps: np.ndarray, target_degree: n
 
 
 def _verdict(source: list[MultiIndex], images: list, outside, undominated,
-             repeat) -> MatchingVerdict:
-    """The first violation in source order, from the flags of ``_violations``."""
+             repeat) -> str | None:
+    """The first violation in source order, from the flags of ``_violations``,
+    worded as "<reason> at <witness>"; None when there is none."""
     bad = outside | undominated | (repeat >= 0)
     if not bad.any():
-        return _MATCHED
+        return None
     k = int(np.argmax(bad))
     v, w = source[k], images[k]
     if outside[k]:
-        return MatchingVerdict(False, "image outside target box", (v, w))
+        return f"image outside target box at {(v, w)}"
     if undominated[k]:
-        return MatchingVerdict(False, "dominance fails", (v, w))
-    return MatchingVerdict(False, "not injective", (source[repeat[k]], v, w))
+        return f"dominance fails at {(v, w)}"
+    return f"not injective at {(source[repeat[k]], v, w)}"
 
 
 def verify_matching(caps: tuple[int, ...] | list[int], ell: int,
-                    assignment: dict[MultiIndex, MultiIndex]) -> MatchingVerdict:
+                    assignment: dict[MultiIndex, MultiIndex]) -> str | None:
     """Check that ``assignment`` maps M^l into M^{sigma-l} totally,
     injectively and along dominance.
 
-    Returns the first violation found, scanning the source box in
-    lexicographic order: a missing image first, then per element an image
-    outside the target, dominance, and an image met before.
+    Returns None when it does, else the first violation found, scanning the
+    source box in lexicographic order: a missing image first, then per
+    element an image outside the target, dominance, and an image met before.
+    The violation is worded as its reason and witness, e.g.
+    "not injective at ((0, 1), (1, 0), (2, 1))".
     """
     caps = tuple(caps)
     source = enumerate_box(caps, ell)
     images = [assignment.get(v) for v in source]
     for v, w in zip(source, images):
         if w is None:
-            return MatchingVerdict(False, "not total", (v,))
+            return f"not total at {(v,)}"
     n, sigma = len(caps), sum(caps)
     # Rows of the wrong length or beyond the caps total lie outside the
     # target; -1 marks them as such and keeps the array exact.
@@ -534,9 +525,10 @@ def _shape_oracle(shapes: list[tuple[int, ...]]) -> list[list[bool]]:
 
 def matching_sweep(
     caps_vectors: Iterable[tuple[int, ...]],
-) -> Iterator[tuple[tuple[int, ...], list[MatchingVerdict], list[bool]]]:
-    """For each caps vector, the verdicts of the dominance matching at every
-    degree l <= sigma/2 and the Hall oracle's answers at every l <= sigma.
+) -> Iterator[tuple[tuple[int, ...], list[str | None], list[bool]]]:
+    """For each caps vector, the failures of the dominance matching at every
+    degree l <= sigma/2 (``verify_matching``'s message, or None where it
+    passes) and the Hall oracle's answers at every l <= sigma.
 
     The same map, checks and oracle as ``dominance_matching``,
     ``verify_matching`` and ``hall_matching_exists``, run on a batch of caps
@@ -578,18 +570,18 @@ def matching_sweep(
             answers.update(zip(group, _shape_oracle(group)))
         starts = np.searchsorted(case, np.arange((top // 2 + 1) * count + 1)).tolist()
         for q, caps_q in enumerate(chunk):
-            verdicts = []
+            failures = []
             for ell in range(int(sigma[q]) // 2 + 1):
                 c = ell * count + q
                 if c not in failing:
-                    verdicts.append(_MATCHED)
+                    failures.append(None)
                     continue
                 lo, hi = starts[c], starts[c + 1]
                 earlier = repeat[lo:hi]
-                verdicts.append(_verdict(
+                failures.append(_verdict(
                     _as_tuples(v[lo:hi]), _as_tuples(w[lo:hi]), outside[lo:hi],
                     undominated[lo:hi], np.where(earlier >= 0, earlier - lo, -1)))
-            yield caps_q, verdicts, list(answers[shapes[q]])
+            yield caps_q, failures, list(answers[shapes[q]])
 
 
 def iter_caps_vectors(n_max: int, sigma_max: int) -> Iterator[tuple[int, ...]]:

@@ -155,7 +155,6 @@ def _parse_record(record, idx: int) -> Scenario:
         _check_digits(max(profile, default=0), f"{where}: field 'profile'")
         if sum(profile) == 0:
             raise ScenarioError(f"{where}: field 'profile' must have a positive total (subsheaf rank)")
-        top = n * (p - 1)
         if len(profile) > top + 1:
             raise ScenarioError(
                 f"{where}: field 'profile' has {len(profile)} entries, more than {top + 1} layers"
@@ -174,6 +173,10 @@ def _parse_record(record, idx: int) -> Scenario:
         # The gap bound sums them over this common denominator.
         _check_digits(lcm(*(x.denominator for x in parsed)),
                       f"{where}: field 'instabilities': the common denominator")
+        if len(inst) > top + 1:
+            raise ScenarioError(
+                f"{where}: field 'instabilities' has {len(inst)} entries, more than {top + 1} layers"
+            )
         inst = parsed
 
     return Scenario(name, sd, g, profile, inst)
@@ -252,8 +255,9 @@ def evaluate_scenario(sc: Scenario) -> dict:
         mode = "monotone" if sd.n == 1 else "symmetric"
         # One validation: the warnings name every violation, layer ranks
         # included; hypothesis_ok leaves the layer ranks out.
-        ws = slp.weight_sum_check(sd.n, sd.p, sc.profile, mode=mode, rk_w=sd.rk_w)
-        warnings.extend(f"profile: {issue}" for issue in ws.violations)
+        violations, hypothesis_ok, direct2, rearranged2 = slp.weight_sum_check(
+            sd.n, sd.p, sc.profile, mode=mode, rk_w=sd.rk_w)
+        warnings.extend(f"profile: {issue}" for issue in violations)
         gap = slp.gap_lower_bound(sd, sc.profile, sc.instabilities)
         out["gap_lower_bound"] = format_rational(gap)
         if sd.n == 1 and sc.g is not None:
@@ -261,9 +265,9 @@ def evaluate_scenario(sc: Scenario) -> dict:
                 slp.curve_gap(sc.g, sd.p, sc.profile)
             )
         out["weight_sum"] = {
-            "direct": _format_half(ws.direct2),
-            "rearranged": _format_half(ws.rearranged2),
-            "hypothesis_ok": ws.hypothesis_ok,
+            "direct": _format_half(direct2),
+            "rearranged": _format_half(rearranged2),
+            "hypothesis_ok": hypothesis_ok,
         }
         if gap == 0:
             full_length, asymmetric = slp.equality_diagnosis(sd.n, sd.p, sc.profile)

@@ -247,42 +247,17 @@ def curve_gap(g: Rational, p: int, profile: Sequence[int]) -> Fraction:
     return Fraction((g.numerator - g.denominator) * weighted, g.denominator * p * rk)
 
 
-@dataclass(frozen=True)
-class WeightSumVerdict:
-    """Both forms of the weighted sum, kept doubled so that they are integers."""
-
-    hypothesis_ok: bool
-    violations: tuple[str, ...]
-    direct2: int
-    rearranged2: int
-
-    @property
-    def direct(self) -> Fraction:
-        return Fraction(self.direct2, 2)
-
-    @property
-    def rearranged(self) -> Fraction:
-        return Fraction(self.rearranged2, 2)
-
-    @property
-    def equal(self) -> bool:
-        return self.direct2 == self.rearranged2
-
-    @property
-    def nonnegative(self) -> bool:
-        return self.direct2 >= 0
-
-
 def weight_sum_check(
     n: int, p: int, profile: Sequence[int], mode: str = "symmetric", rk_w: int | None = None
-) -> WeightSumVerdict:
+) -> tuple[tuple[str, ...], bool, int, int]:
     """Evaluate the weighted sum both directly and in the reflected form.
 
-    The reflected form folds layers above the half degree onto their mirror
+    Returns ``(violations, hypothesis_ok, direct2, rearranged2)``.  The
+    reflected form folds layers above the half degree onto their mirror
     images; under the symmetric (or monotone) profile hypothesis each of its
     terms is non-negative, which forces the direct sum to be non-negative.
-    The two forms must agree identically for every profile.  Both are kept
-    doubled, as integers; ``direct`` and ``rearranged`` halve them on access.
+    The two forms must agree identically for every profile.  Both are
+    returned doubled, so that they are integers.
 
     ``violations`` are the profile's hypothesis checks, worded.  ``monotone``
     demands non-increasing ranks (the curve situation); ``symmetric`` demands
@@ -298,8 +273,7 @@ def weight_sum_check(
     # l above the half degree, whose weights 2l - top run from 1 or 2 up to
     # top; a layer past the profile weighs in through its mirror alone.
     rearranged2 = sum(map(mul, range(2 - top % 2, top + 1, 2), folds))
-    return WeightSumVerdict(hypothesis_ok, tuple(issues),
-                            _weighted_sum_twice(n, p, profile), rearranged2)
+    return tuple(issues), hypothesis_ok, _weighted_sum_twice(n, p, profile), rearranged2
 
 
 def instability_bound(sd: SlopeData, iwx: Rational) -> Fraction | None:

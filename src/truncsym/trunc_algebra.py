@@ -82,13 +82,12 @@ def omega_pairing_matrix(n: int, p: int, ell: int) -> FpMatrix:
 class GradedSubspace:
     """A subspace of grade ``grade`` of R, stored as the pivot rows
     {leading column: {column: entry}} that ``eliminate`` returns for its
-    spanning vectors.  Subspaces compare and hash by their reduced basis.
+    spanning vectors.  Two spans are equal when their ``basis`` is.
 
     ``parent_images``, when given, are pivot rows spanning the
     bridging-operator images of the span of all pivot rows but the last
     (see ``coordinate_subspaces``); the image span then eliminates only the
-    last row's images on top of them.  They are trusted, not checked, and
-    are no part of the subspace's identity."""
+    last row's images on top of them.  They are trusted, not checked."""
 
     n: int
     p: int
@@ -170,17 +169,6 @@ class GradedSubspace:
         """The reduced row-echelon basis, built on demand from the pivot rows."""
         width = len(grade_basis(self.n, self.p, self.grade))
         return row_reduce(FpMatrix(self.pivots.values(), self.p, width))[0]
-
-    def _canonical(self) -> tuple:
-        return self.n, self.p, self.grade, self.basis
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedSubspace):
-            return NotImplemented
-        return self._canonical() == other._canonical()
-
-    def __hash__(self) -> int:
-        return hash(self._canonical())
 
 
 @lru_cache(maxsize=1)

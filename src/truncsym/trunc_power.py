@@ -4,16 +4,15 @@ The degree-l truncated power of an n-dimensional space in characteristic p
 is the image of the symmetrization map from Sym^l into the l-fold tensor
 power; its monomial basis is the capped box {k : k_i <= p-1, sum k = l}.
 Tensor coordinates are words over the letters 0..n-1 (length l).  The
-ambient tensor space grows as n^l, so a tensor is kept as a ``WordRow``:
-the words it touches, packed by a ``WordLayout`` into int64 columns, and
-their coefficients.
+ambient tensor space grows as n^l, so a tensor is kept as a pair of arrays
+``(words, coeffs)``: the words it touches, packed by a ``WordLayout`` into
+int64 columns and sorted, and their coefficients, all nonzero.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -110,38 +109,6 @@ class WordLayout:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class WordRow:
-    """A sparse tensor over the words of one length, one packed word per entry.
-
-    ``words`` is an (entries, columns) int64 array packed by ``layout``, its
-    rows in increasing lexicographic order of the words; ``coeffs`` holds
-    their coefficients, all nonzero.  ``len`` is the number of entries.
-    """
-
-    layout: WordLayout
-    words: np.ndarray
-    coeffs: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WordRow):
-            return NotImplemented
-        return (
-            (self.layout.n, self.layout.length) == (other.layout.n, other.layout.length)
-            and np.array_equal(self.words, other.words)
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    __hash__ = None
-
-    def to_dict(self) -> dict[int, int]:
-        """The row as {word code: coefficient}, with ``WordLayout.codes``."""
-        return dict(zip(self.layout.codes(self.words), self.coeffs.tolist()))
-
-
 def _check_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> int:
     """Refuse a bad modulus or monomial before any array work; return the
     degree the monomials share."""
@@ -185,13 +152,13 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 BATCH_WORDS = 1 << 16
 
 
-def _row_batches(layout: WordLayout, entry_row: np.ndarray, entry_sizes: np.ndarray,
-                 rows: int, assemble) -> Iterator[WordRow]:
+def _row_batches(entry_row: np.ndarray, entry_sizes: np.ndarray, rows: int,
+                 assemble) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Rows 0..rows-1 built from entries sorted by row, entry e standing for
     entry_sizes[e] words.  Rows are cut into batches, and
     ``assemble(e0, e1, counts)`` turns the entries e0..e1-1 of a batch, whose
     rows hold ``counts`` words, into its words, coefficients and per-row entry
-    counts.  Each row is yielded as a view into its batch."""
+    counts.  Each row is yielded as its (words, coeffs) views into its batch."""
     first = np.searchsorted(entry_row, np.arange(rows + 1))
     sizes = np.diff(np.concatenate(([0], np.cumsum(entry_sizes)))[first]).tolist()
     a = 0
@@ -203,17 +170,18 @@ def _row_batches(layout: WordLayout, entry_row: np.ndarray, entry_sizes: np.ndar
         words, coeffs, counts = assemble(first[a], first[b], sizes[a:b])
         start = 0
         for count in counts:
-            yield WordRow(layout, words[start:start + count], coeffs[start:start + count])
+            yield words[start:start + count], coeffs[start:start + count]
             start += count
         a = b
 
 
-def _one_letter_rows(layout: WordLayout, coeffs: list[int]) -> Iterator[WordRow]:
+def _one_letter_rows(layout: WordLayout,
+                     coeffs: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Rows over one letter: each is the one word 0...0 with its coefficient,
     or no word where that is 0."""
     for c in coeffs:
         m = int(c != 0)
-        yield WordRow(layout, layout.empty(m), np.full(m, c, dtype=np.int64))
+        yield layout.empty(m), np.full(m, c, dtype=np.int64)
 
 
 def _letter_walk(layout: WordLayout, left: np.ndarray, start: int, stop: int):
@@ -232,9 +200,10 @@ def _letter_walk(layout: WordLayout, left: np.ndarray, start: int, stop: int):
     return words, origin, left
 
 
-def symmetrized_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> Iterator[WordRow]:
+def symmetrized_rows(n: int, p: int,
+                     monomials: Sequence[MultiIndex]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Symmetrized tensors of monomials of one degree l, one packed word row
-    each, in order.
+    ``(words, coeffs)`` each, in order.
 
     Every word of content k receives the coefficient prod(k_i!) mod p, so a
     row vanishes exactly when some exponent reaches p.  Each word is split at
@@ -269,24 +238,20 @@ def symmetrized_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> Iterato
         words += suffixes[inner]
         return words, prefix_coeffs[entry], counts
 
-    yield from _row_batches(layout, row, entry_sizes, len(coeffs), assemble)
-
-
-def symmetrized_tensor(k: MultiIndex, p: int) -> WordRow:
-    """Symmetrized tensor of the monomial k as a packed word row: the one-row
-    case of ``symmetrized_rows``."""
-    return next(symmetrized_rows(len(k), p, [k]))
+    yield from _row_batches(row, entry_sizes, len(coeffs), assemble)
 
 
 def symmetrization_matrix(n: int, p: int, ell: int) -> list[dict[int, int]]:
     """The symmetrization map Sym^ell -> tensor words as sparse rows keyed by
-    packed word codes (``WordRow.to_dict``), one per monomial in
+    the exact word codes of ``WordLayout.codes``, one per monomial in
     ``sym_basis`` order.
 
     Rank (``fp_linalg.eliminate``) equals the truncated-power dimension;
     monomials with an exponent >= p span the kernel (their rows vanish).
     """
-    return [row.to_dict() for row in symmetrized_rows(n, p, sym_basis(n, ell))]
+    codes = WordLayout(n, ell).codes
+    return [dict(zip(codes(words), coeffs.tolist()))
+            for words, coeffs in symmetrized_rows(n, p, sym_basis(n, ell))]
 
 
 def degree_weight_check(n: int, p: int, ell: int) -> bool:

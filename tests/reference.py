@@ -1,7 +1,9 @@
 """Shared test helpers: the textbook elimination that the F_p kernels are
-checked against, and dense rows into the sparse-row matrix."""
+checked against, dense rows into the sparse-row matrix, and packed word rows
+into dicts."""
 
 from truncsym.fp_linalg import FpMatrix
+from truncsym.trunc_power import WordLayout
 
 
 def reference_rref(rows, p):
@@ -27,3 +29,10 @@ def reference_rref(rows, p):
 def dense_matrix(rows, p):
     """The FpMatrix of dense rows, as wide as the first row."""
     return FpMatrix([{j: x for j, x in enumerate(row) if x} for row in rows], p, len(rows[0]))
+
+
+def word_dict(n, length, row):
+    """A packed word row ``(words, coeffs)`` of words of ``length`` letters
+    over n as {word code: coefficient}, each word read in base n."""
+    words, coeffs = row
+    return dict(zip(WordLayout(n, length).codes(words), coeffs.tolist()))

@@ -131,6 +131,16 @@ def test_verify_rejects_unknown_suite():
     assert "unknown suites" in result.output
 
 
+def test_verify_rejects_an_empty_suite_list(tmp_path):
+    out = tmp_path / "report.json"
+    for suites in (",", " , ", ""):
+        result = CliRunner().invoke(main, ["verify", "--suites", suites, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # refused, not a traceback
+        assert "suites must be non-empty" in result.output
+        assert "{" not in result.output and not out.exists()
+
+
 def test_verify_rejects_oversized_sigma():
     runner = CliRunner()
     result = runner.invoke(main, ["verify", "--max-sigma", "40"])
@@ -300,6 +310,16 @@ def test_slopes_command_rejects_zero_total_profile(tmp_path):
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)  # refused, not a traceback
         assert "scenario 0" in result.output and "profile" in result.output
+
+
+def test_slopes_command_rejects_instabilities_past_the_top_layer(tmp_path):
+    scenario = tmp_path / "long.json"
+    scenario.write_text(json.dumps([{"n": 1, "p": 2, "rkW": 1, "muW": 0, "g": 2, "profile": [1],
+                                     "instabilities": [0, 0, 0, "7/2"]}]))
+    result = CliRunner().invoke(main, ["slopes", "--scenario", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # refused, not a traceback
+    assert "scenario 0: field 'instabilities' has 4 entries, more than 2 layers" in result.output
 
 
 def test_slopes_command_rejects_top_degree_beyond_limit(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,6 @@ from truncsym.filtration import (
     curve_report,
     filtration_basis,
     graded_nabla_matrix,
-    nabla_power_row,
     nabla_power_rows,
 )
 from truncsym.fp_linalg import FpMatrix, eliminate, rank
@@ -20,10 +20,11 @@ from truncsym import trunc_power
 from truncsym.trunc_power import (
     sym_basis,
     symmetrized_rows,
-    symmetrized_tensor,
     trunc_rank,
     word_count,
 )
+
+from reference import word_dict
 
 PAIRS = [(1, 3), (1, 5), (2, 2), (2, 3), (3, 2), (2, 5), (3, 3)]
 # Rows whose words overflow one int64 code: 2^67 and 3^40 are >= 2^63.
@@ -82,14 +83,15 @@ def reference_nabla_power_row(n, p, k):
 
 
 def code(word, n):
-    """A word read in base n, the key ``WordRow.to_dict`` gives it."""
+    """A word read in base n, the key ``word_dict`` gives it."""
     return sum(letter * n ** (len(word) - 1 - j) for j, letter in enumerate(word))
 
 
 def layer_rows(n, p, ell):
     """The composite on the degree-ell layer: one {word code: coefficient} row
     per grade-basis monomial."""
-    return {k: nabla_power_row(n, p, k).to_dict() for k in grade_basis(n, p, ell)}
+    basis = grade_basis(n, p, ell)
+    return {k: word_dict(n, ell, row) for k, row in zip(basis, nabla_power_rows(n, p, basis))}
 
 
 def test_nabla_power_small_values():
@@ -104,9 +106,11 @@ def test_nabla_power_matches_signed_symmetrization():
         top = n * (p - 1)
         for ell in range(top + 1):
             sign = (-1) ** ell % p
-            for k, row in layer_rows(n, p, ell).items():
-                expected = {w: sign * c % p for w, c in symmetrized_tensor(k, p).to_dict().items()}
-                assert row == expected, (n, p, ell, k)
+            basis = grade_basis(n, p, ell)
+            composite = layer_rows(n, p, ell)
+            for k, sym in zip(basis, symmetrized_rows(n, p, basis)):
+                expected = {w: sign * c % p for w, c in word_dict(n, ell, sym).items()}
+                assert composite[k] == expected, (n, p, ell, k)
 
 
 def test_packed_rows_match_reference_walk():
@@ -115,36 +119,33 @@ def test_packed_rows_match_reference_walk():
     for n, p, k in rows + WIDE_ROWS:
         reference = {code(w, n): c for w, c in sorted(reference_nabla_power_row(n, p, k).items())}
         sign = (-1) ** sum(k) % p
-        got = nabla_power_row(n, p, k)
-        expected = symmetrized_tensor(k, p)
-        assert got.to_dict() == reference, (n, p, k)
-        assert list(got.to_dict()) == list(reference), (n, p, k)  # sorted words
-        assert {w: sign * c % p for w, c in expected.to_dict().items()} == reference, (n, p, k)
-        assert list(expected.to_dict()) == list(reference), (n, p, k)
-        assert len(got) == len(expected) == word_count(k), (n, p, k)
+        got_row = next(nabla_power_rows(n, p, [k]))
+        sym_row = next(symmetrized_rows(n, p, [k]))
+        got, expected = word_dict(n, sum(k), got_row), word_dict(n, sum(k), sym_row)
+        assert got == reference, (n, p, k)
+        assert list(got) == list(reference), (n, p, k)  # sorted words
+        assert {w: sign * c % p for w, c in expected.items()} == reference, (n, p, k)
+        assert list(expected) == list(reference), (n, p, k)
+        assert len(got_row[1]) == len(sym_row[1]) == word_count(k), (n, p, k)
 
 
 def test_nabla_power_rejects_bad_input():
     with pytest.raises(ValueError, match="exponents"):
-        nabla_power_row(3, 5, (1, 2))
+        next(nabla_power_rows(3, 5, [(1, 2)]))
     with pytest.raises(ValueError, match="too large"):
-        nabla_power_row(1, 2 ** 62, (1,))
+        next(nabla_power_rows(1, 2 ** 62, [(1,)]))
 
 
 def test_word_builders_reject_bad_input():
     # Each used to give a wrong row or leak another exception.
-    with pytest.raises(ValueError, match="prime"):
-        symmetrized_tensor((2, 1), -3)
-    with pytest.raises(ValueError, match="prime"):
-        nabla_power_row(2, -5, (1, 1))
-    for build in (lambda: symmetrized_tensor((1, 1), 0), lambda: nabla_power_row(2, 0, (1, 1))):
-        with pytest.raises(ValueError, match="prime"):
-            build()
-    with pytest.raises(ValueError, match="too large"):
-        symmetrized_tensor((25,), 2 ** 70)
-    for build in (lambda: nabla_power_row(2, 5, (-1, 2)), lambda: symmetrized_tensor((-1, 2), 5)):
+    for build in (symmetrized_rows, nabla_power_rows):
+        for p in (-3, 0):
+            with pytest.raises(ValueError, match="prime"):
+                next(build(2, p, [(1, 1)]))
+        with pytest.raises(ValueError, match="too large"):
+            next(build(1, 2 ** 70, [(25,)]))
         with pytest.raises(ValueError, match="negative"):
-            build()
+            next(build(2, 5, [(-1, 2)]))
     # The grade builders refuse at the first row.
     with pytest.raises(ValueError, match="share a degree"):
         next(symmetrized_rows(2, 5, [(1, 1), (2, 1)]))
@@ -211,11 +212,13 @@ def test_filtration_wide_rows_digest():
     rows = 0
     for n, p in pair_grid((2, 3, 5, 7, 11), 243, 5):
         for ell in range(n * (p - 1) + 1):
-            for k in grade_basis(n, p, ell):
-                for row in (nabla_power_row(n, p, k), symmetrized_tensor(k, p)):
+            basis = grade_basis(n, p, ell)
+            for k, *pair in zip(basis, nabla_power_rows(n, p, basis),
+                                symmetrized_rows(n, p, basis)):
+                for words, coeffs in pair:
                     digest.update(repr(k).encode())
-                    digest.update(row.words.tobytes())
-                    digest.update(row.coeffs.tobytes())
+                    digest.update(words.tobytes())
+                    digest.update(coeffs.tobytes())
                 rows += 1
     assert rows == 768
     assert digest.hexdigest() == FILTRATION_WIDE_ROWS_SHA256
@@ -258,13 +261,12 @@ def test_rows_match_pure_python_references(row):
     n, p, k = row
     words = reference_words(k)
     scale = math.prod(math.factorial(e) for e in k) % p
-    sym = symmetrized_tensor(k, p)
-    assert sym.to_dict() == ({code(w, n): scale for w in words} if scale else {})
-    assert list(sym.to_dict()) == sorted(sym.to_dict())
-    composite = nabla_power_row(n, p, k)
+    sym = word_dict(n, sum(k), next(symmetrized_rows(n, p, [k])))
+    assert sym == ({code(w, n): scale for w in words} if scale else {})
+    assert list(sym) == sorted(sym)
+    composite = word_dict(n, sum(k), next(nabla_power_rows(n, p, [k])))
     reference = reference_nabla_power_row(n, p, k)
-    assert list(composite.to_dict().items()) == [(code(w, n), reference[w])
-                                                  for w in sorted(reference)]
+    assert list(composite.items()) == [(code(w, n), reference[w]) for w in sorted(reference)]
 
 
 @st.composite
@@ -288,14 +290,16 @@ def test_grade_batches_equal_single_rows(grade):
     with mock.patch.object(trunc_power, "BATCH_WORDS", batch):
         sym = list(symmetrized_rows(n, p, monomials))
         composite = list(nabla_power_rows(n, p, monomials))
-    assert sym == [symmetrized_tensor(k, p) for k in monomials]
-    assert composite == [nabla_power_row(n, p, k) for k in monomials]
-    # A row is a view into its batch, which holds at most `batch` words unless
-    # the row alone is larger.
-    for row in sym + composite:
-        batch_words = row.words if row.words.base is None else row.words.base
-        assert len(batch_words) <= max(batch, len(row))
+    singles = [next(build(n, p, [k])) for build in (symmetrized_rows, nabla_power_rows)
+               for k in monomials]
+    assert len(sym + composite) == len(singles)
+    for (words, coeffs), (one_words, one_coeffs) in zip(sym + composite, singles):
+        assert np.array_equal(words, one_words) and np.array_equal(coeffs, one_coeffs)
+        # A row is a view into its batch, which holds at most `batch` words
+        # unless the row alone is larger.
+        batch_words = words if words.base is None else words.base
+        assert len(batch_words) <= max(batch, len(coeffs))
     for k, row in zip(monomials, composite):
         reference = reference_nabla_power_row(n, p, k)
-        assert list(row.to_dict().items()) == [(code(w, n), reference[w])
-                                               for w in sorted(reference)]
+        assert list(word_dict(n, sum(k), row).items()) == [(code(w, n), reference[w])
+                                                           for w in sorted(reference)]

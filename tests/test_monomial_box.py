@@ -11,7 +11,6 @@ import truncsym.monomial_box as boxes
 from truncsym.monomial_box import (
     HALL_BOX_LIMIT,
     MATCHING_BOX_LIMIT,
-    MatchingVerdict,
     box_size,
     dominance_matching,
     enumerate_box,
@@ -21,6 +20,7 @@ from truncsym.monomial_box import (
     matching_sweep,
     verify_matching,
 )
+from truncsym.suites import _matching_cases
 
 
 def _split_last(w, cap):
@@ -123,7 +123,7 @@ def test_matching_rejects_degree_above_half():
 def test_matching_zero_caps_positions():
     m = dominance_matching((0, 3, 0), 1)
     assert m == {(0, 1, 0): (0, 2, 0)}
-    assert verify_matching((0, 3, 0), 1, m).ok
+    assert verify_matching((0, 3, 0), 1, m) is None
 
 
 def test_matching_all_zero_caps():
@@ -132,23 +132,15 @@ def test_matching_all_zero_caps():
 
 def test_verify_matching_detects_violations():
     # M^1 of caps (1, 1) maps into M^1; M^1 of caps (2, 2) into M^3.
-    assert verify_matching((1, 1), 1, {(0, 1): (0, 1), (1, 0): (1, 0)}).ok
+    assert verify_matching((1, 1), 1, {(0, 1): (0, 1), (1, 0): (1, 0)}) is None
 
-    v = verify_matching((2, 2), 1, {(0, 1): (2, 1), (1, 0): (2, 1)})
-    assert not v.ok and v.reason == "not injective"
-    assert v.witness == ((0, 1), (1, 0), (2, 1))
-
-    v = verify_matching((2, 2), 1, {(0, 1): (1, 2), (1, 0): (0, 3)})
-    assert not v.ok and v.reason == "image outside target box"
-    assert v.witness == ((1, 0), (0, 3))
-
-    v = verify_matching((2, 2), 1, {(0, 1): (1, 2)})
-    assert not v.ok and v.reason == "not total"
-    assert v.witness == ((1, 0),)
-
-    v = verify_matching((1, 1), 1, {(0, 1): (1, 0), (1, 0): (0, 1)})
-    assert not v.ok and v.reason == "dominance fails"
-    assert v.witness == ((0, 1), (1, 0))
+    assert verify_matching((2, 2), 1, {(0, 1): (2, 1), (1, 0): (2, 1)}) == \
+        "not injective at ((0, 1), (1, 0), (2, 1))"
+    assert verify_matching((2, 2), 1, {(0, 1): (1, 2), (1, 0): (0, 3)}) == \
+        "image outside target box at ((1, 0), (0, 3))"
+    assert verify_matching((2, 2), 1, {(0, 1): (1, 2)}) == "not total at ((1, 0),)"
+    assert verify_matching((1, 1), 1, {(0, 1): (1, 0), (1, 0): (0, 1)}) == \
+        "dominance fails at ((0, 1), (1, 0))"
 
     # The first violation in source order wins, whatever its kind; images of
     # the wrong length or beyond the caps lie outside the target M^4.
@@ -156,31 +148,29 @@ def test_verify_matching_detects_violations():
     mixed = {
         (0, 0, 2): (0, 2, 2), (0, 1, 1): (0, 2, 2), (0, 2, 0): (0, 2, 1),
         (1, 0, 1): (1, 1, 2), (1, 1, 0): (1, 2), (2, 0, 0): (2, 1, 1)}
-    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
-        False, "not injective", ((0, 0, 2), (0, 1, 1), (0, 2, 2)))
+    assert verify_matching(caps, 2, mixed) == \
+        "not injective at ((0, 0, 2), (0, 1, 1), (0, 2, 2))"
     del mixed[(0, 1, 1)]
-    assert verify_matching(caps, 2, mixed) == MatchingVerdict(False, "not total", ((0, 1, 1),))
+    assert verify_matching(caps, 2, mixed) == "not total at ((0, 1, 1),)"
     mixed[(0, 1, 1)] = (0, 1, 3)
-    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
-        False, "image outside target box", ((0, 1, 1), (0, 1, 3)))
+    assert verify_matching(caps, 2, mixed) == \
+        "image outside target box at ((0, 1, 1), (0, 1, 3))"
     mixed[(0, 1, 1)] = (1, 1, 2)
-    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
-        False, "image outside target box", ((0, 2, 0), (0, 2, 1)))
+    assert verify_matching(caps, 2, mixed) == \
+        "image outside target box at ((0, 2, 0), (0, 2, 1))"
     mixed[(0, 2, 0)] = (2, 2, 0)
-    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
-        False, "not injective", ((0, 1, 1), (1, 0, 1), (1, 1, 2)))
+    assert verify_matching(caps, 2, mixed) == \
+        "not injective at ((0, 1, 1), (1, 0, 1), (1, 1, 2))"
     mixed[(1, 0, 1)] = (2, 0, 2)
-    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
-        False, "image outside target box", ((1, 1, 0), (1, 2)))
+    assert verify_matching(caps, 2, mixed) == "image outside target box at ((1, 1, 0), (1, 2))"
     mixed[(1, 1, 0)] = (10 ** 30, 1, 1)
-    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
-        False, "image outside target box", ((1, 1, 0), (10 ** 30, 1, 1)))
+    assert verify_matching(caps, 2, mixed) == \
+        f"image outside target box at ((1, 1, 0), ({10 ** 30}, 1, 1))"
     mixed[(1, 1, 0)] = (1, 2, 1)
-    assert verify_matching(caps, 2, mixed) == MatchingVerdict(True)
+    assert verify_matching(caps, 2, mixed) is None
     # Dominance is checked before a repeated image.
     mixed[(2, 0, 0)] = (1, 2, 1)
-    assert verify_matching(caps, 2, mixed) == MatchingVerdict(
-        False, "dominance fails", ((2, 0, 0), (1, 2, 1)))
+    assert verify_matching(caps, 2, mixed) == "dominance fails at ((2, 0, 0), (1, 2, 1))"
 
 
 def test_hall_examples():
@@ -199,7 +189,7 @@ def test_construction_and_oracle_agree_small_sweep():
     for caps in iter_caps_vectors(3, 9):
         sigma = sum(caps)
         for ell in range(sigma // 2 + 1):
-            assert verify_matching(caps, ell, dominance_matching(caps, ell)).ok, (caps, ell)
+            assert verify_matching(caps, ell, dominance_matching(caps, ell)) is None, (caps, ell)
             assert hall_matching_exists(caps, ell), (caps, ell)
         for ell in range(sigma // 2 + 1, sigma + 1):
             assert not hall_matching_exists(caps, ell), (caps, ell)
@@ -210,8 +200,8 @@ def test_construction_and_oracle_agree_small_sweep():
 def test_construction_verifies_on_random_caps(caps, data):
     ell = data.draw(st.integers(0, sum(caps) // 2))
     m = dominance_matching(caps, ell)
-    v = verify_matching(caps, ell, m)
-    assert v.ok, (caps, ell, v)
+    failure = verify_matching(caps, ell, m)
+    assert failure is None, (caps, ell, failure)
     assert set(m) == set(enumerate_box(caps, ell))
 
 
@@ -221,7 +211,7 @@ def test_capped_specialization_has_matching():
         caps = (p - 1,) * n
         for ell in range(sum(caps) // 2 + 1):
             m = dominance_matching(caps, ell)
-            assert verify_matching(caps, ell, m).ok
+            assert verify_matching(caps, ell, m) is None
             assert len(m) == len(enumerate_box(caps, ell))
 
 
@@ -317,7 +307,7 @@ def test_long_shift_runs_match_reference(caps, data):
     ell = data.draw(st.integers(0, sum(caps) // 2))
     m = dominance_matching(caps, ell)
     assert list(m.items()) == list(reference_pairs(caps, ell))
-    assert verify_matching(caps, ell, m).ok
+    assert verify_matching(caps, ell, m) is None
     reference_pairs.cache_clear()
 
 
@@ -380,23 +370,29 @@ def test_sweep_reports_a_broken_map_like_verify_matching(monkeypatch):
         return w
 
     monkeypatch.setattr(boxes, "_split_shift_images", broken)
-    failures = 0
-    for caps, verdicts, oracle in matching_sweep(iter_caps_vectors(3, 6)):
-        for ell, verdict in enumerate(verdicts):
+    messages = {}
+    for caps, failures, oracle in matching_sweep(iter_caps_vectors(3, 6)):
+        for ell, failure in enumerate(failures):
             m = {v: seen[caps, v] for v in enumerate_box(caps, ell)}
-            assert verdict == verify_matching(caps, ell, m), (caps, ell)
-            failures += not verdict.ok
+            assert failure == verify_matching(caps, ell, m), (caps, ell)
+            if failure is not None:
+                messages[f"caps={','.join(map(str, caps))} l={ell}"] = failure
         assert oracle == [hall_matching_exists(caps, ell) for ell in range(sum(caps) + 1)]
-    assert failures > 100
+    assert len(messages) > 100
+    # The suite words each failing case with the same message.
+    details = {key: detail for key, ok, detail in _matching_cases(iter_caps_vectors(3, 6))
+               if not ok}
+    assert details.keys() == messages.keys()
+    assert all(details[key].startswith(message) for key, message in messages.items())
 
 
 def test_sweep_equals_per_case_calls():
     caps_list = list(iter_caps_vectors(3, 7)) + [(0, 4, 0, 1), (12,), (2, 0, 2, 0, 2)]
     swept = list(matching_sweep(caps_list))
     assert [caps for caps, _, _ in swept] == caps_list
-    for caps, verdicts, oracle in swept:
+    for caps, failures, oracle in swept:
         sigma = sum(caps)
-        assert verdicts == [MatchingVerdict(True)] * (sigma // 2 + 1)
+        assert failures == [None] * (sigma // 2 + 1)
         assert oracle == [2 * ell <= sigma for ell in range(sigma + 1)]
     with pytest.raises(ValueError, match="non-empty"):
         list(matching_sweep([(1,), ()]))

@@ -102,6 +102,16 @@ def test_instabilities_common_denominator_is_bounded(tmp_path):
     assert _load(tmp_path, json.dumps([_record(profile=[1, 1], instabilities=inst[:1])]))
 
 
+def test_instabilities_past_the_top_layer_are_refused(tmp_path):
+    # n = 1, p = 2 has two layers; an entry for a third would set the maximal
+    # instability and its bound.
+    with pytest.raises(ScenarioError, match="^scenario 0: field 'instabilities' has 4 entries, "
+                                            "more than 2 layers$"):
+        _load(tmp_path, json.dumps([_record(profile=[1], instabilities=[0, 0, 0, "7/2"])]))
+    sc, = _load(tmp_path, json.dumps([_record(profile=[1], instabilities=[0, "7/2"])]))
+    assert sc.instabilities == (0, Fraction(7, 2))
+
+
 def test_unreadable_files_are_refused(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'[{"name": "\xff"}]')

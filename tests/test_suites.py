@@ -186,8 +186,8 @@ def test_composite_cases_count_the_words(monkeypatch):
     batches = tp._row_batches
 
     def short_rows(*args):
-        for row in batches(*args):
-            yield tp.WordRow(row.layout, row.words[1:], row.coeffs[1:])
+        for words, coeffs in batches(*args):
+            yield words[1:], coeffs[1:]
 
     assert collect(_filtration_cases([(2, 3)]))["passed"]
     monkeypatch.setattr(tp, "_row_batches", short_rows)
@@ -241,13 +241,21 @@ def test_validate_bounds_matching_sweep():
     SuiteConfig(matching_n_max=10 ** 18, suites=("growth",)).validate()
 
 
+def test_validate_refuses_an_empty_suite_list():
+    # A run that selects no suite would check nothing and pass.
+    with pytest.raises(ConfigError, match="^suites must be non-empty$"):
+        SuiteConfig(suites=()).validate()
+    with pytest.raises(ConfigError, match="suites must be non-empty"):
+        run_suite(SuiteConfig(suites=()))
+
+
 @pytest.mark.parametrize("claim, target, fake, expected", [
     (lambda rng: _pushforward_cases(rng, 20, 2, (2, 3)), "pushforward_c1",
      lambda sd: Fraction(10 ** 9), " c1="),
     (lambda rng: _curve_agreement_cases(rng, 20, (2, 3)), "curve_gap",
      lambda g, p, profile: Fraction(-1), " profile=["),
     (lambda rng: _weight_sum_cases(rng, 20, 2, (2, 3)), "weight_sum_check",
-     lambda n, p, profile: slp.WeightSumVerdict(True, (), 3, 1), " direct=3/2 rearranged=1/2"),
+     lambda n, p, profile: ((), True, 3, 1), " direct=3/2 rearranged=1/2"),
     (lambda rng: _gap_cases(rng, 20, 2, (2, 3)), "gap_lower_bound",
      lambda sd, profile: Fraction(-1, 2), " gap=-1/2"),
     (lambda rng: _full_profile_cases(rng, 20, 2, (2, 3)), "gap_lower_bound",

@@ -12,11 +12,13 @@ from truncsym.trunc_power import (
     koszul_complex,
     sym_basis,
     symmetrization_matrix,
-    symmetrized_tensor,
+    symmetrized_rows,
     trunc_rank,
     verify_koszul_exact,
     word_count,
 )
+
+from reference import word_dict
 
 SMALL_GRID = [(n, p) for n in (1, 2, 3) for p in (2, 3, 5)]
 
@@ -62,25 +64,27 @@ def test_gl2_examples_and_sweep():
         gl2_dim(3, -1)
 
 
-def words_of(row):
+def words_of(n, length, row):
     """The words of a packed row as tuples, decoded from their base-n codes."""
-    n, length = row.layout.n, row.layout.length
     return [tuple(code // n ** (length - 1 - j) % n for j in range(length))
-            for code in row.to_dict()]
+            for code in word_dict(n, length, row)]
 
 
 def test_multiset_words():
-    assert words_of(symmetrized_tensor((2, 1), 5)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    row = next(symmetrized_rows(2, 5, [(2, 1)]))
+    assert words_of(2, 3, row) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert word_count((2, 1)) == 3
     assert word_count((4, 4, 4)) == math.factorial(12) // math.factorial(4) ** 3
-    assert len(symmetrized_tensor((4, 4, 4), 5)) == word_count((4, 4, 4))
+    words, coeffs = next(symmetrized_rows(3, 5, [(4, 4, 4)]))
+    assert len(words) == len(coeffs) == word_count((4, 4, 4))
 
 
 def test_symmetrized_tensor_examples():
     # Keys are the words read in base n: (0, 1) -> 1, (1, 0) -> 2, (1, 0, 0) -> 4.
-    assert symmetrized_tensor((1, 1), 2).to_dict() == {1: 1, 2: 1}
-    assert len(symmetrized_tensor((2, 0), 2)) == 0
-    assert symmetrized_tensor((2, 1), 5).to_dict() == {1: 2, 2: 2, 4: 2}
+    live, dead = symmetrized_rows(2, 2, [(1, 1), (2, 0)])
+    assert word_dict(2, 2, live) == {1: 1, 2: 1}
+    assert len(dead[0]) == len(dead[1]) == 0
+    assert word_dict(2, 3, next(symmetrized_rows(2, 5, [(2, 1)]))) == {1: 2, 2: 2, 4: 2}
 
 
 def test_symmetrization_matrix_small():
@@ -105,9 +109,9 @@ def test_word_layout_packs_long_words_exactly():
         layout.write(words, j, 1)
     assert words.tolist() == [[2 ** 63 - 1, 2 ** 4 - 1]]
     assert layout.codes(words) == [2 ** 67 - 1]
-    row = symmetrized_tensor((66, 1), 67)
-    assert words_of(row) == [(0,) * (66 - j) + (1,) + (0,) * j for j in range(67)]
-    assert np.all(np.diff(list(row.to_dict())) > 0)
+    row = next(symmetrized_rows(2, 67, [(66, 1)]))
+    assert words_of(2, 67, row) == [(0,) * (66 - j) + (1,) + (0,) * j for j in range(67)]
+    assert np.all(np.diff(list(word_dict(2, 67, row))) > 0)
 
 
 def test_symmetrization_rank_below_p_is_full():
