@@ -197,6 +197,19 @@ def _weighted_sum_twice(n: int, p: int, profile: Sequence[int]) -> int:
     return sum(map(mul, range(top, top - 2 * len(profile), -2), profile))
 
 
+def _subsheaf_rank(profile: Sequence[int], layers: int) -> int:
+    """The subsheaf rank, the profile's total; refused unless it is positive,
+    the entries are non-negative and there are at most ``layers`` of them."""
+    rk = sum(profile)
+    if rk <= 0:
+        raise ValueError("subsheaf rank must be positive")
+    if min(profile) < 0:  # not empty: rk > 0
+        raise ValueError("profile entries must be non-negative")
+    if len(profile) > layers:
+        raise ValueError(f"profile has {len(profile)} entries, more than {layers} layers")
+    return rk
+
+
 def gap_lower_bound(
     sd: SlopeData,
     profile: Sequence[int],
@@ -208,14 +221,7 @@ def gap_lower_bound(
     1/(p rk) times the instability-weighted sum of the profile.  The profile
     entries total the subsheaf rank rk; instabilities are ints or Fractions.
     """
-    rk = sum(profile)
-    if rk <= 0:
-        raise ValueError("subsheaf rank must be positive")
-    if min(profile) < 0:  # not empty: rk > 0
-        raise ValueError("profile entries must be non-negative")
-    top = sd.n * (sd.p - 1)
-    if len(profile) > top + 1:
-        raise ValueError(f"profile has {len(profile)} entries, more than {top + 1} layers")
+    rk = _subsheaf_rank(profile, sd.n * (sd.p - 1) + 1)
     # gap = KH W2 / (2 n p rk) - S / (p rk), where W2 is the doubled weighted
     # sum and S = sum r_l I_l = s / d over the instabilities' common d.
     kh_num, kh_den = sd.kh.numerator, sd.kh.denominator
@@ -236,13 +242,7 @@ def curve_gap(g: Rational, p: int, profile: Sequence[int]) -> Fraction:
     g = _fraction(g)
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
-    rk = sum(profile)
-    if rk <= 0:
-        raise ValueError("subsheaf rank must be positive")
-    if min(profile) < 0:  # not empty: rk > 0
-        raise ValueError("profile entries must be non-negative")
-    if len(profile) > p:
-        raise ValueError(f"profile has {len(profile)} entries, more than {p} layers")
+    rk = _subsheaf_rank(profile, p)
     weighted = sum((p - 1 - 2 * ell) * r for ell, r in enumerate(profile))
     return Fraction((g.numerator - g.denominator) * weighted, g.denominator * p * rk)
 
@@ -293,9 +293,5 @@ def equality_diagnosis(n: int, p: int, profile: Sequence[int]) -> tuple[bool, tu
     Returns whether it reaches the top layer, and the layers above the half
     degree whose rank differs from their mirror's (none when symmetric)."""
     top = n * (p - 1)
-    full = [profile[ell] if ell < len(profile) else 0 for ell in range(top + 1)]
     full_length = len(profile) == top + 1 and profile[-1] > 0
-    bad = tuple(
-        ell for ell in range(top + 1) if 2 * ell > top and full[ell] != full[top - ell]
-    )
-    return full_length, bad
+    return full_length, tuple(ell for ell, d in enumerate(_folds(top, profile), top // 2 + 1) if d)

@@ -240,12 +240,11 @@ def _growth_cases(pairs, rng: random.Random, per_grade: int) -> Cases:
         for ell in range((top + 1) // 2, top + 1):
             dim = len(boxes.grade_basis(n, p, ell))
             if dim <= COORD_DIM_LIMIT:
-                for idxs, sub in alg.coordinate_subspaces(n, p, ell):
-                    image = alg.spanned_image_dim(sub)
-                    ok = sub.dim <= image
+                for idxs, image in alg.coordinate_subspaces(n, p, ell):
+                    ok = len(idxs) <= image
                     coordinate_cases += 1
                     yield (f"coord n={n} p={p} l={ell} set={idxs}", ok,
-                           "" if ok else f"dim {sub.dim} > image {image}")
+                           "" if ok else f"dim {len(idxs)} > image {image}")
             for j in range(per_grade):
                 target_dim = _randint(rng, 1, dim) if dim else 0
                 sub = alg.GradedSubspace.random(n, p, ell, target_dim, rng)

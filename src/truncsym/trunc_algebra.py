@@ -5,14 +5,16 @@ D = K[t_1..t_n]/(t_i^p) through partial derivations; both are graded with
 grade basis the capped monomial box.  Multiplying operators against the top
 monomial omega = prod y_i^{p-1} pairs the grade-l operators with the
 complementary grade of R, and the subspace-growth inequality compares a
-subspace of a high grade with the span of its derivative images.
+subspace of a high grade with the span of its derivative images.  The sweep
+over the coordinate subspaces of a grade grows each image span from its
+parent's, so it eliminates the images of one unit vector per subspace.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .fp_linalg import FpMatrix, _check_modulus, eliminate, row_reduce
@@ -82,18 +84,12 @@ def omega_pairing_matrix(n: int, p: int, ell: int) -> FpMatrix:
 class GradedSubspace:
     """A subspace of grade ``grade`` of R, stored as the pivot rows
     {leading column: {column: entry}} that ``eliminate`` returns for its
-    spanning vectors.  Two spans are equal when their ``basis`` is.
-
-    ``parent_images``, when given, are pivot rows spanning the
-    bridging-operator images of the span of all pivot rows but the last
-    (see ``coordinate_subspaces``); the image span then eliminates only the
-    last row's images on top of them.  They are trusted, not checked."""
+    spanning vectors.  Two spans are equal when their ``basis`` is."""
 
     n: int
     p: int
     grade: int
     pivots: dict[int, dict[int, int]]
-    parent_images: dict[int, dict[int, int]] | None = field(default=None, repr=False)
 
     @classmethod
     def from_vectors(cls, n: int, p: int, grade: int, vectors) -> "GradedSubspace":
@@ -115,22 +111,6 @@ class GradedSubspace:
         return cls(n, p, grade, eliminate(rows, p, width))
 
     @classmethod
-    def coordinate(cls, n: int, p: int, grade: int, monomial_indices,
-                   parent_images: dict | None = None) -> "GradedSubspace":
-        """Span of a subset of the grade's monomial basis, given by indices
-        in [0, width); any other index is refused.  The pivot rows follow the
-        indices' order, so ``parent_images`` are those of all but the last."""
-        _check_modulus(p)
-        width = len(grade_basis(n, p, grade))
-        pivots = {}
-        for i in monomial_indices:
-            if not 0 <= i < width:
-                raise ValueError(f"monomial index {i} outside [0, {width})")
-            pivots[i] = {i: 1}
-        # Unit rows are already reduced: each is its own pivot row.
-        return cls(n, p, grade, pivots, parent_images)
-
-    @classmethod
     def random(cls, n: int, p: int, grade: int, dim: int, rng: random.Random) -> "GradedSubspace":
         """Uniform random subspace of the requested dimension (retries until
         full rank).  The entries are ``rng.randrange(p)``, row by row, drawn
@@ -149,21 +129,6 @@ class GradedSubspace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    @cached_property
-    def _image_pivots(self) -> dict[int, dict[int, int]]:
-        """Pivot rows spanning the bridging-operator images of the subspace
-        (see ``spanned_image_dim``), eliminated on first use and kept."""
-        n, p, ell = self.n, self.p, self.grade
-        top = n * (p - 1)
-        if 2 * ell < top:
-            raise ValueError(f"grade {ell} below half the top grade {top}")
-        rows = list(self.pivots.values())
-        if self.parent_images is not None:
-            rows = rows[-1:]
-        images = ({hit[0]: x * hit[1] for i, x in row.items() if (hit := action.get(i))}
-                  for action in _bridging_actions(n, p, ell) for row in rows)
-        return eliminate(images, p, len(grade_basis(n, p, top - ell)), self.parent_images)
-
     @property
     def basis(self) -> FpMatrix:
         """The reduced row-echelon basis, built on demand from the pivot rows."""
@@ -173,9 +138,23 @@ class GradedSubspace:
 
 @lru_cache(maxsize=1)
 def _bridging_actions(n: int, p: int, ell: int) -> tuple[dict[int, tuple[int, int]], ...]:
+    """The actions on grade ell of the operator monomials of the bridging
+    degree 2l - n(p-1), which carry grade ell onto its complementary grade;
+    a grade below half the top one is refused."""
     # One entry suffices: the growth claim visits the grades one at a time.
-    d = 2 * ell - n * (p - 1)
-    return tuple(_action_map(n, p, op, ell) for op in grade_basis(n, p, d))
+    top = n * (p - 1)
+    if 2 * ell < top:
+        raise ValueError(f"grade {ell} below half the top grade {top}")
+    return tuple(_action_map(n, p, op, ell) for op in grade_basis(n, p, 2 * ell - top))
+
+
+def _image_span(n: int, p: int, ell: int, rows, start: dict | None = None) -> dict:
+    """Pivot rows spanning the images of the sparse rows of grade ell under
+    every bridging operator, extending the span ``start``.  ``eliminate``
+    stops once they span the whole target grade."""
+    images = ({hit[0]: x * hit[1] for i, x in row.items() if (hit := action.get(i))}
+              for action in _bridging_actions(n, p, ell) for row in rows)
+    return eliminate(images, p, len(grade_basis(n, p, n * (p - 1) - ell)), start)
 
 
 def spanned_image_dim(v: GradedSubspace) -> int:
@@ -184,32 +163,30 @@ def spanned_image_dim(v: GradedSubspace) -> int:
     Requires the grade to sit in the upper half of the grading.  The images
     of the pivot rows of V under every operator monomial of the bridging
     degree (their actions built once per grade) go to ``eliminate`` as
-    sparse rows, which stops once they span the whole target grade.  With
-    ``parent_images`` only the last pivot row's images are added to them.
-    The subspace keeps the resulting pivot rows.
+    sparse rows.
     """
-    return len(v._image_pivots)
+    return len(_image_span(v.n, v.p, v.grade, v.pivots.values()))
 
 
-def coordinate_subspaces(n: int, p: int,
-                         ell: int) -> Iterator[tuple[list[int], GradedSubspace]]:
+def coordinate_subspaces(n: int, p: int, ell: int) -> Iterator[tuple[list[int], int]]:
     """Every coordinate subspace of the upper-half grade ell, as (indices,
-    subspace) in the order of the index sets' bit masks, 0 to 2^width - 1.
+    image dimension) in the order of the index sets' bit masks, 0 to
+    2^width - 1.  The modulus and the grade are checked before the first.
 
-    Each subspace but the zero one carries the image pivots of its parent,
-    the mask without its highest bit, so ``spanned_image_dim`` adds the
-    images of one unit vector.  The spans of the parents, the masks below
-    2^(width-1), are kept while the grade is swept; each is eliminated once,
-    by whichever comes first of the consumer's check and the sweep.
+    The image span of a nonzero mask is its parent's, the mask without its
+    highest bit, extended by the images of that bit's unit vector.  The
+    spans of the parents, the masks below 2^(width-1), are kept while the
+    grade is swept.
     """
+    _check_modulus(p)
+    _bridging_actions(n, p, ell)  # refuses a lower-half grade
     width = len(grade_basis(n, p, ell))
     parents = (1 << width) >> 1
-    spans: list[dict] = []  # image pivots by mask, for the parents
-    for mask in range(1 << width):
+    spans: list[dict] = [{}]  # image pivots by mask, for the parents
+    yield [], 0
+    for mask in range(1, 1 << width):
         idxs = [i for i in range(width) if mask >> i & 1]
-        start = spans[mask ^ (1 << (mask.bit_length() - 1))] if mask else None
-        sub = GradedSubspace.coordinate(n, p, ell, idxs, start)
-        yield idxs, sub
+        span = _image_span(n, p, ell, ({idxs[-1]: 1},), spans[mask ^ (1 << idxs[-1])])
+        yield idxs, len(span)
         if mask < parents:
-            spans.append(sub._image_pivots)
-
+            spans.append(span)

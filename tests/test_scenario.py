@@ -95,10 +95,11 @@ def test_integer_literals_past_the_conversion_limit_name_their_record(tmp_path):
 
 def test_instabilities_common_denominator_is_bounded(tmp_path):
     # Each denominator is within the limit, their lcm is not: the gap bound
-    # would print a numerator past the int <-> str conversion limit.
+    # would print a numerator past the int <-> str conversion limit.  p = 7
+    # gives the curve 7 layers, room for all 6 instabilities.
     inst = [f"1/{10 ** 999 + k}" for k in range(1, 7)]
-    with pytest.raises(ScenarioError, match="common denominator has more than"):
-        _load(tmp_path, json.dumps([_record(profile=[1] * 2, instabilities=inst)]))
+    with pytest.raises(ScenarioError, match="common denominator has more than 1000 digits"):
+        _load(tmp_path, json.dumps([_record(p=7, profile=[1] * 2, instabilities=inst)]))
     assert _load(tmp_path, json.dumps([_record(profile=[1, 1], instabilities=inst[:1])]))
 
 

@@ -119,12 +119,18 @@ DEFAULT_GROWTH_CASES_SHA256 = "9a4190bd4b72237395187a41052d23b01da8b736d93262bba
 def test_default_growth_cases_digest(monkeypatch):
     dims = []
 
+    def recording_sweep(n, p, ell):
+        for idxs, image in sweep(n, p, ell):
+            dims.append([len(idxs), image])
+            yield idxs, image
+
     def recording(v):
         image = image_dim(v)
         dims.append([v.dim, image])
         return image
 
-    image_dim = alg.spanned_image_dim
+    sweep, image_dim = alg.coordinate_subspaces, alg.spanned_image_dim
+    monkeypatch.setattr(alg, "coordinate_subspaces", recording_sweep)
     monkeypatch.setattr(alg, "spanned_image_dim", recording)
     cfg = SuiteConfig()
     cases = _growth_cases(_suite_pairs(cfg), random.Random(f"{cfg.seed}:growth"),
@@ -279,6 +285,9 @@ def test_growth_claims_detail_only_failures(monkeypatch):
     passing = list(claim())
     assert {key.split()[0] for key, _, _ in passing} == {"coord", "random"}
     assert all(ok and detail == "" for _, ok, detail in passing)
+    sweep = alg.coordinate_subspaces
+    monkeypatch.setattr(alg, "coordinate_subspaces",
+                        lambda *grade: ((idxs, len(idxs) - 1) for idxs, _ in sweep(*grade)))
     monkeypatch.setattr(alg, "spanned_image_dim", lambda v: v.dim - 1)
     failing = list(claim())
     assert [key for key, _, _ in failing] == [key for key, _, _ in passing]

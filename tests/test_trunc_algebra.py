@@ -122,7 +122,7 @@ def test_subspaces_compare_by_span():
     same = GradedSubspace.from_vectors(2, 3, 2, [[1, 2, 0], [0, 0, 1], [2, 1, 0]])
     assert sub.basis == same.basis
     # Another span of the grade, and the same vectors over F_5, differ.
-    assert sub.basis != GradedSubspace.coordinate(2, 3, 2, [0, 2]).basis
+    assert sub.basis != GradedSubspace.from_vectors(2, 3, 2, [{0: 1}, {2: 1}]).basis
     assert sub.basis != GradedSubspace.from_vectors(2, 5, 2, [[1, 2, 0], [0, 0, 1]]).basis
     # Grades 1 and 3 of (2, 3) are both two-dimensional: the same basis.
     assert GradedSubspace.from_vectors(2, 3, 1, [[1, 0], [0, 1]]).basis == \
@@ -137,29 +137,6 @@ def test_subspace_refuses_bad_modulus():
     for p in (4294967311, 10 ** 18 + 3):
         with pytest.raises(ValueError, match="too large"):
             GradedSubspace.from_vectors(1, p, 1, [[1]])
-
-
-def test_coordinate_subspace_refuses_out_of_range_indices():
-    # Grade 2 of (2, 3) has three monomials.  A negative index must not count
-    # from the end, and one past the end must not leak an IndexError.
-    assert GradedSubspace.coordinate(2, 3, 2, [0, 2]).dim == 2
-    for idxs in ([-1], [0, -3], [7], [3]):
-        with pytest.raises(ValueError, match="outside"):
-            GradedSubspace.coordinate(2, 3, 2, idxs)
-
-
-def test_coordinate_subspace_equals_span_of_unit_vectors():
-    # The pivot rows are built directly; they must be what eliminate makes of
-    # the unit vectors, also for the empty set and repeated indices.
-    width = len(grade_basis(3, 3, 3))
-    for idxs in ([], [0], [4, 1, 4], [5, 5, 5], list(range(width)), [6, 0, 3, 0, 6]):
-        units = [[int(j == i) for j in range(width)] for i in idxs]
-        coord = GradedSubspace.coordinate(3, 3, 3, idxs)
-        span = GradedSubspace.from_vectors(3, 3, 3, units)
-        assert coord.pivots == span.pivots and coord.basis == span.basis
-        assert coord.dim == len(set(idxs))
-    with pytest.raises(ValueError, match="prime"):
-        GradedSubspace.coordinate(1, 4, 1, [0])
 
 
 def test_subspace_from_sparse_rows_equals_dense():
@@ -213,8 +190,17 @@ def test_spanned_image_examples():
 
 def test_spanned_image_grade_precondition():
     low = GradedSubspace.from_vectors(2, 3, 1, [[1, 0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grade 1 below half the top grade 4$"):
         spanned_image_dim(low)
+
+
+def test_coordinate_subspaces_refuse_before_the_first_subset():
+    # The zero subspace of a lower-half grade has no image to ask for, so the
+    # sweep must refuse the grade, and a composite modulus, up front.
+    with pytest.raises(ValueError, match="^grade 1 below half the top grade 4$"):
+        next(coordinate_subspaces(2, 3, 1))
+    with pytest.raises(ValueError, match="^modulus must be prime, got 4$"):
+        next(coordinate_subspaces(2, 4, 3))
 
 
 def test_growth_zero_subspace():
@@ -227,13 +213,13 @@ def test_growth_top_grade_lines():
         top = n * (p - 1)
         dim = len(grade_basis(n, p, top))
         assert dim == 1
-        assert spanned_image_dim(GradedSubspace.coordinate(n, p, top, [0])) >= 1
+        assert spanned_image_dim(GradedSubspace.from_vectors(n, p, top, [{0: 1}])) >= 1
 
 
 def test_growth_example_n2_p3():
     basis = grade_basis(2, 3, 3)
     idx = basis.index((2, 1))
-    assert spanned_image_dim(GradedSubspace.coordinate(2, 3, 3, [idx])) >= 1
+    assert spanned_image_dim(GradedSubspace.from_vectors(2, 3, 3, [{idx: 1}])) >= 1
 
 
 def test_growth_coordinate_sweep_small():
@@ -243,7 +229,8 @@ def test_growth_coordinate_sweep_small():
             dim = len(grade_basis(n, p, ell))
             for mask in range(1 << dim):
                 idxs = [i for i in range(dim) if mask >> i & 1]
-                image = spanned_image_dim(GradedSubspace.coordinate(n, p, ell, idxs))
+                units = [{i: 1} for i in idxs]
+                image = spanned_image_dim(GradedSubspace.from_vectors(n, p, ell, units))
                 assert len(idxs) <= image, (n, p, ell, idxs, image)
 
 
@@ -298,8 +285,8 @@ def test_spanned_image_dim_matches_apply_diff_oracle():
         top = n * (p - 1)
         for ell in range((top + 1) // 2, top + 1):
             dim = len(grade_basis(n, p, ell))
-            subs = [GradedSubspace.coordinate(n, p, ell, [i for i in range(dim) if mask >> i & 1])
-                    for mask in range(1 << dim)]
+            units = [[{i: 1} for i in range(dim) if mask >> i & 1] for mask in range(1 << dim)]
+            subs = [GradedSubspace.from_vectors(n, p, ell, rows) for rows in units]
             subs += [GradedSubspace.random(n, p, ell, rng.randint(0, dim), rng) for _ in range(5)]
             per_grade.append(subs)
     # Round-robin over the grades: consecutive calls never share (n, p, l), so
@@ -329,13 +316,10 @@ def test_coordinate_subspaces_through_parent_spans_match_oracle():
         for ell in range((top + 1) // 2, top + 1):
             dim = len(grade_basis(n, p, ell))
             masks = []
-            for idxs, sub in coordinate_subspaces(n, p, ell):
+            for idxs, image in coordinate_subspaces(n, p, ell):
                 masks.append(sum(1 << i for i in idxs))
-                scratch = GradedSubspace.coordinate(n, p, ell, idxs)
-                assert sub.basis == scratch.basis and list(sub.pivots) == idxs
-                assert (sub.parent_images is None) == (not idxs)
-                image = spanned_image_dim(sub)
-                assert image == spanned_image_dim(scratch) == _reference_image_dim(sub), (
+                scratch = GradedSubspace.from_vectors(n, p, ell, [{i: 1} for i in idxs])
+                assert image == spanned_image_dim(scratch) == _reference_image_dim(scratch), (
                     n, p, ell, idxs)
                 checked += 1
             assert masks == list(range(1 << dim))
