@@ -10,7 +10,8 @@ the symmetrized tensors up to the sign (-1)^l.
 
 ``graded_nabla_matrix`` is one step, from the degree-l layer to the
 degree-(l-1) layer in each direction, written straight into sparse rows;
-``nabla_power_rows`` is the l-step composite as packed words.
+``nabla_power_rows`` is the l-step composite as packed words, streamed in
+pieces of bounded size.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .fp_linalg import FpMatrix
 from .monomial_box import MultiIndex, grade_basis
-from .trunc_power import (WordLayout, _check_rows, _distinct_rows, _expand, _one_letter_rows,
-                          _row_batches)
+from .trunc_power import (Piece, WordLayout, _check_rows, _distinct_rows, _expand,
+                          _one_letter_rows, _row_batches)
 
 
 def filtration_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
@@ -86,9 +87,11 @@ def _derivative_walk(layout: WordLayout, left: np.ndarray, factor: np.ndarray, p
 
 
 def nabla_power_rows(n: int, p: int,
-                     monomials: Sequence[MultiIndex]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Full connection composite on monomials of one degree l, one packed word
-    row ``(words, coeffs)`` each, in order.
+                     monomials: Sequence[MultiIndex]) -> Iterator[Piece]:
+    """Full connection composite on monomials of one degree l as packed word
+    rows, streamed in pieces ``(i, words, coeffs)`` of at most about
+    ``trunc_power.BATCH_WORDS`` words, i the monomial's index; a row's pieces
+    are consecutive and in word order, and a vanishing row is one empty piece.
 
     Each monomial is walked down to degree zero one derivative at a time; the
     direction chosen at each step is a word letter, the newest leftmost (the
@@ -99,8 +102,9 @@ def nabla_power_rows(n: int, p: int,
     shared by every suffix, of any row, that leaves the same exponents.  A
     path's coefficient is the product of its halves' coefficients, since each
     factor depends only on the exponent still left.  A row is its prefixes,
-    sorted, each followed by the suffixes that leave its exponents, in order.
-    Bad input raises ``ValueError`` at the first row.
+    sorted, each followed by the suffixes that leave its exponents, in order
+    (an entry); pieces are cut between entries, as in ``symmetrized_rows``.
+    Bad input raises ``ValueError`` at the first piece.
     """
     ell = _check_rows(n, p, monomials)
     layout = WordLayout(n, ell)

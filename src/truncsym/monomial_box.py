@@ -586,7 +586,9 @@ def matching_sweep(
 
 def iter_caps_vectors(n_max: int, sigma_max: int) -> Iterator[tuple[int, ...]]:
     """All caps vectors with 1 <= n <= n_max and sum(caps) <= sigma_max,
-    by length, then in lexicographic order."""
+    by length, then in lexicographic order; none when sigma_max < 0."""
+    if sigma_max < 0:
+        return
     for n in range(1, n_max + 1):
         caps = [0] * n
         total = 0

@@ -10,11 +10,13 @@ contract holds regardless of how the suites are scheduled.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 from typing import Generator
 
 import numpy as np
@@ -39,9 +41,10 @@ SIGMA_LIMIT = 12
 MATCHING_CAPS_LIMIT = 120_000
 # Koszul ranks involve the full symmetric algebra; keep those grids smaller.
 KOSZUL_VOLUME_LIMIT = 64
-# The composite check skips a row with more words than this.  Every row of the
-# pairs with p^n <= 243 is within it: the largest is the (12, 12) row of
-# (2, 13), C(24,12) = 2,704,156 words.
+# The composite check skips a row with more words than this.  Rows are built
+# and compared in pieces, so it bounds the time one row takes, not memory.
+# Every row of the pairs with p^n <= 243 is within it: the largest is the
+# (12, 12) row of (2, 13), C(24,12) = 2,704,156 words.
 ROW_WORD_LIMIT = 3_000_000
 # Coordinate-subspace sweeps are exhaustive over subsets; bound the exponent.
 COORD_DIM_LIMIT = 10
@@ -126,9 +129,12 @@ def collect(cases: Cases) -> dict:
 
 
 def pair_grid(primes, volume_limit: int, n_max: int | None = None) -> list[tuple[int, int]]:
-    """The (n, p) pairs with p^n <= volume_limit (and n <= n_max), by p then n."""
+    """The (n, p) pairs with p^n <= volume_limit (and n <= n_max), by p then n.
+    A modulus below 2 is refused: its powers never pass the limit."""
     pairs = []
     for p in sorted(set(primes)):
+        if p < 2:
+            raise ValueError(f"modulus must be at least 2, got {p}")
         n = 1
         while p ** n <= volume_limit and (n_max is None or n <= n_max):
             pairs.append((n, p))
@@ -293,14 +299,16 @@ def _filtration_cases(pairs) -> Cases:
                 continue
             sign = (-1) ** ell % p
             bad = None
-            composite = filt.nabla_power_rows(n, p, rows)
-            for k, words, (sym_words, sym_coeffs) in zip(rows, counts,
-                                                         tp.symmetrized_rows(n, p, rows)):
+            composite = itertools.groupby(filt.nabla_power_rows(n, p, rows), itemgetter(0))
+            symmetrized = itertools.groupby(tp.symmetrized_rows(n, p, rows), itemgetter(0))
+            for i, (k, words) in enumerate(zip(rows, counts)):
                 # The same sorted words, all word_count(k) of them, each with
-                # (-1)^l prod(k_i!) mod p.  The composite row is dropped at
-                # once, so that its batch is freed before the next is built.
-                if len(sym_coeffs) != words or not all(map(
-                        np.array_equal, next(composite), (sym_words, sign * sym_coeffs % p))):
+                # (-1)^l prod(k_i!) mod p.  Both sides cut a row between the
+                # same prefix blocks, so they are compared piece by piece and
+                # no row is held whole.
+                got_i, got = next(composite, (None, ()))
+                want_i, want = next(symmetrized, (None, ()))
+                if not got_i == want_i == i or _piece_words(got, want, sign, p) != words:
                     bad = k
                     break
             yield (f"composite n={n} p={p} l={ell}", bad is None,
@@ -309,6 +317,19 @@ def _filtration_cases(pairs) -> Cases:
             failure = filt.curve_report(p)
             yield f"curve p={p}", failure is None, failure or ""
     return {"skipped_word_checks": skipped}
+
+
+def _piece_words(composite, symmetrized, sign: int, p: int) -> int | None:
+    """The words of one row whose composite pieces equal its symmetrized pieces
+    times ``sign`` mod p, one for one; None at the first difference or at a
+    piece one side has left over."""
+    words = 0
+    for got, want in itertools.zip_longest(composite, symmetrized):
+        if got is None or want is None or not (
+                np.array_equal(got[1], want[1]) and np.array_equal(got[2], sign * want[2] % p)):
+            return None
+        words += len(want[2])
+    return words
 
 
 def _random_symmetric_profile(rng: random.Random, n: int, p: int) -> list[int]:

@@ -6,11 +6,15 @@ power; its monomial basis is the capped box {k : k_i <= p-1, sum k = l}.
 Tensor coordinates are words over the letters 0..n-1 (length l).  The
 ambient tensor space grows as n^l, so a tensor is kept as a pair of arrays
 ``(words, coeffs)``: the words it touches, packed by a ``WordLayout`` into
-int64 columns and sorted, and their coefficients, all nonzero.
+int64 columns and sorted, and their coefficients, all nonzero.  A single
+tensor can hold millions of words, so the row builders hand each row on in
+pieces ``(i, words, coeffs)`` of bounded size, i the row, consecutive and in
+word order; a consumer compares or collects them piece by piece.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import Iterator, Sequence
@@ -146,42 +150,58 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], inverse
 
 
-# A grade's rows are assembled in batches of consecutive rows holding at most
-# this many words (a larger row is a batch alone): small rows share their array
-# work, and no batch holds more than the largest row or this bound.
-BATCH_WORDS = 1 << 16
+# One piece of a word row: the row's index, and its words and coefficients.
+Piece = tuple[int, np.ndarray, np.ndarray]
+
+# A grade's rows are assembled in batches of consecutive entries (a prefix and
+# its block of suffixes) holding at most this many words; a batch is larger
+# only when one entry alone is.  Small rows share their array work, and a long
+# row is built and handed on in pieces, so no array follows the largest row.
+BATCH_WORDS = 1 << 15
 
 
 def _row_batches(entry_row: np.ndarray, entry_sizes: np.ndarray, rows: int,
-                 assemble) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                 assemble) -> Iterator[Piece]:
     """Rows 0..rows-1 built from entries sorted by row, entry e standing for
-    entry_sizes[e] words.  Rows are cut into batches, and
+    entry_sizes[e] words.  The entries are cut into batches, and
     ``assemble(e0, e1, counts)`` turns the entries e0..e1-1 of a batch, whose
-    rows hold ``counts`` words, into its words, coefficients and per-row entry
-    counts.  Each row is yielded as its (words, coeffs) views into its batch."""
-    first = np.searchsorted(entry_row, np.arange(rows + 1))
-    sizes = np.diff(np.concatenate(([0], np.cumsum(entry_sizes)))[first]).tolist()
-    a = 0
-    while a < rows:
-        b, total = a + 1, sizes[a]
-        while b < rows and total + sizes[b] <= BATCH_WORDS:
-            total += sizes[b]
-            b += 1
-        words, coeffs, counts = assemble(first[a], first[b], sizes[a:b])
-        start = 0
-        for count in counts:
-            yield words[start:start + count], coeffs[start:start + count]
-            start += count
-        a = b
+    row segments hold ``counts`` words, into its words, coefficients and
+    per-segment word counts.  Each segment is yielded as a piece
+    ``(i, words, coeffs)``, i the row, its arrays views into its batch.  The
+    pieces of a row are consecutive and in word order; a row yields at least
+    one piece, and a row with no words exactly one, empty."""
+    first = np.searchsorted(entry_row, np.arange(rows + 1)).tolist()
+    offsets = np.concatenate(([0], np.cumsum(entry_sizes)))
+    entries = first[-1]
+    e0 = i0 = done = 0  # rows below `done` have yielded a piece
+    while True:
+        e1 = min(max(int(offsets.searchsorted(offsets[e0] + BATCH_WORDS, "right")) - 1, e0 + 1),
+                 entries)
+        # The rows reaching into the batch run from i0 to the last one starting
+        # before e1; the last batch also takes the empty rows after it.
+        stop = rows if e1 == entries else bisect.bisect_left(first, e1)
+        # Each row's segment ends where the next row starts, the last at e1.
+        counts = np.diff(offsets[[e0, *first[i0 + 1:stop], e1]]).tolist()
+        words, coeffs, counts = assemble(e0, e1, counts)
+        split = first[stop] > e1  # the last row goes on in the next batch
+        at = 0
+        for i, count in zip(range(i0, stop), counts):
+            if count or (i >= done and not (split and i == stop - 1)):
+                yield i, words[at:at + count], coeffs[at:at + count]
+                done = i + 1
+            at += count
+        if e1 == entries:
+            return
+        e0, i0 = e1, stop - split
 
 
 def _one_letter_rows(layout: WordLayout,
-                     coeffs: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Rows over one letter: each is the one word 0...0 with its coefficient,
-    or no word where that is 0."""
-    for c in coeffs:
+                     coeffs: list[int]) -> Iterator[Piece]:
+    """Rows over one letter, one piece each: the one word 0...0 with its
+    coefficient, or no word where that is 0."""
+    for i, c in enumerate(coeffs):
         m = int(c != 0)
-        yield layout.empty(m), np.full(m, c, dtype=np.int64)
+        yield i, layout.empty(m), np.full(m, c, dtype=np.int64)
 
 
 def _letter_walk(layout: WordLayout, left: np.ndarray, start: int, stop: int):
@@ -201,17 +221,20 @@ def _letter_walk(layout: WordLayout, left: np.ndarray, start: int, stop: int):
 
 
 def symmetrized_rows(n: int, p: int,
-                     monomials: Sequence[MultiIndex]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Symmetrized tensors of monomials of one degree l, one packed word row
-    ``(words, coeffs)`` each, in order.
+                     monomials: Sequence[MultiIndex]) -> Iterator[Piece]:
+    """Symmetrized tensors of monomials of one degree l as packed word rows,
+    streamed in pieces ``(i, words, coeffs)`` of at most about ``BATCH_WORDS``
+    words, i the monomial's index; a row's pieces are consecutive and in word
+    order (see ``_row_batches``).
 
     Every word of content k receives the coefficient prod(k_i!) mod p, so a
     row vanishes exactly when some exponent reaches p.  Each word is split at
     h = l // 2.  The prefixes of every row are walked at once, left to right;
     the suffixes are walked once per content a prefix leaves, and that block
     is shared by every prefix, of any row, that leaves the same content.  A
-    row is its prefixes in order, each followed by its block, which keeps the
-    words sorted.  Bad input raises ``ValueError`` at the first row.
+    row is its prefixes in order, each followed by its block (an entry), which
+    keeps the words sorted; pieces are cut between entries.  Bad input raises
+    ``ValueError`` at the first piece.
     """
     length = _check_rows(n, p, monomials)
     layout = WordLayout(n, length)
@@ -244,14 +267,17 @@ def symmetrized_rows(n: int, p: int,
 def symmetrization_matrix(n: int, p: int, ell: int) -> list[dict[int, int]]:
     """The symmetrization map Sym^ell -> tensor words as sparse rows keyed by
     the exact word codes of ``WordLayout.codes``, one per monomial in
-    ``sym_basis`` order.
+    ``sym_basis`` order, each filled from its pieces of ``symmetrized_rows``.
 
     Rank (``fp_linalg.eliminate``) equals the truncated-power dimension;
     monomials with an exponent >= p span the kernel (their rows vanish).
     """
+    monomials = sym_basis(n, ell)
     codes = WordLayout(n, ell).codes
-    return [dict(zip(codes(words), coeffs.tolist()))
-            for words, coeffs in symmetrized_rows(n, p, sym_basis(n, ell))]
+    rows: list[dict[int, int]] = [{} for _ in monomials]
+    for i, words, coeffs in symmetrized_rows(n, p, monomials):
+        rows[i].update(zip(codes(words), coeffs.tolist()))
+    return rows
 
 
 def degree_weight_check(n: int, p: int, ell: int) -> bool:

@@ -1,6 +1,11 @@
 """Shared test helpers: the textbook elimination that the F_p kernels are
-checked against, dense rows into the sparse-row matrix, and packed word rows
-into dicts."""
+checked against, dense rows into the sparse-row matrix, packed word rows
+joined from their pieces, and packed word rows into dicts."""
+
+import itertools
+from operator import itemgetter
+
+import numpy as np
 
 from truncsym.fp_linalg import FpMatrix
 from truncsym.trunc_power import WordLayout
@@ -36,3 +41,20 @@ def word_dict(n, length, row):
     over n as {word code: coefficient}, each word read in base n."""
     words, coeffs = row
     return dict(zip(WordLayout(n, length).codes(words), coeffs.tolist()))
+
+
+def join_row(pieces):
+    """One row's pieces ``(i, words, coeffs)`` joined into ``(words, coeffs)``."""
+    pieces = list(pieces)
+    assert pieces, "a row yields at least one piece"
+    return np.concatenate([w for _, w, _ in pieces]), np.concatenate([c for _, _, c in pieces])
+
+
+def joined_rows(pieces):
+    """The rows of a stream of pieces, each joined, in order; the pieces of
+    row i must be consecutive and come after those of rows 0..i-1."""
+    rows = []
+    for i, group in itertools.groupby(pieces, itemgetter(0)):
+        assert i == len(rows), f"row {i} after {len(rows)} rows"
+        rows.append(join_row(group))
+    return rows

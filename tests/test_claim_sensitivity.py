@@ -3,17 +3,25 @@
 A claim that compares a function with itself passes whatever the code does.
 Each row names a claim generator of ``suites``, a small grid for it, a fault
 put into one side of the claim with ``monkeypatch``, and the case kinds (the
-first word of the case key) that must then fail; ``None`` asks every case
-to fail.  Unfaulted, the same cases all pass.
+first word of the case key, such as ``composite``, or ``n=3`` where keys
+start with the dimension) that must then fail; ``None`` asks every case to
+fail.  Unfaulted, the same cases all pass.
 """
 
+import itertools
 import random
+from operator import itemgetter
+from unittest import mock
 
 import pytest
 
+from truncsym import filtration as filt
 from truncsym import suites
 from truncsym import trunc_algebra as alg
-from truncsym.suites import _growth_cases, _pairing_cases
+from truncsym import trunc_power as tp
+from truncsym.fp_linalg import FpMatrix
+from truncsym.suites import (_filtration_cases, _growth_cases, _koszul_cases, _pairing_cases,
+                             _rank_cases)
 
 
 def _drop_first_bridging_operator(monkeypatch):
@@ -31,11 +39,77 @@ def _rank_one_short(monkeypatch):
     monkeypatch.setattr(suites, "row_reduce", short)
 
 
+def _in_small_pieces(cases):
+    """The cases with word rows cut into pieces of at most 16 words, so that
+    the longer rows of the grid span several pieces."""
+    with mock.patch.object(tp, "BATCH_WORDS", 16):
+        yield from cases
+
+
+def _fault_last_pieces(change):
+    """A fault in the composite side: ``change(piece, p)`` replaces the last
+    piece of every row that spans several pieces, and only there."""
+    def fault(monkeypatch):
+        build = filt.nabla_power_rows
+
+        def faulted(n, p, monomials):
+            for _, pieces in itertools.groupby(build(n, p, monomials), itemgetter(0)):
+                *head, last = pieces
+                yield from head
+                yield change(last, p) if head else last
+
+        monkeypatch.setattr(filt, "nabla_power_rows", faulted)
+    return fault
+
+
+def _last_coefficient_off(piece, p):
+    i, words, coeffs = piece
+    coeffs = coeffs.copy()
+    coeffs[-1] = (coeffs[-1] + 1) % p
+    return i, words, coeffs
+
+
+def _last_word_dropped(piece, p):
+    i, words, coeffs = piece
+    return i, words[:-1], coeffs[:-1]
+
+
+def _rank_one_high_on_one_grade(monkeypatch):
+    formula = tp.trunc_rank
+    monkeypatch.setattr(tp, "trunc_rank", lambda n, p, ell: formula(n, p, ell)
+                        + ((n, p, ell) == (3, 2, 1)))
+
+
+def _deepest_entry_zeroed(monkeypatch):
+    complex_ = tp.koszul_complex
+
+    def zeroed(n, p, ell):
+        diffs = complex_(n, p, ell)
+        if diffs:
+            deepest = diffs[-1]
+            rows = [dict(row) for row in deepest.rows]
+            first = next(row for row in rows if row)
+            del first[next(iter(first))]
+            diffs[-1] = FpMatrix(rows, deepest.modulus, deepest.ncols)
+        return diffs
+
+    monkeypatch.setattr(tp, "koszul_complex", zeroed)
+
+
+FILTRATION_PAIRS = [(2, 3), (3, 2), (2, 5)]
+
 CLAIMS = [
     ("growth", lambda: _growth_cases([(2, 3), (3, 2), (2, 5)], random.Random(3), 5),
      _drop_first_bridging_operator, {"coord", "random"}),
     ("pairing", lambda: _pairing_cases([(2, 3), (3, 2), (2, 5)]),
      _rank_one_short, None),
+    ("filtration-coefficient", lambda: _in_small_pieces(_filtration_cases(FILTRATION_PAIRS)),
+     _fault_last_pieces(_last_coefficient_off), {"composite"}),
+    ("filtration-word", lambda: _in_small_pieces(_filtration_cases(FILTRATION_PAIRS)),
+     _fault_last_pieces(_last_word_dropped), {"composite"}),
+    ("ranks", lambda: _rank_cases([(2, 3), (3, 2)]), _rank_one_high_on_one_grade, {"n=3"}),
+    ("koszul", lambda: _koszul_cases([(2, 3), (3, 2), (2, 5)]), _deepest_entry_zeroed,
+     {"n=2", "n=3"}),
 ]
 
 

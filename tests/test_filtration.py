@@ -14,7 +14,7 @@ from truncsym.filtration import (
     nabla_power_rows,
 )
 from truncsym.fp_linalg import FpMatrix, eliminate, rank
-from truncsym.monomial_box import grade_basis
+from truncsym.monomial_box import enumerate_box, grade_basis
 from truncsym.suites import pair_grid
 from truncsym import trunc_power
 from truncsym.trunc_power import (
@@ -24,7 +24,7 @@ from truncsym.trunc_power import (
     word_count,
 )
 
-from reference import word_dict
+from reference import join_row, joined_rows, word_dict
 
 PAIRS = [(1, 3), (1, 5), (2, 2), (2, 3), (3, 2), (2, 5), (3, 3)]
 # Rows whose words overflow one int64 code: 2^67 and 3^40 are >= 2^63.
@@ -91,7 +91,8 @@ def layer_rows(n, p, ell):
     """The composite on the degree-ell layer: one {word code: coefficient} row
     per grade-basis monomial."""
     basis = grade_basis(n, p, ell)
-    return {k: word_dict(n, ell, row) for k, row in zip(basis, nabla_power_rows(n, p, basis))}
+    rows = joined_rows(nabla_power_rows(n, p, basis))
+    return {k: word_dict(n, ell, row) for k, row in zip(basis, rows)}
 
 
 def test_nabla_power_small_values():
@@ -108,7 +109,7 @@ def test_nabla_power_matches_signed_symmetrization():
             sign = (-1) ** ell % p
             basis = grade_basis(n, p, ell)
             composite = layer_rows(n, p, ell)
-            for k, sym in zip(basis, symmetrized_rows(n, p, basis)):
+            for k, sym in zip(basis, joined_rows(symmetrized_rows(n, p, basis))):
                 expected = {w: sign * c % p for w, c in word_dict(n, ell, sym).items()}
                 assert composite[k] == expected, (n, p, ell, k)
 
@@ -119,8 +120,8 @@ def test_packed_rows_match_reference_walk():
     for n, p, k in rows + WIDE_ROWS:
         reference = {code(w, n): c for w, c in sorted(reference_nabla_power_row(n, p, k).items())}
         sign = (-1) ** sum(k) % p
-        got_row = next(nabla_power_rows(n, p, [k]))
-        sym_row = next(symmetrized_rows(n, p, [k]))
+        got_row = join_row(nabla_power_rows(n, p, [k]))
+        sym_row = join_row(symmetrized_rows(n, p, [k]))
         got, expected = word_dict(n, sum(k), got_row), word_dict(n, sum(k), sym_row)
         assert got == reference, (n, p, k)
         assert list(got) == list(reference), (n, p, k)  # sorted words
@@ -203,7 +204,8 @@ def test_curve_report_words_a_failure():
 # sha256 over (k, words bytes, coeffs bytes) of the composite row and then the
 # symmetrized row of every grade-basis monomial on the filtration-wide grid
 # (``verify --suites filtration --n-max 5 --primes 2,3,5,7,11``): 768 rows a
-# side.  It pins every packed word and coefficient, not only the verdicts.
+# side, each joined from its pieces.  It pins every packed word and
+# coefficient, not only the verdicts.
 FILTRATION_WIDE_ROWS_SHA256 = "c745547e37e288e39ee13e3bde871d470af162a786f140c67ed160f0859d537d"
 
 
@@ -213,8 +215,8 @@ def test_filtration_wide_rows_digest():
     for n, p in pair_grid((2, 3, 5, 7, 11), 243, 5):
         for ell in range(n * (p - 1) + 1):
             basis = grade_basis(n, p, ell)
-            for k, *pair in zip(basis, nabla_power_rows(n, p, basis),
-                                symmetrized_rows(n, p, basis)):
+            for k, *pair in zip(basis, joined_rows(nabla_power_rows(n, p, basis)),
+                                joined_rows(symmetrized_rows(n, p, basis))):
                 for words, coeffs in pair:
                     digest.update(repr(k).encode())
                     digest.update(words.tobytes())
@@ -261,10 +263,10 @@ def test_rows_match_pure_python_references(row):
     n, p, k = row
     words = reference_words(k)
     scale = math.prod(math.factorial(e) for e in k) % p
-    sym = word_dict(n, sum(k), next(symmetrized_rows(n, p, [k])))
+    sym = word_dict(n, sum(k), join_row(symmetrized_rows(n, p, [k])))
     assert sym == ({code(w, n): scale for w in words} if scale else {})
     assert list(sym) == sorted(sym)
-    composite = word_dict(n, sum(k), next(nabla_power_rows(n, p, [k])))
+    composite = word_dict(n, sum(k), join_row(nabla_power_rows(n, p, [k])))
     reference = reference_nabla_power_row(n, p, k)
     assert list(composite.items()) == [(code(w, n), reference[w]) for w in sorted(reference)]
 
@@ -281,25 +283,40 @@ def grades(draw):
     return n, p, monomials, draw(st.integers(1, 300))
 
 
+def largest_entry(k):
+    """The most words a row of content k holds behind one prefix of l // 2
+    letters: the arrangements of the content that prefix leaves."""
+    return max(word_count(tuple(a - b for a, b in zip(k, c)))
+               for c in enumerate_box(k, sum(k) // 2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(grades())
 @example((2, 2, sym_basis(2, 3), 5))  # every row vanishes
 @example((3, 3, sym_basis(3, 4), 2))  # vanishing and live rows in one batch
+@example((2, 5, grade_basis(2, 5, 8), 7))  # the row (4, 4): 70 words, entries of at most 6
 def test_grade_batches_equal_single_rows(grade):
     n, p, monomials, batch = grade
     with mock.patch.object(trunc_power, "BATCH_WORDS", batch):
         sym = list(symmetrized_rows(n, p, monomials))
         composite = list(nabla_power_rows(n, p, monomials))
-    singles = [next(build(n, p, [k])) for build in (symmetrized_rows, nabla_power_rows)
-               for k in monomials]
-    assert len(sym + composite) == len(singles)
-    for (words, coeffs), (one_words, one_coeffs) in zip(sym + composite, singles):
-        assert np.array_equal(words, one_words) and np.array_equal(coeffs, one_coeffs)
-        # A row is a view into its batch, which holds at most `batch` words
-        # unless the row alone is larger.
-        batch_words = words if words.base is None else words.base
-        assert len(batch_words) <= max(batch, len(coeffs))
-    for k, row in zip(monomials, composite):
+    largest = max((largest_entry(k) for k in monomials), default=0)
+    for build, pieces in ((symmetrized_rows, sym), (nabla_power_rows, composite)):
+        for _, words, coeffs in pieces:
+            # A piece is a view into its batch, which holds at most `batch`
+            # words unless one entry alone is larger.
+            batch_words = words if words.base is None else words.base
+            assert len(batch_words) <= max(batch, largest)
+        # The pieces of each row join to the row built alone; a row with no
+        # word is one empty piece, and no other piece is empty.
+        rows = joined_rows(pieces)
+        assert len(rows) == len(monomials)
+        for k, (words, coeffs) in zip(monomials, rows):
+            one_words, one_coeffs = join_row(build(n, p, [k]))
+            assert np.array_equal(words, one_words) and np.array_equal(coeffs, one_coeffs)
+        empty = [i for i, _, coeffs in pieces if not len(coeffs)]
+        assert empty == [i for i, (_, coeffs) in enumerate(rows) if not len(coeffs)]
+    for k, row in zip(monomials, joined_rows(composite)):
         reference = reference_nabla_power_row(n, p, k)
         assert list(word_dict(n, sum(k), row).items()) == [(code(w, n), reference[w])
                                                            for w in sorted(reference)]

@@ -220,6 +220,12 @@ def test_iter_caps_vectors_count():
     assert sum(1 for _ in iter_caps_vectors(2, 3)) == 14
 
 
+def test_iter_caps_vectors_negative_total_is_empty():
+    # No caps vector has a negative sum; the zero vectors were yielded anyway.
+    assert list(iter_caps_vectors(2, -1)) == []
+    assert list(iter_caps_vectors(3, 0)) == [(0,), (0, 0), (0, 0, 0)]
+
+
 def test_array_map_equals_reference_on_sweep():
     # Every matched case of the widest verify sweep, one batch per length.
     by_length = {}

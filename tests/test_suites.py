@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -188,18 +189,38 @@ def test_pairing_cases_fail_unless_the_matrix_reduces_to_identity(monkeypatch):
 def test_composite_cases_count_the_words(monkeypatch):
     # Both sides assemble their rows with the same batching; if it dropped a
     # word from every row, the two would still agree, so the case also counts
-    # the words against the multinomial word_count(k).
+    # the words against the multinomial word_count(k).  The word is dropped
+    # from the first piece of each row, not from every piece.
     batches = tp._row_batches
 
     def short_rows(*args):
-        for words, coeffs in batches(*args):
-            yield words[1:], coeffs[1:]
+        last = None
+        for i, words, coeffs in batches(*args):
+            if i != last:
+                words, coeffs, last = words[1:], coeffs[1:], i
+            yield i, words, coeffs
 
     assert collect(_filtration_cases([(2, 3)]))["passed"]
     monkeypatch.setattr(tp, "_row_batches", short_rows)
     monkeypatch.setattr(filt, "_row_batches", short_rows)
     failures = collect(_filtration_cases([(2, 3)]))["failures"]
     assert [f["case"] for f in failures] == [f"composite n=2 p=3 l={ell}" for ell in range(5)]
+
+
+def test_composite_cases_compare_rows_in_pieces(monkeypatch):
+    # (2, 11) has rows of up to C(20, 10) = 184,756 words, whose packed words
+    # alone take 1.5 MB.  In pieces of at most 4,096 words the claim runs in
+    # less than that, so it never holds a row whole on either side.  (Built
+    # whole, each side of such a row took about 10 MB.)
+    monkeypatch.setattr(tp, "BATCH_WORDS", 1 << 12)
+    tracemalloc.start()
+    try:
+        result = collect(_filtration_cases([(2, 11)]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result["passed"] and result["cases"] == 62
+    assert peak < 184_756 * 8
 
 
 def test_matching_cases_fail_wherever_the_oracle_denies(monkeypatch):
@@ -214,6 +235,17 @@ def test_matching_cases_fail_wherever_the_oracle_denies(monkeypatch):
         for caps in caps_list for ell in range(sum(caps) // 2 + 1)}
     assert all(detail == "oracle denies a matching the construction produced"
                for _, detail in failures)
+
+
+def test_pair_grid_refuses_a_modulus_below_two():
+    # Every power of 1 (or 0, or -1) is within any limit, so the search for
+    # the largest n never ended; with n_max it returned pairs that mean nothing.
+    with pytest.raises(ValueError, match="modulus must be at least 2, got 1"):
+        pair_grid((1,), 243, 3)
+    for primes in [(1,), (0,), (2, -1)]:
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            pair_grid(primes, 243)
+    assert pair_grid((3, 2), 9) == [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]
 
 
 def test_validate_bounds_top_degree_before_primality():

@@ -18,7 +18,7 @@ from truncsym.trunc_power import (
     word_count,
 )
 
-from reference import word_dict
+from reference import join_row, joined_rows, word_dict
 
 SMALL_GRID = [(n, p) for n in (1, 2, 3) for p in (2, 3, 5)]
 
@@ -71,20 +71,20 @@ def words_of(n, length, row):
 
 
 def test_multiset_words():
-    row = next(symmetrized_rows(2, 5, [(2, 1)]))
+    row = join_row(symmetrized_rows(2, 5, [(2, 1)]))
     assert words_of(2, 3, row) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert word_count((2, 1)) == 3
     assert word_count((4, 4, 4)) == math.factorial(12) // math.factorial(4) ** 3
-    words, coeffs = next(symmetrized_rows(3, 5, [(4, 4, 4)]))
+    words, coeffs = join_row(symmetrized_rows(3, 5, [(4, 4, 4)]))
     assert len(words) == len(coeffs) == word_count((4, 4, 4))
 
 
 def test_symmetrized_tensor_examples():
     # Keys are the words read in base n: (0, 1) -> 1, (1, 0) -> 2, (1, 0, 0) -> 4.
-    live, dead = symmetrized_rows(2, 2, [(1, 1), (2, 0)])
+    live, dead = joined_rows(symmetrized_rows(2, 2, [(1, 1), (2, 0)]))
     assert word_dict(2, 2, live) == {1: 1, 2: 1}
     assert len(dead[0]) == len(dead[1]) == 0
-    assert word_dict(2, 3, next(symmetrized_rows(2, 5, [(2, 1)]))) == {1: 2, 2: 2, 4: 2}
+    assert word_dict(2, 3, join_row(symmetrized_rows(2, 5, [(2, 1)]))) == {1: 2, 2: 2, 4: 2}
 
 
 def test_symmetrization_matrix_small():
@@ -109,7 +109,7 @@ def test_word_layout_packs_long_words_exactly():
         layout.write(words, j, 1)
     assert words.tolist() == [[2 ** 63 - 1, 2 ** 4 - 1]]
     assert layout.codes(words) == [2 ** 67 - 1]
-    row = next(symmetrized_rows(2, 67, [(66, 1)]))
+    row = join_row(symmetrized_rows(2, 67, [(66, 1)]))
     assert words_of(2, 67, row) == [(0,) * (66 - j) + (1,) + (0,) * j for j in range(67)]
     assert np.all(np.diff(list(word_dict(2, 67, row))) > 0)
 
