@@ -6,6 +6,7 @@ Exit codes: 0 when everything passes, 1 on a verification failure,
 
 from __future__ import annotations
 
+import os
 import sys
 
 import click
@@ -19,6 +20,23 @@ from .suites import ALL_SUITES, ConfigError, SuiteConfig, run_suite
 @click.group()
 def main() -> None:
     """Exact verification for truncated power algebra and slope bounds."""
+
+
+def _check_out(out_path: str | None) -> None:
+    """Exit 2 before any work when the output file's directory is missing."""
+    if out_path and not os.path.isdir(os.path.dirname(os.path.abspath(out_path))):
+        click.echo(f"output error: no directory for {out_path}", err=True)
+        sys.exit(2)
+
+
+def _emit(text: str, out_path: str | None, written: str) -> None:
+    """Write ``text`` to the output file and echo ``written``, or print it."""
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        click.echo(f"{written} written to {out_path}")
+    else:
+        click.echo(text)
 
 
 def _parse_csv_ints(text: str, label: str) -> tuple[int, ...]:
@@ -67,14 +85,9 @@ def verify(n_max, primes, suite_list, seed, max_sigma, matching_n_max, random_su
     except (ConfigError, click.ClickException) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(2)
+    _check_out(out_path)
     report = run_suite(config)
-    text = dumps(report)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        click.echo(("PASS" if report["passed"] else "FAIL") + f": report written to {out_path}")
-    else:
-        click.echo(text)
+    _emit(dumps(report), out_path, ("PASS" if report["passed"] else "FAIL") + ": report")
     sys.exit(0 if report["passed"] else 1)
 
 
@@ -106,14 +119,8 @@ def slopes(scenario_path, out_path):
     except ScenarioError as exc:
         click.echo(f"scenario error: {exc}", err=True)
         sys.exit(2)
-    result = evaluate_scenarios(scenarios)
-    text = dumps(result)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        click.echo(f"evaluation written to {out_path}")
-    else:
-        click.echo(text)
+    _check_out(out_path)
+    _emit(dumps(evaluate_scenarios(scenarios)), out_path, "evaluation")
 
 
 if __name__ == "__main__":

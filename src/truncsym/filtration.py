@@ -160,16 +160,10 @@ def curve_report(p: int) -> str | None:
     length p.  Returns the entries and dimensions, worded, when that fails,
     or None when it holds."""
     entries = []
-    ok = True
     for ell in range(1, p):
         m = graded_nabla_matrix(1, p, ell)
-        if m.nrows != 1 or m.ncols != 1:
-            ok = False
-            entries.append(0)
-            continue
-        e = m.rows[0].get(0, 0)
-        entries.append(e)
-        ok = ok and e != 0 and e == (-ell) % p
+        entries.append(m.rows[0].get(0, 0) if m.nrows == m.ncols == 1 else 0)
     dims = tuple(len(filtration_basis(1, p, ell)) for ell in range(p + 1))
-    ok = ok and dims == tuple(p - ell for ell in range(p)) + (0,)
-    return None if ok else f"entries {tuple(entries)} dims {dims}"
+    if entries == [-ell % p for ell in range(1, p)] and dims == tuple(range(p, -1, -1)):
+        return None
+    return f"entries {tuple(entries)} dims {dims}"

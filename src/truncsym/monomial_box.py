@@ -5,10 +5,11 @@ and sum(v) = l.  For l <= sigma/2 (sigma = sum of caps) there is an
 injective map phi from M^l into M^{sigma-l} with v <= phi(v) componentwise;
 ``dominance_matching`` builds it by the split-and-shift construction, and
 ``hall_matching_exists`` is an independent bipartite-matching oracle for
-the same statement.  Boxes are enumerated as numpy rows; the map is one
-fold over the columns of all source elements at once, and
-``matching_sweep`` checks many caps vectors per batch.  Nothing here
-recurses or caches without bound.
+the same statement.  One pass enumerates a degree range of many boxes as
+numpy rows: one degree of a single box, the matched half of a batch for
+the map, whole boxes for the oracle.  The map is one fold over the columns
+of all source elements, and ``matching_sweep`` checks many caps vectors
+per batch.  Nothing here recurses or caches without bound.
 """
 
 from __future__ import annotations
@@ -56,14 +57,15 @@ def _check_caps(caps: tuple[int, ...]) -> int:
     return sigma
 
 
-def _enumerate(caps: np.ndarray, degree: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Box rows of every caps vector (a row of ``caps``), prefix-major.
+def _enumerate(caps: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Box rows of every caps vector q (a row of ``caps``) with total in
+    [lo[q], hi[q]] (an int bound holds for all), prefix-major.
 
     Returns the rows and, for each, the index of its caps vector; the rows of
-    one caps vector are contiguous and in lexicographic order.  With a degree
-    only the rows of that degree are built, else the full products of chains.
-    Each coordinate extends every prefix by its feasible values; the rows are
-    read back along the parent links at the end.
+    one caps vector are contiguous and in lexicographic order.  Each
+    coordinate extends every prefix by the values that keep both bounds in
+    reach of the caps left, so every prefix that reaches the last coordinate
+    is a row; the rows are read back along the parent links at the end.
     """
     m, n = caps.shape
     caps = caps.astype(np.int64)
@@ -71,37 +73,42 @@ def _enumerate(caps: np.ndarray, degree: int | None = None) -> tuple[np.ndarray,
     tails = np.zeros((m, n + 1), np.int64)
     tails[:, :n] = np.cumsum(caps[:, ::-1], axis=1)[:, ::-1]
     owner = np.arange(m)
-    left = np.full(m, 0 if degree is None else degree, np.int64)
+    # left[:, j]: the least and the most prefix j's remaining coordinates add.
+    left = np.array([np.broadcast_to(lo, m), np.broadcast_to(hi, m)], np.int64)
     links = []
     for k in range(n):
-        cap = caps[owner, k]
-        if degree is None:
-            lo = np.zeros_like(cap)
-            hi = cap
-        else:
-            lo = np.maximum(left - tails[owner, k + 1], 0)
-            hi = np.minimum(left, cap)
-        counts = np.maximum(hi - lo + 1, 0)
+        low = np.maximum(left[0] - tails[owner, k + 1], 0)
+        high = np.minimum(left[1], caps[owner, k])
+        counts = np.maximum(high - low + 1, 0)
         parent = np.repeat(np.arange(len(owner)), counts)
         first = np.cumsum(counts) - counts
-        values = lo[parent] + np.arange(len(parent)) - first[parent]
+        values = low[parent] + np.arange(len(parent)) - first[parent]
         links.append((parent, values))
         owner = owner[parent]
-        left = left[parent] - values
-    keep = np.arange(len(owner)) if degree is None else np.flatnonzero(left == 0)
-    rows = np.empty((len(keep), n), _row_dtype(int(caps.max(initial=0))))
-    at = keep
+        left = left[:, parent] - values
+    rows = np.empty((len(owner), n), _row_dtype(int(caps.max(initial=0))))
+    at = np.arange(len(owner))
     for k in range(n - 1, -1, -1):
         parent, values = links[k]
         rows[:, k] = values[at]
         at = parent[at]
-    return rows, owner[keep]
+    return rows, owner
+
+
+def _case_rows(caps: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of degree l <= hi[q] of every caps vector q, with their case
+    keys l * count + q (count caps vectors), ordered by case and
+    lexicographic within each."""
+    rows, owner = _enumerate(caps, 0, hi)
+    case = rows.sum(axis=1) * len(caps) + owner
+    order = np.argsort(case, kind="stable")
+    return rows[order], case[order]
 
 
 def _box_rows(caps: tuple[int, ...], degree: int) -> np.ndarray:
     if degree < 0 or degree > sum(caps):
         return np.zeros((0, len(caps)), _row_dtype(max(caps, default=0)))
-    return _enumerate(np.array([caps], np.int64), degree)[0]
+    return _enumerate(np.array([caps], np.int64), degree, degree)[0]
 
 
 def _as_tuples(rows: np.ndarray) -> list[MultiIndex]:
@@ -488,21 +495,6 @@ def _sweep_chunks(caps_vectors: Iterable[tuple[int, ...]]) -> Iterator[list[tupl
         yield chunk
 
 
-def _graded_rows(caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The full box of every shape (a row of ``caps``) for the Hall oracle,
-    which needs the target degrees above sigma/2 as well.
-
-    Returns the rows ordered by (shape q, degree l), lexicographic within
-    each, and their keys q * stride + l with stride = max sigma + 1.
-    """
-    stride = int(caps.sum(axis=1).max()) + 1
-    rows, owner = _enumerate(caps)
-    rows = rows.astype(_row_dtype(stride))
-    key = owner * stride + rows.sum(axis=1)
-    order = np.argsort(key, kind="stable")
-    return rows[order], key[order], stride
-
-
 def _shape(caps: tuple[int, ...]) -> tuple[int, ...]:
     # The sorted positive caps: all the Hall oracle depends on (see matching_sweep).
     return tuple(sorted(a for a in caps if a)) or (0,)
@@ -512,15 +504,18 @@ def _shape_oracle(shapes: list[tuple[int, ...]]) -> list[list[bool]]:
     """The Hall oracle's answers at every l <= sigma for shapes of one length."""
     caps = np.array(shapes, np.int64)
     sigma = caps.sum(axis=1)
-    rows, key, stride = _graded_rows(caps)
-    bounds = np.searchsorted(key, np.arange(len(shapes) * stride + 1))
-    # Hall case q * stride + l: degree l into degree sigma_q - l of shape q
-    # (an empty source when l > sigma_q).
-    owners, degrees = np.divmod(np.arange(len(shapes) * stride), stride)
-    mirror = owners * stride + np.maximum(sigma[owners] - degrees, 0)
+    top, count = int(sigma.max()), len(shapes)
+    rows, case = _case_rows(caps, sigma)
+    bounds = np.searchsorted(case, np.arange((top + 1) * count + 1))
+    # Hall case (q, l) for each l <= sigma_q, shape by shape: degree l into
+    # degree sigma_q - l of shape q.
+    owner, degree = np.nonzero(np.arange(top + 1) <= sigma[:, None])
+    source = degree * count + owner
+    target = (sigma[owner] - degree) * count + owner
     oracle = _hall_many(rows, np.stack(
-        [bounds[:-1], bounds[1:], bounds[mirror], bounds[mirror + 1]], axis=1))
-    return [oracle[q * stride:q * stride + s + 1] for q, s in enumerate(sigma.tolist())]
+        [bounds[source], bounds[source + 1], bounds[target], bounds[target + 1]], axis=1))
+    ends = np.cumsum(sigma + 1).tolist()
+    return [oracle[end - s - 1:end] for s, end in zip(sigma.tolist(), ends)]
 
 
 def matching_sweep(
@@ -532,11 +527,11 @@ def matching_sweep(
 
     The same map, checks and oracle as ``dominance_matching``,
     ``verify_matching`` and ``hall_matching_exists``, run on a batch of caps
-    vectors of one length at once.  Only the matched half is enumerated,
-    degree-major: for each l the boxes of degree l of every caps vector with
-    2l <= sigma, so case l * count + q (caps vector q of the batch's count)
-    rises along the rows and each case's rows stay in lexicographic order.
-    The map and its checks run on all rows together.
+    vectors of one length at once.  The map's rows are the matched half,
+    each caps vector q's degrees l <= sigma_q/2, ordered by the case
+    l * count + q (of the batch's count caps vectors) and lexicographic
+    within it; the map and its checks run on all rows together.  The
+    oracle's rows are its shapes' whole boxes, in the same case layout.
     The oracle is solved once per shape, the sorted positive caps: permuting
     coordinates and dropping a zero cap map a box onto the shape's box,
     degree by degree, and keep dominance both ways, so a dominance matching
@@ -549,15 +544,9 @@ def matching_sweep(
         caps = np.array(chunk, np.int64)
         sigma = caps.sum(axis=1)
         top, count = int(sigma.max()), len(chunk)
-        parts, cases = [], []
-        for ell in range(top // 2 + 1):
-            owners = np.flatnonzero(2 * ell <= sigma)
-            rows, owner = _enumerate(caps[owners], ell)
-            parts.append(rows)
-            cases.append(ell * count + owners[owner])
         dtype = _row_dtype(top + 1)
-        v = np.concatenate(parts).astype(dtype, copy=False)
-        case = np.concatenate(cases)
+        v, case = _case_rows(caps, sigma // 2)
+        v = v.astype(dtype, copy=False)
         degree, owner = np.divmod(case, count)
         row_caps = caps.astype(dtype)[owner]
         w = _split_shift_images(v, row_caps)

@@ -25,7 +25,8 @@ Rational = Fraction | int
 
 # Largest top degree n(p-1) accepted from a configuration or a scenario:
 # slope sums materialize all n(p-1)+1 layers.  Checked before primality, so
-# no accepted input sends a p above TOP_DEGREE_LIMIT + 1 to trial division.
+# a p at or above fp_linalg.MILLER_RABIN_LIMIT is refused here: ``is_prime``
+# raises ValueError for it, which would escape as a traceback.
 TOP_DEGREE_LIMIT = 1000
 
 

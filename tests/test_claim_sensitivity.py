@@ -4,8 +4,9 @@ A claim that compares a function with itself passes whatever the code does.
 Each row names a claim generator of ``suites``, a small grid for it, a fault
 put into one side of the claim with ``monkeypatch``, and the case kinds (the
 first word of the case key, such as ``composite``, or ``n=3`` where keys
-start with the dimension) that must then fail; ``None`` asks every case to
-fail.  Unfaulted, the same cases all pass.
+start with the dimension; ``matched`` or ``boundary`` for a matching case)
+that must then fail; ``None`` asks every case to fail.  Unfaulted, the same
+cases all pass.
 """
 
 import itertools
@@ -16,12 +17,13 @@ from unittest import mock
 import pytest
 
 from truncsym import filtration as filt
+from truncsym import monomial_box as boxes
 from truncsym import suites
 from truncsym import trunc_algebra as alg
 from truncsym import trunc_power as tp
 from truncsym.fp_linalg import FpMatrix
-from truncsym.suites import (_filtration_cases, _growth_cases, _koszul_cases, _pairing_cases,
-                             _rank_cases)
+from truncsym.suites import (_filtration_cases, _growth_cases, _koszul_cases, _matching_cases,
+                             _pairing_cases, _rank_cases)
 
 
 def _drop_first_bridging_operator(monkeypatch):
@@ -96,6 +98,27 @@ def _deepest_entry_zeroed(monkeypatch):
     monkeypatch.setattr(tp, "koszul_complex", zeroed)
 
 
+def _one_image_off(monkeypatch):
+    images = boxes._split_shift_images
+
+    def off(v, caps):
+        w = images(v, caps).copy()
+        w[-1, 0] += 1  # the last row's image leaves its target degree
+        return w
+
+    monkeypatch.setattr(boxes, "_split_shift_images", off)
+
+
+def _oracle_always_matches(monkeypatch):
+    monkeypatch.setattr(boxes, "_hall_many", lambda rows, cases: [True] * len(cases))
+
+
+def _accept_above_half(monkeypatch):
+    construct = boxes.dominance_matching
+    monkeypatch.setattr(boxes, "dominance_matching", lambda caps, ell: (
+        {} if 2 * ell > sum(caps) else construct(caps, ell)))
+
+
 FILTRATION_PAIRS = [(2, 3), (3, 2), (2, 5)]
 
 CLAIMS = [
@@ -110,7 +133,19 @@ CLAIMS = [
     ("ranks", lambda: _rank_cases([(2, 3), (3, 2)]), _rank_one_high_on_one_grade, {"n=3"}),
     ("koszul", lambda: _koszul_cases([(2, 3), (3, 2), (2, 5)]), _deepest_entry_zeroed,
      {"n=2", "n=3"}),
+    ("matching-map", lambda: _matching_cases(boxes.iter_caps_vectors(3, 6)), _one_image_off,
+     {"matched"}),
+    ("matching-oracle", lambda: _matching_cases(boxes.iter_caps_vectors(3, 6)),
+     _oracle_always_matches, {"boundary"}),
+    ("matching-construction", lambda: _matching_cases(boxes.iter_caps_vectors(3, 6)),
+     _accept_above_half, {"boundary"}),
 ]
+
+
+def _kind(key):
+    if key.startswith("caps="):
+        return "boundary" if key.endswith("(boundary)") else "matched"
+    return key.split()[0]
 
 
 @pytest.mark.parametrize("claim, cases, fault, failing_kinds", CLAIMS,
@@ -118,7 +153,7 @@ CLAIMS = [
 def test_a_fault_fails_the_claim(monkeypatch, claim, cases, fault, failing_kinds):
     assert all(ok for _, ok, _ in cases())
     fault(monkeypatch)
-    verdicts = [(key.split()[0], ok) for key, ok, _ in cases()]
+    verdicts = [(_kind(key), ok) for key, ok, _ in cases()]
     if failing_kinds is None:
         assert verdicts and not any(ok for _, ok in verdicts)
     else:

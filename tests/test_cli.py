@@ -141,6 +141,18 @@ def test_verify_rejects_an_empty_suite_list(tmp_path):
         assert "{" not in result.output and not out.exists()
 
 
+def test_verify_refuses_an_out_path_in_a_missing_directory(tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli_mod, "run_suite", runs.append)
+    out = tmp_path / "missing" / "report.json"
+    result = CliRunner().invoke(main, ["verify", "--suites", "koszul", "--n-max", "1",
+                                       "--primes", "2", "--out", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # refused, not a traceback
+    assert result.output == f"output error: no directory for {out}\n"
+    assert runs == [] and not out.parent.exists()
+
+
 def test_verify_rejects_oversized_sigma():
     runner = CliRunner()
     result = runner.invoke(main, ["verify", "--max-sigma", "40"])
@@ -340,6 +352,19 @@ def test_slopes_command_malformed_json(tmp_path):
     result = runner.invoke(main, ["slopes", "--scenario", str(scenario)])
     assert result.exit_code == 2
     assert "line" in result.output
+
+
+def test_slopes_command_refuses_an_out_path_in_a_missing_directory(tmp_path, monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(cli_mod, "evaluate_scenarios", evaluated.append)
+    scenario = tmp_path / "curve.json"
+    scenario.write_text(json.dumps([{"n": 1, "p": 2, "rkW": 1, "muW": 0, "g": 2}]))
+    out = tmp_path / "missing" / "out.json"
+    result = CliRunner().invoke(main, ["slopes", "--scenario", str(scenario), "--out", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # refused, not a traceback
+    assert result.output == f"output error: no directory for {out}\n"
+    assert evaluated == [] and not out.parent.exists()
 
 
 def _pinned_scenarios() -> list[dict]:

@@ -11,6 +11,7 @@ import pytest
 from truncsym import filtration as filt
 from truncsym import monomial_box as boxes
 from truncsym import slopes as slp
+from truncsym import suites
 from truncsym import trunc_algebra as alg
 from truncsym import trunc_power as tp
 from truncsym.jsonout import dumps
@@ -221,6 +222,17 @@ def test_composite_cases_compare_rows_in_pieces(monkeypatch):
         tracemalloc.stop()
     assert result["passed"] and result["cases"] == 62
     assert peak < 184_756 * 8
+
+
+def test_composite_cases_skip_rows_above_the_word_limit(monkeypatch):
+    # With a limit of 5 words, (2, 3) loses its only row of 6 words, (2, 2):
+    # it is named in the stats, and its layer 4 has no row left, so no case.
+    monkeypatch.setattr(suites, "ROW_WORD_LIMIT", 5)
+    result = collect(_filtration_cases([(2, 3)]))
+    assert result["stats"]["skipped_word_checks"] == ["n=2 p=3 k=(2, 2) (6 words)"]
+    composite = [c for c in _filtration_cases([(2, 3)]) if c[0].startswith("composite")]
+    assert [key for key, _, _ in composite] == [f"composite n=2 p=3 l={ell}" for ell in range(4)]
+    assert result["passed"] and result["cases"] == 13
 
 
 def test_matching_cases_fail_wherever_the_oracle_denies(monkeypatch):
