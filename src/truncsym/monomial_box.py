@@ -299,22 +299,6 @@ def _violations(v: np.ndarray, w: np.ndarray, caps: np.ndarray, target_degree: n
     return outside, undominated, repeat
 
 
-def _verdict(source: list[MultiIndex], images: list, outside, undominated,
-             repeat) -> str | None:
-    """The first violation in source order, from the flags of ``_violations``,
-    worded as "<reason> at <witness>"; None when there is none."""
-    bad = outside | undominated | (repeat >= 0)
-    if not bad.any():
-        return None
-    k = int(np.argmax(bad))
-    v, w = source[k], images[k]
-    if outside[k]:
-        return f"image outside target box at {(v, w)}"
-    if undominated[k]:
-        return f"dominance fails at {(v, w)}"
-    return f"not injective at {(source[repeat[k]], v, w)}"
-
-
 def verify_matching(caps: tuple[int, ...] | list[int], ell: int,
                     assignment: dict[MultiIndex, MultiIndex]) -> str | None:
     """Check that ``assignment`` maps M^l into M^{sigma-l} totally,
@@ -341,8 +325,17 @@ def verify_matching(caps: tuple[int, ...] | list[int], ell: int,
     w = np.array(rows, dtype).reshape(len(rows), n)
     v = np.array(source, dtype).reshape(len(source), n)
     zeros = np.zeros(len(source), np.int64)
-    flags = _violations(v, w, np.array(caps, dtype), sigma - ell, zeros)
-    return _verdict(source, images, *flags)
+    outside, undominated, repeat = _violations(v, w, np.array(caps, dtype), sigma - ell, zeros)
+    bad = outside | undominated | (repeat >= 0)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    v, w = source[k], images[k]
+    if outside[k]:
+        return f"image outside target box at {(v, w)}"
+    if undominated[k]:
+        return f"dominance fails at {(v, w)}"
+    return f"not injective at {(source[repeat[k]], v, w)}"
 
 
 def _augmenting_matching_exists(adjacency: list[int], bounds: list[int], targets: int) -> bool:
@@ -566,10 +559,8 @@ def matching_sweep(
                     failures.append(None)
                     continue
                 lo, hi = starts[c], starts[c + 1]
-                earlier = repeat[lo:hi]
-                failures.append(_verdict(
-                    _as_tuples(v[lo:hi]), _as_tuples(w[lo:hi]), outside[lo:hi],
-                    undominated[lo:hi], np.where(earlier >= 0, earlier - lo, -1)))
+                failures.append(verify_matching(
+                    caps_q, ell, dict(zip(_as_tuples(v[lo:hi]), _as_tuples(w[lo:hi])))))
             yield caps_q, failures, list(answers[shapes[q]])
 
 

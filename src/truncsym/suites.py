@@ -39,8 +39,8 @@ SIGMA_LIMIT = 12
 # them.  At sigma = 12 that is 8,567 for n = 5, 77,519 for n = 7 and 203,489
 # for n = 8; a configuration above this limit is refused.
 MATCHING_CAPS_LIMIT = 120_000
-# Koszul ranks involve the full symmetric algebra; keep those grids smaller.
-KOSZUL_VOLUME_LIMIT = 64
+# Every F_p suite runs on the (n, p) pairs with p^n <= VOLUME_LIMIT.
+VOLUME_LIMIT = 243
 # The composite check skips a row with more words than this.  Rows are built
 # and compared in pieces, so it bounds the time one row takes, not memory.
 # Every row of the pairs with p^n <= 243 is within it: the largest is the
@@ -48,6 +48,9 @@ KOSZUL_VOLUME_LIMIT = 64
 ROW_WORD_LIMIT = 3_000_000
 # Coordinate-subspace sweeps are exhaustive over subsets; bound the exponent.
 COORD_DIM_LIMIT = 10
+# Seeded random subspaces per grade in the growth suite: the default grid
+# takes about 3 s at 1,000 per grade, so 10,000 is about half a minute.
+RANDOM_SUBSPACES_LIMIT = 10_000
 
 _FAILURE_RECORD_LIMIT = 25
 
@@ -65,7 +68,6 @@ class SuiteConfig:
     random_subspaces_per_grade: int = 100
     seed: int = 0
     suites: tuple[str, ...] = ALL_SUITES
-    volume_limit: int = 243
 
     def validate(self) -> None:
         problems = []
@@ -87,10 +89,8 @@ class SuiteConfig:
             if caps > MATCHING_CAPS_LIMIT:
                 problems.append(f"the matching sweep would visit {caps} caps vectors, "
                                 f"above the limit {MATCHING_CAPS_LIMIT}")
-        if self.random_subspaces_per_grade < 0:
-            problems.append("random_subspaces_per_grade must be >= 0")
-        if self.volume_limit < 2:
-            problems.append("volume_limit must be >= 2")
+        if not 0 <= self.random_subspaces_per_grade <= RANDOM_SUBSPACES_LIMIT:
+            problems.append(f"random_subspaces_per_grade must be in [0, {RANDOM_SUBSPACES_LIMIT}]")
         unknown = sorted(set(self.suites) - set(ALL_SUITES))
         if not self.suites:
             problems.append("suites must be non-empty")
@@ -439,9 +439,8 @@ def _chain(*claims: Cases) -> Cases:
     return stats
 
 
-def _suite_pairs(cfg: SuiteConfig, volume_limit: int | None = None) -> list[tuple[int, int]]:
-    limit = cfg.volume_limit if volume_limit is None else min(cfg.volume_limit, volume_limit)
-    return pair_grid(cfg.primes, limit, cfg.n_max)
+def _suite_pairs(cfg: SuiteConfig) -> list[tuple[int, int]]:
+    return pair_grid(cfg.primes, VOLUME_LIMIT, cfg.n_max)
 
 
 def _slopes_suite(cfg: SuiteConfig) -> Cases:
@@ -466,7 +465,7 @@ _SUITES = {
         _growth_cases(_suite_pairs(cfg), random.Random(f"{cfg.seed}:growth"),
                       cfg.random_subspaces_per_grade),
     ),
-    "koszul": lambda cfg: _koszul_cases(_suite_pairs(cfg, KOSZUL_VOLUME_LIMIT)),
+    "koszul": lambda cfg: _koszul_cases(_suite_pairs(cfg)),
     "matching": lambda cfg: _matching_cases(
         boxes.iter_caps_vectors(cfg.matching_n_max, cfg.max_sigma)),
     "ranks": lambda cfg: _rank_cases(_suite_pairs(cfg)),
@@ -487,7 +486,8 @@ def run_suite(config: SuiteConfig) -> dict:
     timings["total"] = time.perf_counter() - start
     return {
         "version": __version__,
-        "config": asdict(config),
+        # n_max and primes alone do not fix the grid the F_p suites ran on.
+        "config": {**asdict(config), "volume_limit": VOLUME_LIMIT},
         "passed": all(s["passed"] for s in suites.values()),
         "suites": suites,
         "timings": timings,

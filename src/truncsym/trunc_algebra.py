@@ -12,6 +12,7 @@ parent's, so it eliminates the images of one unit vector per subspace.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,14 +21,6 @@ from typing import Iterator
 from .fp_linalg import FpMatrix, _check_modulus, eliminate, row_reduce
 from .monomial_box import MultiIndex, grade_basis
 from .seeded import _randint
-
-
-def _falling(k: int, e: int, p: int) -> int:
-    """k(k-1)...(k-e+1) mod p."""
-    out = 1
-    for i in range(e):
-        out = out * (k - i) % p
-    return out
 
 
 def apply_diff(op: MultiIndex, mono: MultiIndex, p: int) -> tuple[int, MultiIndex | None]:
@@ -47,7 +40,7 @@ def apply_diff(op: MultiIndex, mono: MultiIndex, p: int) -> tuple[int, MultiInde
         return 0, None
     coeff = 1
     for e, k in zip(op, mono):
-        coeff = coeff * _falling(k, e, p) % p
+        coeff = coeff * math.perm(k, e) % p
     return coeff, tuple(k - e for e, k in zip(op, mono))
 
 
@@ -59,14 +52,6 @@ def _action_map(n: int, p: int, op: MultiIndex, ell: int) -> dict[int, tuple[int
     return {i: (index[res], coeff) for i, (coeff, res) in enumerate(images) if coeff}
 
 
-def diff_action_matrix(n: int, p: int, op: MultiIndex, ell: int) -> FpMatrix:
-    """Matrix of t^op on grade ell of R (rows = source monomials)."""
-    action = _action_map(n, p, op, ell)
-    rows = [{hit[0]: hit[1]} if (hit := action.get(i)) else {}
-            for i in range(len(grade_basis(n, p, ell)))]
-    return FpMatrix(rows, p, len(grade_basis(n, p, ell - sum(op))))
-
-
 def omega_pairing_matrix(n: int, p: int, ell: int) -> FpMatrix:
     """Multiplication against omega = prod y_i^{p-1}: grade-ell operators
     land in the complementary grade of R.
@@ -76,8 +61,11 @@ def omega_pairing_matrix(n: int, p: int, ell: int) -> FpMatrix:
     top = n * (p - 1)
     if not 0 <= ell <= top:
         raise ValueError(f"grade {ell} outside [0, {top}]")
-    rows = [row for op in grade_basis(n, p, ell) for row in diff_action_matrix(n, p, op, top).rows]
-    return FpMatrix(rows, p, len(grade_basis(n, p, top - ell)))
+    index = {m: j for j, m in enumerate(grade_basis(n, p, top - ell))}
+    omega = (p - 1,) * n
+    rows = [{index[res]: coeff} for coeff, res in
+            (apply_diff(op, omega, p) for op in grade_basis(n, p, ell))]
+    return FpMatrix(rows, p, len(index))
 
 
 @dataclass(frozen=True, eq=False)

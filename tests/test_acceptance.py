@@ -13,6 +13,7 @@ import time
 from truncsym.fp_linalg import is_prime
 from truncsym.monomial_box import iter_caps_vectors
 from truncsym.suites import (
+    VOLUME_LIMIT,
     SuiteConfig,
     _filtration_cases,
     _growth_cases,
@@ -30,8 +31,8 @@ from truncsym.suites import (
 from truncsym.trunc_algebra import omega_pairing_matrix
 from truncsym.trunc_power import gl2_dim
 
-# Every (n, p) with p^n <= 243.
-PAIRS_243 = pair_grid([p for p in range(2, 244) if is_prime(p)], 243)
+# Every (n, p) with p^n <= VOLUME_LIMIT = 243.
+PAIRS_243 = pair_grid([p for p in range(2, VOLUME_LIMIT + 1) if is_prime(p)], VOLUME_LIMIT)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

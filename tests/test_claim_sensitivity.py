@@ -18,12 +18,15 @@ import pytest
 
 from truncsym import filtration as filt
 from truncsym import monomial_box as boxes
+from truncsym import slopes as slp
 from truncsym import suites
 from truncsym import trunc_algebra as alg
 from truncsym import trunc_power as tp
 from truncsym.fp_linalg import FpMatrix
-from truncsym.suites import (_filtration_cases, _growth_cases, _koszul_cases, _matching_cases,
-                             _pairing_cases, _rank_cases)
+from truncsym.suites import (_curve_agreement_cases, _filtration_cases, _full_profile_cases,
+                             _gap_cases, _growth_cases, _koszul_cases, _matching_cases,
+                             _pairing_cases, _pushforward_cases, _rank_cases,
+                             _slope_anchor_cases, _weight_sum_cases)
 
 
 def _drop_first_bridging_operator(monkeypatch):
@@ -119,7 +122,41 @@ def _accept_above_half(monkeypatch):
         {} if 2 * ell > sum(caps) else construct(caps, ell)))
 
 
+def _curve_gap_negated(monkeypatch):
+    curve = slp.curve_gap
+    monkeypatch.setattr(slp, "curve_gap", lambda g, p, profile: -curve(g, p, profile))
+
+
+def _pushforward_c1_plus_one(monkeypatch):
+    c1 = slp.pushforward_c1
+    monkeypatch.setattr(slp, "pushforward_c1", lambda sd: c1(sd) + 1)
+
+
+def _rearranged_sum_plus_one(monkeypatch):
+    check = slp.weight_sum_check
+
+    def off(n, p, profile):
+        issues, hypothesis_ok, direct2, rearranged2 = check(n, p, profile)
+        return issues, hypothesis_ok, direct2, rearranged2 + 1
+
+    monkeypatch.setattr(slp, "weight_sum_check", off)
+
+
+def _gap_negated(monkeypatch):
+    gap = slp.gap_lower_bound
+    monkeypatch.setattr(slp, "gap_lower_bound", lambda sd, profile: -gap(sd, profile))
+
+
+def _weights_centred_one_low(monkeypatch):
+    # Layer l weighted by n(p-1) - 1 - 2l, as if the top grade were one lower.
+    # The full profile's gap is exactly 0, so a negated gap would pass it.
+    weighted = slp._weighted_sum_twice
+    monkeypatch.setattr(slp, "_weighted_sum_twice",
+                        lambda n, p, profile: weighted(n, p, profile) - sum(profile))
+
+
 FILTRATION_PAIRS = [(2, 3), (3, 2), (2, 5)]
+SLOPE_PRIMES = [2, 3, 5]
 
 CLAIMS = [
     ("growth", lambda: _growth_cases([(2, 3), (3, 2), (2, 5)], random.Random(3), 5),
@@ -139,6 +176,17 @@ CLAIMS = [
      _oracle_always_matches, {"boundary"}),
     ("matching-construction", lambda: _matching_cases(boxes.iter_caps_vectors(3, 6)),
      _accept_above_half, {"boundary"}),
+    ("slope-anchor", _slope_anchor_cases, _curve_gap_negated, {"anchor"}),
+    ("pushforward", lambda: _pushforward_cases(random.Random(3), 200, 3, SLOPE_PRIMES),
+     _pushforward_c1_plus_one, {"pushforward-consistency"}),
+    ("curve-agreement", lambda: _curve_agreement_cases(random.Random(3), 200, SLOPE_PRIMES),
+     _curve_gap_negated, {"curve-agreement"}),
+    ("weight-sum", lambda: _weight_sum_cases(random.Random(3), 200, 3, SLOPE_PRIMES),
+     _rearranged_sum_plus_one, None),
+    ("gap-nonnegative", lambda: _gap_cases(random.Random(3), 200, 3, SLOPE_PRIMES),
+     _gap_negated, {"gap-nonnegative"}),
+    ("full-profile", lambda: _full_profile_cases(random.Random(3), 200, 3, SLOPE_PRIMES),
+     _weights_centred_one_low, {"full-profile"}),
 ]
 
 

@@ -159,6 +159,21 @@ def test_verify_rejects_oversized_sigma():
     assert result.exit_code == 2
 
 
+def test_verify_rejects_too_many_random_subspaces(monkeypatch):
+    # A one-pair grid with 99999999999999999999999 subspaces per grade ran on
+    # until it was stopped; above the limit it is refused before any suite.
+    runs = []
+    monkeypatch.setattr(cli_mod, "run_suite", runs.append)
+    t0 = time.perf_counter()
+    result = CliRunner().invoke(main, ["verify", "--suites", "growth", "--n-max", "1",
+                                       "--primes", "2", "--random-subspaces", "10001"])
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # refused, not a traceback
+    assert "random_subspaces_per_grade must be in [0, 10000]" in result.output
+    assert runs == []
+
+
 def test_verify_rejects_oversized_matching_sweep():
     # About 8.6e13 caps vectors at --matching-n-max 60: counted, not visited.
     for n_max in ("60", "1000000000000000000"):

@@ -18,6 +18,7 @@ from truncsym.jsonout import dumps
 from truncsym.slopes import TOP_DEGREE_LIMIT
 from truncsym.suites import (
     MATCHING_CAPS_LIMIT,
+    RANDOM_SUBSPACES_LIMIT,
     ConfigError,
     SuiteConfig,
     _curve_agreement_cases,
@@ -40,7 +41,7 @@ from reference import dense_matrix
 
 # sha256 of the default-config report (seed 0) without its timings, dumped as
 # the CLI prints it.  A change here is a change of the report contract.
-DEFAULT_REPORT_SHA256 = "fcd32bc48abe502e8db96810ffad75597924220d0680a98e81b3c73ddf8439f7"
+DEFAULT_REPORT_SHA256 = "3eff0e66b9cc3d287de74639c1016ad19913b769d07f9f154ddde93c1fc084be"
 
 
 def test_default_report_digest():
@@ -76,15 +77,15 @@ def test_filtration_wide_report_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == FILTRATION_WIDE_REPORT_SHA256
 
 
-# The same digest for the Koszul suite over its whole volume limit: n <= 6 and
-# the primes up to 7 (89 cases), the grid CI runs.
-KOSZUL_WIDE_REPORT_SHA256 = "be6d398cdfdbb875a4e986d9fe9ca848ce152d7b2cb6576d1c91f8c3dabdd354"
+# The same digest for the Koszul suite alone over n <= 6 and the primes up to
+# 7 (125 cases), the grid CI runs.
+KOSZUL_WIDE_REPORT_SHA256 = "51fa86b6c3ca12227fdc2d2a2d6db75d1d2abb9e3d4a654059517f5e4812efef"
 
 
 def test_koszul_wide_report_digest():
     config = SuiteConfig(suites=("koszul",), n_max=6, primes=(2, 3, 5, 7))
     report = strip_timings(run_suite(config))
-    assert report["suites"]["koszul"]["cases"] == 89
+    assert report["suites"]["koszul"]["cases"] == 125
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == KOSZUL_WIDE_REPORT_SHA256
 
@@ -289,6 +290,15 @@ def test_validate_bounds_matching_sweep():
         SuiteConfig(matching_n_max=8).validate()
     # The bound is on the sweep, so it holds only when the sweep is selected.
     SuiteConfig(matching_n_max=10 ** 18, suites=("growth",)).validate()
+
+
+def test_validate_bounds_random_subspaces():
+    # The growth suite draws this many subspaces per grade; there was no upper
+    # bound, so a huge count ran until it was stopped.
+    SuiteConfig(random_subspaces_per_grade=RANDOM_SUBSPACES_LIMIT).validate()
+    for count in (-1, RANDOM_SUBSPACES_LIMIT + 1, 10 ** 23):
+        with pytest.raises(ConfigError, match=r"random_subspaces_per_grade must be in \[0, 10000"):
+            SuiteConfig(random_subspaces_per_grade=count).validate()
 
 
 def test_validate_refuses_an_empty_suite_list():
