@@ -10,6 +10,9 @@ int64 columns and sorted, and their coefficients, all nonzero.  A single
 tensor can hold millions of words, so the row builders hand each row on in
 pieces ``(i, words, coeffs)`` of bounded size, i the row, consecutive and in
 word order; a consumer compares or collects them piece by piece.
+``symmetrization_rank`` proves the rank of the symmetrization map that way:
+a column restriction fixed before the stream is read bounds it below, the
+count of nonzero rows above.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fp_linalg import FpMatrix, _check_modulus, mat_mul, rank
+from .fp_linalg import FpMatrix, _check_modulus, eliminate, mat_mul, rank
 from .monomial_box import MultiIndex, enumerate_box, grade_basis
 
 
@@ -264,6 +267,63 @@ def symmetrized_rows(n: int, p: int,
     yield from _row_batches(row, entry_sizes, len(coeffs), assemble)
 
 
+def _word_keys(words: np.ndarray) -> np.ndarray:
+    """One key per packed word that orders like the words: the code itself
+    for a one-column layout, else the columns as big-endian bytes (codes are
+    below 2^63, so bytewise order is column order)."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    big = np.ascontiguousarray(words, dtype=">i8")
+    return big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
+
+
+def _sorted_words(layout: WordLayout, monomials: Sequence[MultiIndex]) -> np.ndarray:
+    """The sorted keys of the sorted word of each monomial (its letters in
+    non-decreasing order, the least word of its content)."""
+    exponents = np.array(monomials, dtype=np.int64).reshape(-1, layout.n)
+    letters = np.repeat(np.tile(np.arange(layout.n), len(exponents)), exponents.ravel())
+    letters = letters.reshape(len(exponents), layout.length)
+    words = layout.empty(len(exponents))
+    for j in range(layout.length):
+        layout.write(words, j, letters[:, j])
+    return np.sort(_word_keys(words))
+
+
+def _find_words(columns: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each packed word sits in ``columns`` (sorted keys, not empty), and
+    whether it is there."""
+    keys = _word_keys(words)
+    at = np.searchsorted(columns, keys).clip(max=len(columns) - 1)
+    return at, columns[at] == keys
+
+
+def symmetrization_rank(n: int, p: int, ell: int) -> tuple[int, int]:
+    """Bounds ``(lower, upper)`` on the rank of the symmetrization map
+    Sym^ell -> tensor words, from one pass over ``symmetrized_rows``.
+
+    The columns J, the sorted word of each monomial, are fixed before the
+    stream is read.  ``lower`` is the rank (``fp_linalg.eliminate``) of the
+    restriction of the rows to J, kept as {index in J: coefficient};
+    ``upper`` counts the rows that yield a word.  When the two agree they
+    are the rank, and no row was held whole.  Bad input raises
+    ``ValueError`` before any array work.
+    """
+    _check_modulus(p)
+    if n < 1 or ell < 0:
+        raise ValueError(f"need n >= 1 letters and a degree >= 0, got n={n}, degree {ell}")
+    monomials = sym_basis(n, ell)
+    columns = _sorted_words(WordLayout(n, ell), monomials)
+    restricted: dict[int, dict[int, int]] = {}
+    nonzero = set()
+    for i, words, coeffs in symmetrized_rows(n, p, monomials):
+        if len(words):
+            nonzero.add(i)
+        at, hit = _find_words(columns, words)
+        if hit.any():
+            restricted.setdefault(i, {}).update(zip(at[hit].tolist(), coeffs[hit].tolist()))
+    return len(eliminate(restricted.values(), p)), len(nonzero)
+
+
 def symmetrization_matrix(n: int, p: int, ell: int) -> list[dict[int, int]]:
     """The symmetrization map Sym^ell -> tensor words as sparse rows keyed by
     the exact word codes of ``WordLayout.codes``, one per monomial in
@@ -271,6 +331,8 @@ def symmetrization_matrix(n: int, p: int, ell: int) -> list[dict[int, int]]:
 
     Rank (``fp_linalg.eliminate``) equals the truncated-power dimension;
     monomials with an exponent >= p span the kernel (their rows vanish).
+    The rows hold every word of the grade: the tests' reference for
+    ``symmetrization_rank``.
     """
     monomials = sym_basis(n, ell)
     codes = WordLayout(n, ell).codes

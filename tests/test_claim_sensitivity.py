@@ -22,11 +22,13 @@ from truncsym import slopes as slp
 from truncsym import suites
 from truncsym import trunc_algebra as alg
 from truncsym import trunc_power as tp
-from truncsym.fp_linalg import FpMatrix
+from truncsym.fp_linalg import FpMatrix, eliminate
 from truncsym.suites import (_curve_agreement_cases, _filtration_cases, _full_profile_cases,
                              _gap_cases, _growth_cases, _koszul_cases, _matching_cases,
                              _pairing_cases, _pushforward_cases, _rank_cases,
                              _slope_anchor_cases, _weight_sum_cases)
+
+from reference import join_row
 
 
 def _drop_first_bridging_operator(monkeypatch):
@@ -83,6 +85,37 @@ def _rank_one_high_on_one_grade(monkeypatch):
     formula = tp.trunc_rank
     monkeypatch.setattr(tp, "trunc_rank", lambda n, p, ell: formula(n, p, ell)
                         + ((n, p, ell) == (3, 2, 1)))
+
+
+def _one_row_repeated_reversed(monkeypatch):
+    """A fault in the symmetrization side: the first live row with several
+    words is re-emitted, its words in reverse order, as the next live row.
+    The rank drops by one, yet every row keeps a word and the first words
+    streamed stay distinct."""
+    build = tp.symmetrized_rows
+
+    def faulted(n, p, monomials):
+        held, spent = None, False
+        for i, pieces in itertools.groupby(build(n, p, monomials), itemgetter(0)):
+            words, coeffs = join_row(pieces)
+            if held is not None and len(words) and not spent:
+                words, coeffs = held[0][::-1], held[1][::-1]
+                spent = True
+            elif held is None and len(words) > 1:
+                held = words, coeffs
+            yield i, words, coeffs
+
+    monkeypatch.setattr(tp, "symmetrized_rows", faulted)
+
+
+def _first_word_bounds(n, p, ell):
+    """The bounds of a shortcut that keys each row by its first streamed word
+    alone: sound only when the stream is sorted, which is what is under test."""
+    firsts = {}
+    for i, words, coeffs in tp.symmetrized_rows(n, p, tp.sym_basis(n, ell)):
+        if len(words) and i not in firsts:
+            firsts[i] = {tuple(words[0].tolist()): int(coeffs[0])}
+    return len(eliminate(firsts.values(), p)), len(firsts)
 
 
 def _deepest_entry_zeroed(monkeypatch):
@@ -168,6 +201,8 @@ CLAIMS = [
     ("filtration-word", lambda: _in_small_pieces(_filtration_cases(FILTRATION_PAIRS)),
      _fault_last_pieces(_last_word_dropped), {"composite"}),
     ("ranks", lambda: _rank_cases([(2, 3), (3, 2)]), _rank_one_high_on_one_grade, {"n=3"}),
+    ("ranks-symmetrization", lambda: _rank_cases([(2, 3), (3, 2)]), _one_row_repeated_reversed,
+     {"n=2", "n=3"}),
     ("koszul", lambda: _koszul_cases([(2, 3), (3, 2), (2, 5)]), _deepest_entry_zeroed,
      {"n=2", "n=3"}),
     ("matching-map", lambda: _matching_cases(boxes.iter_caps_vectors(3, 6)), _one_image_off,
@@ -206,3 +241,11 @@ def test_a_fault_fails_the_claim(monkeypatch, claim, cases, fault, failing_kinds
         assert verdicts and not any(ok for _, ok in verdicts)
     else:
         assert {kind for kind, ok in verdicts if not ok} >= failing_kinds
+
+
+def test_the_symmetrization_fault_passes_a_first_word_shortcut(monkeypatch):
+    # The ranks-symmetrization fault must fail the streamed bounds, yet it
+    # passes bounds that key each row by its first streamed word.
+    _one_row_repeated_reversed(monkeypatch)
+    monkeypatch.setattr(tp, "symmetrization_rank", _first_word_bounds)
+    assert all(ok for _, ok, _ in _rank_cases([(2, 3), (3, 2)]))

@@ -14,7 +14,7 @@ from truncsym.fp_linalg import (
     rank,
     row_reduce,
 )
-from truncsym.trunc_power import symmetrization_matrix, trunc_rank
+from truncsym.trunc_power import symmetrization_matrix, symmetrization_rank, trunc_rank
 
 from reference import dense_matrix, reference_rref
 
@@ -279,3 +279,5 @@ def test_symmetrization_rank_matches_reference_elimination():
             dense = [[row.get(w, 0) for w in words] for row in rows]
             expected = reference_rref(dense, p)[1] if words else 0
             assert len(eliminate(rows, p)) == expected == trunc_rank(n, p, ell), (n, p, ell)
+            # The streamed bounds: restricted rank and nonzero rows.
+            assert symmetrization_rank(n, p, ell) == (expected, expected), (n, p, ell)

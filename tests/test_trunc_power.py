@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from truncsym import trunc_power as tp
 from truncsym.fp_linalg import eliminate, mat_mul, rank
 from truncsym.monomial_box import grade_basis
 from truncsym.trunc_power import (
     degree_weight_check,
     gl2_dim,
     WordLayout,
+    _find_words,
+    _sorted_words,
     koszul_complex,
     sym_basis,
     symmetrization_matrix,
+    symmetrization_rank,
     symmetrized_rows,
     trunc_rank,
     verify_koszul_exact,
@@ -124,6 +128,35 @@ def test_symmetrization_rank_below_p_is_full():
 def test_symmetrization_degree_zero():
     # The empty word has code 0.
     assert symmetrization_matrix(3, 2, 0) == [{0: 1}]
+
+
+def test_sorted_word_lookup_spans_columns():
+    # Words of 64 binary letters take two columns, so a word can agree with a
+    # sorted word in its first column and differ in its second.
+    layout = WordLayout(2, 64)
+    assert len(layout.ends) == 2
+    # Every sorted word but the top one 1^64, so that a word can lie beyond them all.
+    columns = _sorted_words(layout, [(64 - k, k) for k in range(64)])
+    queries = [(0,) * (64 - k) + (1,) * k for k in range(64)]
+    queries += [(0,) * 62 + (1, 0), (1,) + (0,) * 63, (1,) * 63 + (0,), (1,) * 64]
+    words = layout.empty(len(queries))
+    for j in range(64):
+        layout.write(words, j, np.array([word[j] for word in queries]))
+    at, hit = _find_words(columns, words)
+    assert hit.tolist() == [True] * 64 + [False] * 4
+    # 0^(64-k) 1^k has code 2^k - 1: the k-th in order.
+    assert at[:64].tolist() == list(range(64))
+
+
+def test_symmetrization_rank_refuses_bad_input_before_array_work(monkeypatch):
+    def no_arrays(*args):
+        raise AssertionError("array work before the input was checked")
+
+    monkeypatch.setattr(tp, "sym_basis", no_arrays)
+    monkeypatch.setattr(tp, "WordLayout", no_arrays)
+    for n, p, ell in [(2, 4, 1), (2, 1, 1), (2, 2 ** 40, 1), (2, 5, -1), (0, 5, 2)]:
+        with pytest.raises(ValueError):
+            symmetrization_rank(n, p, ell)
 
 
 def test_degree_weight_examples():
