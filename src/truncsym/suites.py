@@ -10,16 +10,12 @@ contract holds regardless of how the suites are scheduled.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
-from operator import itemgetter
 from typing import Generator
-
-import numpy as np
 
 from . import __version__
 from . import filtration as filt
@@ -292,49 +288,22 @@ def _filtration_cases(pairs) -> Cases:
             r = rank(m)
             yield f"graded-injective n={n} p={p} l={ell}", r == m.nrows, f"rank {r} < {m.nrows}"
         for ell in range(top + 1):
-            rows, counts = [], []
+            rows = []
             for k in boxes.grade_basis(n, p, ell):
                 words = tp.word_count(k)
                 if words > ROW_WORD_LIMIT:
                     skipped.append(f"n={n} p={p} k={k} ({words} words)")
                 else:
                     rows.append(k)
-                    counts.append(words)
             if not rows:
                 continue
-            sign = (-1) ** ell % p
-            bad = None
-            composite = itertools.groupby(filt.nabla_power_rows(n, p, rows), itemgetter(0))
-            symmetrized = itertools.groupby(tp.symmetrized_rows(n, p, rows), itemgetter(0))
-            for i, (k, words) in enumerate(zip(rows, counts)):
-                # The same sorted words, all word_count(k) of them, each with
-                # (-1)^l prod(k_i!) mod p.  Both sides cut a row between the
-                # same prefix blocks, so they are compared piece by piece and
-                # no row is held whole.
-                got_i, got = next(composite, (None, ()))
-                want_i, want = next(symmetrized, (None, ()))
-                if not got_i == want_i == i or _piece_words(got, want, sign, p) != words:
-                    bad = k
-                    break
+            bad = filt.composite_mismatch(n, p, rows)
             yield (f"composite n={n} p={p} l={ell}", bad is None,
                    f"composite row differs from signed symmetrization at {bad}")
         if n == 1:
             failure = filt.curve_report(p)
             yield f"curve p={p}", failure is None, failure or ""
     return {"skipped_word_checks": skipped}
-
-
-def _piece_words(composite, symmetrized, sign: int, p: int) -> int | None:
-    """The words of one row whose composite pieces equal its symmetrized pieces
-    times ``sign`` mod p, one for one; None at the first difference or at a
-    piece one side has left over."""
-    words = 0
-    for got, want in itertools.zip_longest(composite, symmetrized):
-        if got is None or want is None or not (
-                np.array_equal(got[1], want[1]) and np.array_equal(got[2], sign * want[2] % p)):
-            return None
-        words += len(want[2])
-    return words
 
 
 def _random_symmetric_profile(rng: random.Random, n: int, p: int) -> list[int]:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from truncsym import filtration
 from truncsym.filtration import (
+    composite_mismatch,
     curve_report,
     filtration_basis,
     graded_nabla_matrix,
@@ -112,6 +114,61 @@ def test_nabla_power_matches_signed_symmetrization():
             for k, sym in zip(basis, joined_rows(symmetrized_rows(n, p, basis))):
                 expected = {w: sign * c % p for w, c in word_dict(n, ell, sym).items()}
                 assert composite[k] == expected, (n, p, ell, k)
+
+
+def test_composite_mismatch_passes_clean_grades():
+    for n, p in [(2, 5), (3, 3)]:
+        for ell in range(n * (p - 1) + 1):
+            assert composite_mismatch(n, p, grade_basis(n, p, ell)) is None, (n, p, ell)
+    assert composite_mismatch(2, 5, []) is None
+
+
+# The grade (2, 5) l = 6, whose middle row (3, 3) holds C(6, 3) = 20 words: in
+# pieces of about 4 words it spans several.
+GRADE = grade_basis(2, 5, 6)
+MIDDLE = GRADE[len(GRADE) // 2]
+
+
+def _last_piece_changed(build, change):
+    """``build`` with ``change`` applied to the last piece of the middle row."""
+    def faulted(n, p, monomials):
+        pieces = list(build(n, p, monomials))
+        last = max(j for j, (i, _, _) in enumerate(pieces) if monomials[i] == MIDDLE)
+        pieces[last] = change(*pieces[last], p)
+        yield from pieces
+    return faulted
+
+
+def _coefficient_off(i, words, coeffs, p):
+    coeffs = coeffs.copy()
+    coeffs[-1] = (coeffs[-1] + 1) % p
+    return i, words, coeffs
+
+
+def _word_dropped(i, words, coeffs, p):
+    return i, words[:-1], coeffs[:-1]
+
+
+def test_composite_mismatch_names_a_row_with_one_coefficient_off(monkeypatch):
+    monkeypatch.setattr(trunc_power, "BATCH_WORDS", 4)
+    middle = GRADE.index(MIDDLE)
+    assert len([i for i, _, _ in nabla_power_rows(2, 5, GRADE) if i == middle]) > 1
+    assert composite_mismatch(2, 5, GRADE) is None
+    monkeypatch.setattr(filtration, "nabla_power_rows",
+                        _last_piece_changed(nabla_power_rows, _coefficient_off))
+    assert composite_mismatch(2, 5, GRADE) == MIDDLE
+
+
+def test_composite_mismatch_counts_the_words_of_each_row(monkeypatch):
+    # The same word dropped from both streams leaves every pair of pieces
+    # equal; only the count against word_count(k) sees the short row.
+    monkeypatch.setattr(trunc_power, "BATCH_WORDS", 4)
+    for name, build in (("nabla_power_rows", nabla_power_rows),
+                        ("symmetrized_rows", symmetrized_rows)):
+        monkeypatch.setattr(filtration, name, _last_piece_changed(build, _word_dropped))
+    pairs = zip(filtration.nabla_power_rows(2, 5, GRADE), filtration.symmetrized_rows(2, 5, GRADE))
+    assert all(got[0] == want[0] and np.array_equal(got[1], want[1]) for got, want in pairs)
+    assert composite_mismatch(2, 5, GRADE) == MIDDLE
 
 
 def test_packed_rows_match_reference_walk():
