@@ -24,8 +24,8 @@ import numpy as np
 
 from .fp_linalg import FpMatrix
 from .monomial_box import MultiIndex, grade_basis
-from .trunc_power import (Piece, WordLayout, _check_rows, _distinct_rows, _expand,
-                          _one_letter_rows, _row_batches, symmetrized_rows, word_count)
+from .trunc_power import (Piece, _check_rows, _distinct_rows, _expand, _one_letter_rows,
+                          _row_batches, symmetrized_rows, word_count)
 
 
 def filtration_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
@@ -63,7 +63,7 @@ def graded_nabla_matrix(n: int, p: int, ell: int) -> FpMatrix:
     return FpMatrix(rows, p, n * block)
 
 
-def _derivative_walk(layout: WordLayout, left: np.ndarray, factor: np.ndarray, p: int,
+def _derivative_walk(places: np.ndarray, left: np.ndarray, factor: np.ndarray, p: int,
                      start: int, stop: int):
     """Walk each exponent row of ``left`` down one derivative at a time, the
     direction of each written at positions stop-1 down to start (newest letter
@@ -72,14 +72,14 @@ def _derivative_walk(layout: WordLayout, left: np.ndarray, factor: np.ndarray, p
     directions in order, each over all states in order, keeps the words
     sorted.  Returns the words, coefficients, the row each came from and the
     exponents left, ordered by that row and then by word."""
-    words = layout.empty(len(left))
+    words = np.zeros(len(left), dtype=np.int64)
     coeffs = np.ones(len(left), dtype=np.int64)
     origin = np.arange(len(left))
     for j in reversed(range(start, stop)):
         # Direction-major: every state that can step in direction 0, then 1, ...
         letter, src = np.nonzero(left.T)
         words = words[src]
-        layout.write(words, j, letter)
+        words += letter * places[j]
         origin, left = origin[src], left[src]
         steps = np.arange(len(src))
         coeffs = coeffs[src] * factor[left[steps, letter]] % p
@@ -108,22 +108,22 @@ def nabla_power_rows(n: int, p: int,
     (an entry); pieces are cut between entries, as in ``symmetrized_rows``.
     Bad input raises ``ValueError`` at the first piece.
     """
-    ell = _check_rows(n, p, monomials)
-    layout = WordLayout(n, ell)
+    places = _check_rows(n, p, monomials)
+    ell = len(places)
     # One path, with the factors -l, ..., -1; the walk below is 3-10x slower on it.
     if n == 1:
         scale = 1
         for m in range(ell, 0, -1):
             scale = scale * (-m % p) % p
-        yield from _one_letter_rows(layout, [scale] * len(monomials))
+        yield from _one_letter_rows([scale] * len(monomials))
         return
     h = ell // 2
     factor = np.array([-m % p for m in range(ell + 1)], dtype=np.int64)
     suffixes, scoeffs, origin, rest = _derivative_walk(
-        layout, np.array(monomials, dtype=np.min_scalar_type(ell)).reshape(-1, n),
+        places, np.array(monomials, dtype=np.min_scalar_type(ell)).reshape(-1, n),
         factor, p, h, ell)
     exponents, group = _distinct_rows(rest)
-    prefixes, pcoeffs, block, _ = _derivative_walk(layout, exponents, factor, p, 0, h)
+    prefixes, pcoeffs, block, _ = _derivative_walk(places, exponents, factor, p, 0, h)
     # Suffixes grouped by (row, exponents left), each group in word order.
     key = origin * len(exponents) + group
     order = np.argsort(key, kind="stable")
@@ -135,7 +135,7 @@ def nabla_power_rows(n: int, p: int,
     pair, prefix = _expand((np.cumsum(block_sizes) - block_sizes)[pair_group],
                            block_sizes[pair_group])
     row = pairs[pair] // len(exponents)
-    order = np.lexsort([prefixes[prefix, c] for c in reversed(range(prefixes.shape[1]))] + [row])
+    order = np.lexsort((prefixes[prefix], row))
     pair, prefix = pair[order], prefix[order]
     entry_starts, entry_sizes = pair_starts[pair], pair_sizes[pair]
 
@@ -165,7 +165,7 @@ def composite_mismatch(n: int, p: int, monomials: Sequence[MultiIndex]) -> Multi
     in one pass, a piece from each at a time, and no row is joined.  Each row
     must also hold all word_count(k) words, which a fault shared by both
     streams cannot hide."""
-    sign = (-1) ** _check_rows(n, p, monomials) % p
+    sign = (-1) ** len(_check_rows(n, p, monomials)) % p
     row = words = 0  # the row being read, and its words read so far
     pieces = itertools.zip_longest(nabla_power_rows(n, p, monomials),
                                    symmetrized_rows(n, p, monomials))

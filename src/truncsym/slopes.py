@@ -66,7 +66,7 @@ def make_slope_data(
     mu_w: Rational | None = None,
     c1_wh: Rational | None = None,
 ) -> SlopeData:
-    """Build SlopeData from whichever of (kh | g) and (mu_w | c1_wh) is given."""
+    """Build SlopeData from exactly one of kh / g and exactly one of mu_w / c1_wh."""
     if kh is None and g is None:
         raise ValueError("one of kh or g is required")
     if kh is not None and g is not None:
@@ -82,7 +82,7 @@ def make_slope_data(
     if mu_w is None and c1_wh is None:
         raise ValueError("one of mu_w or c1_wh is required")
     if mu_w is not None and c1_wh is not None:
-        return SlopeData(n, p, rk_w, kh, _fraction(mu_w), _fraction(c1_wh))
+        raise ValueError("mu_w and c1_wh are mutually exclusive")
     if mu_w is not None:
         mu = _fraction(mu_w)
         return SlopeData(n, p, rk_w, kh, mu, Fraction(mu.numerator * rk_w, mu.denominator))

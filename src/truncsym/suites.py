@@ -75,7 +75,13 @@ class SuiteConfig:
             problems.append(
                 f"top degree n_max*(max(primes)-1) = {top} exceeds {slp.TOP_DEGREE_LIMIT}")
         else:
-            problems.extend(f"{p} is not prime" for p in self.primes if not is_prime(p))
+            fp = not {"filtration", "growth", "koszul", "ranks"}.isdisjoint(self.suites)
+            for p in self.primes:
+                if not is_prime(p):
+                    problems.append(f"{p} is not prime")
+                elif fp and p > VOLUME_LIMIT:
+                    problems.append(f"prime {p} gives the F_p suites no pair with "
+                                    f"p^n <= {VOLUME_LIMIT}")
         if not 0 <= self.max_sigma <= SIGMA_LIMIT:
             problems.append(f"max_sigma must be in [0, {SIGMA_LIMIT}], got {self.max_sigma}")
         if self.matching_n_max < 1:

@@ -5,8 +5,9 @@ is the image of the symmetrization map from Sym^l into the l-fold tensor
 power; its monomial basis is the capped box {k : k_i <= p-1, sum k = l}.
 Tensor coordinates are words over the letters 0..n-1 (length l).  The
 ambient tensor space grows as n^l, so a tensor is kept as a pair of arrays
-``(words, coeffs)``: the words it touches, packed by a ``WordLayout`` into
-int64 columns and sorted, and their coefficients, all nonzero.  A single
+``(words, coeffs)``: the words it touches, each packed into one int64 code
+(``word_places``) and sorted, and their coefficients, all nonzero; words too
+long for one code (n^l > 2^63, n >= 2) are refused.  A single
 tensor can hold millions of words, so the row builders hand each row on in
 pieces ``(i, words, coeffs)`` of bounded size, i the row, consecutive and in
 word order; a consumer compares or collects them piece by piece.
@@ -68,57 +69,20 @@ def word_count(content: MultiIndex) -> int:
     return out
 
 
-_CODE_BOUND = 2 ** 63
+def word_places(n: int, length: int) -> np.ndarray:
+    """The place value n^(length-1-j) of each position j of a word of
+    ``length`` letters over n.  A word is packed as one int64 code, its letters
+    read as base-n digits, most significant first, so codes order like words.
+    Over n >= 2 letters a length with n^length > 2^63 cannot fit and raises
+    ``ValueError`` before any array work; over one letter every word is 0."""
+    if n > 1 and n ** min(length, 64) > 2 ** 63:  # n^64 > 2^63 for n >= 2
+        raise ValueError(f"words of {length} letters over n={n} do not fit one int64 code")
+    return n ** np.arange(length - 1, -1, -1, dtype=np.int64)
 
 
-class WordLayout:
-    """How the words of one length over n letters pack into int64 columns.
-
-    A word is cut into runs of consecutive positions, one int64 per run
-    holding its letters as base-n digits, most significant first.  A run is
-    as long as codes allow below 2^63, so a word takes ceil(length / run)
-    columns (one for the empty word), and comparing the columns in order
-    compares the words lexicographically.
-    """
-
-    __slots__ = ("n", "length", "ends", "column", "place")
-
-    def __init__(self, n: int, length: int):
-        run = max(length, 1)
-        if n > 1:  # over one letter every word is 0...0
-            run = 1
-            while n ** (run + 1) <= _CODE_BOUND:
-                run += 1
-        self.n, self.length = n, length
-        # The position (exclusive) where each column ends.
-        self.ends = list(range(run, length, run)) + [length]
-        self.column = np.arange(length) // run
-        # The place value of position j: n to the number of positions after
-        # it in its column (below n^run, so exact in int64).
-        after = np.array(self.ends)[self.column] - 1 - np.arange(length)
-        self.place = np.power(np.int64(n), after)
-
-    def empty(self, count: int) -> np.ndarray:
-        """``count`` words with every letter 0, to be written into."""
-        return np.zeros((count, len(self.ends)), dtype=np.int64)
-
-    def write(self, words: np.ndarray, j: int, letters) -> None:
-        """Write ``letters`` (one per word, or one for all) at position j,
-        which must still hold 0."""
-        words[:, self.column[j]] += letters * self.place[j]
-
-    def codes(self, words: np.ndarray) -> list[int]:
-        """Each word read in base n as one exact int (codes order like words)."""
-        out = words[:, 0].tolist()
-        for c in range(1, len(self.ends)):
-            scale = self.n ** (self.ends[c] - self.ends[c - 1])
-            out = [high * scale + low for high, low in zip(out, words[:, c].tolist())]
-        return out
-
-
-def _check_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> int:
-    """Refuse a bad modulus or monomial before any array work; return the
-    degree the monomials share."""
+def _check_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> np.ndarray:
+    """Refuse a bad modulus or monomial, or words too long to pack, before any
+    array work; return the ``word_places`` of the degree the monomials share."""
     _check_modulus(p)
     degrees = set()
     for k in monomials:
@@ -129,7 +93,7 @@ def _check_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> int:
         degrees.add(sum(k))
     if len(degrees) > 1:
         raise ValueError(f"monomials of one grade must share a degree, got {sorted(degrees)}")
-    return degrees.pop() if degrees else 0
+    return word_places(n, degrees.pop() if degrees else 0)
 
 
 def _expand(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,26 +162,25 @@ def _row_batches(entry_row: np.ndarray, entry_sizes: np.ndarray, rows: int,
         e0, i0 = e1, stop - split
 
 
-def _one_letter_rows(layout: WordLayout,
-                     coeffs: list[int]) -> Iterator[Piece]:
+def _one_letter_rows(coeffs: list[int]) -> Iterator[Piece]:
     """Rows over one letter, one piece each: the one word 0...0 with its
     coefficient, or no word where that is 0."""
     for i, c in enumerate(coeffs):
         m = int(c != 0)
-        yield i, layout.empty(m), np.full(m, c, dtype=np.int64)
+        yield i, np.zeros(m, dtype=np.int64), np.full(m, c, dtype=np.int64)
 
 
-def _letter_walk(layout: WordLayout, left: np.ndarray, start: int, stop: int):
+def _letter_walk(places: np.ndarray, left: np.ndarray, start: int, stop: int):
     """Arrange each content row of ``left`` at positions start..stop-1, left to
     right: each level extends every word, in order, by each letter it has
     left, in order.  Returns the words, the row each came from and the content
     it has left; the words of each row stay consecutive and sorted."""
-    words = layout.empty(len(left))
+    words = np.zeros(len(left), dtype=np.int64)
     origin = np.arange(len(left))
     for j in range(start, stop):
         src, letter = np.nonzero(left)
         words = words[src]
-        layout.write(words, j, letter)
+        words += letter * places[j]
         origin, left = origin[src], left[src]
         left[np.arange(len(src)), letter] -= 1
     return words, origin, left
@@ -239,19 +202,19 @@ def symmetrized_rows(n: int, p: int,
     keeps the words sorted; pieces are cut between entries.  Bad input raises
     ``ValueError`` at the first piece.
     """
-    length = _check_rows(n, p, monomials)
-    layout = WordLayout(n, length)
+    places = _check_rows(n, p, monomials)
+    length = len(places)
     coeffs = [math.prod(map(math.factorial, k)) % p for k in monomials]
     # One word per row; the walk below is 3-10x slower on it.
     if n == 1:
-        yield from _one_letter_rows(layout, coeffs)
+        yield from _one_letter_rows(coeffs)
         return
     live = [i for i, c in enumerate(coeffs) if c]
     h = length // 2
     start = np.array([monomials[i] for i in live], dtype=np.min_scalar_type(length))
-    prefixes, origin, rest = _letter_walk(layout, start.reshape(-1, n), 0, h)
+    prefixes, origin, rest = _letter_walk(places, start.reshape(-1, n), 0, h)
     contents, group = _distinct_rows(rest)
-    suffixes, block, _ = _letter_walk(layout, contents, h, length)
+    suffixes, block, _ = _letter_walk(places, contents, h, length)
     block_sizes = np.bincount(block, minlength=len(contents))
     entry_starts = (np.cumsum(block_sizes) - block_sizes)[group]
     entry_sizes = block_sizes[group]
@@ -268,34 +231,20 @@ def symmetrized_rows(n: int, p: int,
     yield from _row_batches(row, entry_sizes, len(coeffs), assemble)
 
 
-def _word_keys(words: np.ndarray) -> np.ndarray:
-    """One key per packed word that orders like the words: the code itself
-    for a one-column layout, else the columns as big-endian bytes (codes are
-    below 2^63, so bytewise order is column order)."""
-    if words.shape[1] == 1:
-        return words[:, 0]
-    big = np.ascontiguousarray(words, dtype=">i8")
-    return big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
-
-
-def _sorted_words(layout: WordLayout, monomials: Sequence[MultiIndex]) -> np.ndarray:
-    """The sorted keys of the sorted word of each monomial (its letters in
+def _sorted_words(n: int, places: np.ndarray,
+                  monomials: Sequence[MultiIndex]) -> np.ndarray:
+    """The sorted codes of the sorted word of each monomial (its letters in
     non-decreasing order, the least word of its content)."""
-    exponents = np.array(monomials, dtype=np.int64).reshape(-1, layout.n)
-    letters = np.repeat(np.tile(np.arange(layout.n), len(exponents)), exponents.ravel())
-    letters = letters.reshape(len(exponents), layout.length)
-    words = layout.empty(len(exponents))
-    for j in range(layout.length):
-        layout.write(words, j, letters[:, j])
-    return np.sort(_word_keys(words))
+    exponents = np.array(monomials, dtype=np.int64).reshape(-1, n)
+    letters = np.repeat(np.tile(np.arange(n), len(exponents)), exponents.ravel())
+    return np.sort(letters.reshape(len(exponents), len(places)) @ places)
 
 
 def _find_words(columns: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each packed word sits in ``columns`` (sorted keys, not empty), and
+    """Where each word code sits in ``columns`` (sorted codes, not empty), and
     whether it is there."""
-    keys = _word_keys(words)
-    at = np.searchsorted(columns, keys).clip(max=len(columns) - 1)
-    return at, columns[at] == keys
+    at = np.searchsorted(columns, words).clip(max=len(columns) - 1)
+    return at, columns[at] == words
 
 
 def symmetrization_rank(n: int, p: int, ell: int) -> tuple[int, int]:
@@ -306,14 +255,16 @@ def symmetrization_rank(n: int, p: int, ell: int) -> tuple[int, int]:
     stream is read.  ``lower`` is the rank (``fp_linalg.eliminate``) of the
     restriction of the rows to J, kept as {index in J: coefficient};
     ``upper`` counts the rows that yield a word.  When the two agree they
-    are the rank, and no row was held whole.  Bad input raises
-    ``ValueError`` before any array work.
+    are the rank, and no row was held whole.  Bad input, words too long to
+    pack among it (``word_places``), raises ``ValueError`` before any array
+    work.
     """
     _check_modulus(p)
     if n < 1 or ell < 0:
         raise ValueError(f"need n >= 1 letters and a degree >= 0, got n={n}, degree {ell}")
+    places = word_places(n, ell)
     monomials = sym_basis(n, ell)
-    columns = _sorted_words(WordLayout(n, ell), monomials)
+    columns = _sorted_words(n, places, monomials)
     restricted: dict[int, dict[int, int]] = {}
     nonzero = set()
     for i, words, coeffs in symmetrized_rows(n, p, monomials):
@@ -327,7 +278,7 @@ def symmetrization_rank(n: int, p: int, ell: int) -> tuple[int, int]:
 
 def symmetrization_matrix(n: int, p: int, ell: int) -> list[dict[int, int]]:
     """The symmetrization map Sym^ell -> tensor words as sparse rows keyed by
-    the exact word codes of ``WordLayout.codes``, one per monomial in
+    the words' int64 codes (see ``word_places``), one per monomial in
     ``sym_basis`` order, each filled from its pieces of ``symmetrized_rows``.
 
     Rank (``fp_linalg.eliminate``) equals the truncated-power dimension;
@@ -336,10 +287,9 @@ def symmetrization_matrix(n: int, p: int, ell: int) -> list[dict[int, int]]:
     ``symmetrization_rank``.
     """
     monomials = sym_basis(n, ell)
-    codes = WordLayout(n, ell).codes
     rows: list[dict[int, int]] = [{} for _ in monomials]
     for i, words, coeffs in symmetrized_rows(n, p, monomials):
-        rows[i].update(zip(codes(words), coeffs.tolist()))
+        rows[i].update(zip(words.tolist(), coeffs.tolist()))
     return rows
 
 

@@ -8,7 +8,6 @@ from operator import itemgetter
 import numpy as np
 
 from truncsym.fp_linalg import FpMatrix
-from truncsym.trunc_power import WordLayout
 
 
 def reference_rref(rows, p):
@@ -38,9 +37,12 @@ def dense_matrix(rows, p):
 
 def word_dict(n, length, row):
     """A packed word row ``(words, coeffs)`` of words of ``length`` letters
-    over n as {word code: coefficient}, each word read in base n."""
+    over n as {word code: coefficient}, each code the word read in base n, so
+    below n^length."""
     words, coeffs = row
-    return dict(zip(WordLayout(n, length).codes(words), coeffs.tolist()))
+    codes = words.tolist()
+    assert all(0 <= code < n ** length for code in codes), (n, length)
+    return dict(zip(codes, coeffs.tolist()))
 
 
 def join_row(pieces):

@@ -114,7 +114,7 @@ def _first_word_bounds(n, p, ell):
     firsts = {}
     for i, words, coeffs in tp.symmetrized_rows(n, p, tp.sym_basis(n, ell)):
         if len(words) and i not in firsts:
-            firsts[i] = {tuple(words[0].tolist()): int(coeffs[0])}
+            firsts[i] = {int(words[0]): int(coeffs[0])}
     return len(eliminate(firsts.values(), p)), len(firsts)
 
 

@@ -124,6 +124,20 @@ def test_verify_rejects_top_degree_beyond_limit():
         assert "top degree" in result.output
 
 
+def test_verify_rejects_a_prime_with_no_fp_pair(monkeypatch):
+    # No pair has p^n <= 243 for p > 243: the F_p suites ran 0 cases and passed.
+    runs = []
+    monkeypatch.setattr(cli_mod, "run_suite", runs.append)
+    for primes in ("251", "2,251"):
+        result = CliRunner().invoke(main, ["verify", "--primes", primes, "--n-max", "1",
+                                           "--suites", "filtration,growth,koszul,ranks"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # refused, not a traceback
+        assert result.output.count("\n") == 1
+        assert "prime 251 gives the F_p suites no pair" in result.output
+    assert runs == []
+
+
 def test_verify_rejects_unknown_suite():
     runner = CliRunner()
     result = runner.invoke(main, ["verify", "--suites", "ranks,nonsense"])
@@ -467,6 +481,16 @@ def test_slopes_command_refuses_zero_rank_with_c1(tmp_path):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "scenario 0: rank must be positive" in result.output
+
+
+def test_slopes_command_refuses_mu_with_c1(tmp_path):
+    # A consistent pair (muW = c1WH / rkW) used to be accepted.
+    scenario = tmp_path / "both.json"
+    scenario.write_text(json.dumps([{"n": 1, "p": 3, "rkW": 2, "muW": "1/2", "c1WH": 1, "g": 2}]))
+    result = CliRunner().invoke(main, ["slopes", "--scenario", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "scenario 0: mu_w and c1_wh are mutually exclusive" in result.output
 
 
 def test_slopes_output_is_json_dumps(tmp_path):

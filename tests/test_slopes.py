@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from truncsym.scenario import format_rational
 from truncsym.slopes import (
+    SlopeData,
     curve_gap,
     equality_diagnosis,
     gap_lower_bound,
@@ -39,6 +40,10 @@ def test_slope_data_validation():
         make_slope_data(1, 2, 1, kh=0)  # no mu or c1
     with pytest.raises(ValueError):
         make_slope_data(1, 2, 2, kh=0, mu_w=1, c1_wh=3)  # inconsistent pair
+    with pytest.raises(ValueError, match="mutually exclusive"):
+        make_slope_data(1, 3, 2, kh=2, mu_w=Fraction(1, 2), c1_wh=1)  # even a consistent one
+    with pytest.raises(ValueError, match="must equal"):
+        SlopeData(1, 2, 2, Fraction(0), Fraction(1), Fraction(3))  # built directly
 
 
 def test_pushforward_examples():

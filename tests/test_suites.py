@@ -14,11 +14,13 @@ from truncsym import slopes as slp
 from truncsym import suites
 from truncsym import trunc_algebra as alg
 from truncsym import trunc_power as tp
+from truncsym.fp_linalg import is_prime
 from truncsym.jsonout import dumps
 from truncsym.slopes import TOP_DEGREE_LIMIT
 from truncsym.suites import (
     MATCHING_CAPS_LIMIT,
     RANDOM_SUBSPACES_LIMIT,
+    VOLUME_LIMIT,
     ConfigError,
     SuiteConfig,
     _curve_agreement_cases,
@@ -261,12 +263,22 @@ def test_pair_grid_refuses_a_modulus_below_two():
     assert pair_grid((3, 2), 9) == [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]
 
 
+def test_every_suite_grid_packs_its_words_into_one_int64():
+    # The longest words of (n, p) have n(p-1) letters over n, and a word is
+    # one int64 code only up to n^length = 2^63.  At VOLUME_LIMIT = 243 every
+    # code is below 2^24 (the top grade of (2, 13)); a limit of 1,369 or
+    # more admits (2, 37), whose 72-letter words the builders refuse.
+    primes = [p for p in range(2, VOLUME_LIMIT + 1) if is_prime(p)]
+    for n, p in pair_grid(primes, VOLUME_LIMIT):
+        assert n == 1 or n ** (n * (p - 1)) <= 2 ** 63, (n, p)
+
+
 def test_validate_bounds_top_degree_before_primality():
     # n_max * (max(primes) - 1) == TOP_DEGREE_LIMIT is accepted.
     assert TOP_DEGREE_LIMIT == 1000
-    SuiteConfig(n_max=4, primes=(2, 251)).validate()
+    SuiteConfig(n_max=4, primes=(2, 251), suites=("slopes",)).validate()
     SuiteConfig(n_max=10, primes=(101,)).validate()
-    SuiteConfig(n_max=1, primes=(997,)).validate()
+    SuiteConfig(n_max=1, primes=(997,), suites=("slopes",)).validate()
     # Above it the config is refused before any primality test.
     for n_max, primes in [(5, (251,)), (4, (257,)), (1, (1009,)), (0, (1009,)),
                           (1, (1000003,)), (1, (10 ** 18 + 3,))]:

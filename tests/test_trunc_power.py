@@ -9,7 +9,6 @@ from truncsym.monomial_box import grade_basis
 from truncsym.trunc_power import (
     degree_weight_check,
     gl2_dim,
-    WordLayout,
     _find_words,
     _sorted_words,
     koszul_complex,
@@ -20,7 +19,9 @@ from truncsym.trunc_power import (
     trunc_rank,
     verify_koszul_exact,
     word_count,
+    word_places,
 )
+from truncsym.filtration import nabla_power_rows
 
 from reference import join_row, joined_rows, word_dict
 
@@ -99,23 +100,32 @@ def test_symmetrization_matrix_small():
     assert len(eliminate(rows, 2)) == 1
 
 
-def test_word_layout_packs_long_words_exactly():
-    # 63 binary letters fill one int64 column; the 64th starts a second one.
-    assert WordLayout(2, 63).ends == [63]
-    assert WordLayout(2, 64).ends == [63, 64]
-    assert WordLayout(3, 40).ends == [39, 40]
-    assert WordLayout(1, 500).ends == [500]
-    assert WordLayout(4, 0).ends == [0]
-    # The top word of length 67 over two letters: every column at its maximum.
-    layout = WordLayout(2, 67)
-    words = layout.empty(1)
-    for j in range(67):
-        layout.write(words, j, 1)
-    assert words.tolist() == [[2 ** 63 - 1, 2 ** 4 - 1]]
-    assert layout.codes(words) == [2 ** 67 - 1]
-    row = join_row(symmetrized_rows(2, 67, [(66, 1)]))
-    assert words_of(2, 67, row) == [(0,) * (66 - j) + (1,) + (0,) * j for j in range(67)]
-    assert np.all(np.diff(list(word_dict(2, 67, row))) > 0)
+def test_words_pack_into_one_int64_up_to_the_bound():
+    # n^length <= 2^63 fits one int64 code: 63 binary or 39 ternary letters.
+    assert word_places(2, 63).tolist() == [2 ** (62 - j) for j in range(63)]
+    assert word_places(3, 39)[0] == 3 ** 38
+    assert word_places(4, 0).tolist() == []
+    for n, length in [(2, 64), (3, 40), (4, 32), (2, 10 ** 9)]:
+        with pytest.raises(ValueError, match=f"{length} letters over n={n}"):
+            word_places(n, length)
+    row = join_row(symmetrized_rows(2, 67, [(62, 1)]))
+    assert words_of(2, 63, row) == [(0,) * (62 - j) + (1,) + (0,) * j for j in range(63)]
+    assert np.all(np.diff(list(word_dict(2, 63, row))) > 0)
+    assert word_dict(2, 63, join_row(nabla_power_rows(2, 67, [(62, 1)]))).keys() == \
+        word_dict(2, 63, row).keys()
+    # The top word 1^63 takes the top int64 code.
+    top = join_row(symmetrized_rows(2, 67, [(0, 63)]))
+    assert word_dict(2, 63, top) == {2 ** 63 - 1: math.factorial(63) % 67}
+    # A 64th letter is refused by both builders and the rank.
+    for build in (symmetrized_rows, nabla_power_rows):
+        with pytest.raises(ValueError, match="64 letters over n=2"):
+            next(build(2, 67, [(63, 1)]))
+    with pytest.raises(ValueError, match="64 letters over n=2"):
+        symmetrization_rank(2, 67, 64)
+    # Over one letter every word is code 0, at any length.
+    for build, scale in [(symmetrized_rows, math.factorial(500)),
+                         (nabla_power_rows, (-1) ** 500 * math.factorial(500))]:
+        assert word_dict(1, 500, join_row(build(1, 509, [(500,)]))) == {0: scale % 509}
 
 
 def test_symmetrization_rank_below_p_is_full():
@@ -130,31 +140,31 @@ def test_symmetrization_degree_zero():
     assert symmetrization_matrix(3, 2, 0) == [{0: 1}]
 
 
-def test_sorted_word_lookup_spans_columns():
-    # Words of 64 binary letters take two columns, so a word can agree with a
-    # sorted word in its first column and differ in its second.
-    layout = WordLayout(2, 64)
-    assert len(layout.ends) == 2
-    # Every sorted word but the top one 1^64, so that a word can lie beyond them all.
-    columns = _sorted_words(layout, [(64 - k, k) for k in range(64)])
-    queries = [(0,) * (64 - k) + (1,) * k for k in range(64)]
-    queries += [(0,) * 62 + (1, 0), (1,) + (0,) * 63, (1,) * 63 + (0,), (1,) * 64]
-    words = layout.empty(len(queries))
-    for j in range(64):
-        layout.write(words, j, np.array([word[j] for word in queries]))
-    at, hit = _find_words(columns, words)
-    assert hit.tolist() == [True] * 64 + [False] * 4
-    # 0^(64-k) 1^k has code 2^k - 1: the k-th in order.
-    assert at[:64].tolist() == list(range(64))
+def test_sorted_word_lookup_on_the_longest_binary_words():
+    # Every sorted word of 63 binary letters but the top one 1^63, so that a
+    # word can lie beyond them all.
+    places = word_places(2, 63)
+    columns = _sorted_words(2, places, [(63 - k, k) for k in range(63)])
+    queries = [(0,) * (63 - k) + (1,) * k for k in range(63)]
+    queries += [(0,) * 61 + (1, 0), (1,) + (0,) * 62, (1,) * 62 + (0,), (1,) * 63]
+    at, hit = _find_words(columns, np.array(queries, dtype=np.int64) @ places)
+    assert hit.tolist() == [True] * 63 + [False] * 4
+    # 0^(63-k) 1^k has code 2^k - 1: the k-th in order.
+    assert at[:63].tolist() == list(range(63))
 
 
 def test_symmetrization_rank_refuses_bad_input_before_array_work(monkeypatch):
     def no_arrays(*args):
         raise AssertionError("array work before the input was checked")
 
+    class NoNumpy:
+        def __getattr__(self, name):
+            no_arrays()
+
     monkeypatch.setattr(tp, "sym_basis", no_arrays)
-    monkeypatch.setattr(tp, "WordLayout", no_arrays)
-    for n, p, ell in [(2, 4, 1), (2, 1, 1), (2, 2 ** 40, 1), (2, 5, -1), (0, 5, 2)]:
+    monkeypatch.setattr(tp, "np", NoNumpy())
+    for n, p, ell in [(2, 4, 1), (2, 1, 1), (2, 2 ** 40, 1), (2, 5, -1), (0, 5, 2),
+                      (2, 67, 64)]:
         with pytest.raises(ValueError):
             symmetrization_rank(n, p, ell)
 
