@@ -68,10 +68,12 @@ def _derivative_walk(places: np.ndarray, left: np.ndarray, factor: np.ndarray, p
     """Walk each exponent row of ``left`` down one derivative at a time, the
     direction of each written at positions stop-1 down to start (newest letter
     leftmost): every step extends each state by each direction i with m_i > 0
-    and multiplies its coefficient by factor[m_i] = -m_i mod p.  Taking the
-    directions in order, each over all states in order, keeps the words
-    sorted.  Returns the words, coefficients, the row each came from and the
-    exponents left, ordered by that row and then by word."""
+    and multiplies its coefficient by factor[m_i] = -m_i mod p; a path whose
+    coefficient reaches 0 is dropped, so a row with an exponent of p or more
+    leaves no word.  Taking the directions in order, each over all states in
+    order, keeps the words sorted.  Returns the words, coefficients, the row
+    each came from and the exponents left, ordered by that row and then by
+    word."""
     words = np.zeros(len(left), dtype=np.int64)
     coeffs = np.ones(len(left), dtype=np.int64)
     origin = np.arange(len(left))
@@ -84,6 +86,9 @@ def _derivative_walk(places: np.ndarray, left: np.ndarray, factor: np.ndarray, p
         steps = np.arange(len(src))
         coeffs = coeffs[src] * factor[left[steps, letter]] % p
         left[steps, letter] -= 1
+        live = coeffs != 0
+        if not live.all():
+            words, coeffs, origin, left = words[live], coeffs[live], origin[live], left[live]
     order = np.argsort(origin, kind="stable")
     return words[order], coeffs[order], origin[order], left[order]
 
@@ -139,7 +144,7 @@ def nabla_power_rows(n: int, p: int,
     pair, prefix = pair[order], prefix[order]
     entry_starts, entry_sizes = pair_starts[pair], pair_sizes[pair]
 
-    def assemble(e0, e1, counts):
+    def assemble(e0, e1):
         entry, inner = _expand(entry_starts[e0:e1], entry_sizes[e0:e1])
         pre = prefix[e0:e1][entry]
         del entry  # as long as the batch
@@ -148,11 +153,7 @@ def nabla_power_rows(n: int, p: int,
         coeffs = pcoeffs[pre]
         coeffs *= scoeffs[inner]
         coeffs %= p
-        keep = coeffs != 0
-        if not keep.all():
-            kept = np.concatenate(([0], np.cumsum(keep)))[np.cumsum([0] + counts)]
-            words, coeffs, counts = words[keep], coeffs[keep], np.diff(kept).tolist()
-        return words, coeffs, counts
+        return words, coeffs
 
     yield from _row_batches(row[order], entry_sizes, len(monomials), assemble)
 

@@ -257,46 +257,26 @@ def dominance_matching(caps: tuple[int, ...] | list[int],
     return dict(zip(_as_tuples(source), _as_tuples(images)))
 
 
-def _earlier_equal(keys: list[np.ndarray]) -> np.ndarray:
-    """For each row, the first earlier row with the same keys, or -1."""
-    count = len(keys[0])
-    if not count:
-        return np.zeros(0, np.int64)
-    lows = [int(key.min()) for key in keys]
-    spans = [int(key.max()) - low + 1 for key, low in zip(keys, lows)]
-    if math.prod(spans) <= 1 << 62:
-        # One int64 per row, the keys as mixed-radix digits, the first most
-        # significant: a stable sort of it is the lexsort below.
-        packed = np.zeros(count, np.int64)
-        for key, low, span in zip(keys, lows, spans):
-            packed *= span
-            packed += key
-            packed -= low
-        order = np.argsort(packed, kind="stable")
-        ordered = packed[order]
-        same = ordered[1:] == ordered[:-1]
-    else:
-        order = np.lexsort([np.arange(count), *reversed(keys)])
-        same = np.ones(count - 1, bool)
-        for key in keys:
-            ordered = key[order]
-            same &= ordered[1:] == ordered[:-1]
-    starts = np.concatenate([[True], ~same])
-    leader = order[starts][np.cumsum(starts) - 1]
-    first = np.empty(count, np.int64)
-    first[order] = leader
-    first[first == np.arange(count)] = -1
-    return first
-
-
 def _violations(v: np.ndarray, w: np.ndarray, caps: np.ndarray, target_degree: np.ndarray,
-                case: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row: image outside the target box, dominance failing, and the
-    first earlier row of the same case with the same image (or -1)."""
+                case: np.ndarray) -> np.ndarray:
+    """Per row: whether its image lies outside the target box, fails
+    dominance, or repeats the image of an earlier row of the same case.
+
+    Injectivity is one stable sort of one int64 key per row, the case times
+    _SWEEP_CHUNK_ROWS plus the image's mixed-radix index in its own caps box,
+    which ``_sweep_chunks`` keeps below _SWEEP_CHUNK_ROWS; an image outside
+    the box already fails and gets a distinct negative key."""
     outside = (w.sum(axis=1) != target_degree) | ((w < 0) | (w > caps)).any(axis=1)
-    undominated = (v > w).any(axis=1)
-    repeat = _earlier_equal([case, *w.T])
-    return outside, undominated, repeat
+    index = np.zeros(len(w), np.int64)
+    for k in range(w.shape[1]):
+        index *= caps[:, k] + 1
+        index += w[:, k]
+    key = np.where(outside, -1 - np.arange(len(w)), case * _SWEEP_CHUNK_ROWS + index)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    fails = outside | (v > w).any(axis=1)
+    fails[order[1:][key[1:] == key[:-1]]] = True
+    return fails
 
 
 def verify_matching(caps: tuple[int, ...] | list[int], ell: int,
@@ -308,34 +288,27 @@ def verify_matching(caps: tuple[int, ...] | list[int], ell: int,
     source box in lexicographic order: a missing image first, then per
     element an image outside the target, dominance, and an image met before.
     The violation is worded as its reason and witness, e.g.
-    "not injective at ((0, 1), (1, 0), (2, 1))".
+    "not injective at ((0, 1), (1, 0), (2, 1))".  Plain Python over the
+    assignment, sharing no code with the sweep's array check.
     """
     caps = tuple(caps)
     source = enumerate_box(caps, ell)
-    images = [assignment.get(v) for v in source]
-    for v, w in zip(source, images):
-        if w is None:
+    for v in source:
+        if assignment.get(v) is None:
             return f"not total at {(v,)}"
-    n, sigma = len(caps), sum(caps)
-    # Rows of the wrong length or beyond the caps total lie outside the
-    # target; -1 marks them as such and keeps the array exact.
-    rows = [w if len(w) == n and all(0 <= x <= sigma for x in w) else (-1,) * n
-            for w in images]
-    dtype = _row_dtype(sigma)
-    w = np.array(rows, dtype).reshape(len(rows), n)
-    v = np.array(source, dtype).reshape(len(source), n)
-    zeros = np.zeros(len(source), np.int64)
-    outside, undominated, repeat = _violations(v, w, np.array(caps, dtype), sigma - ell, zeros)
-    bad = outside | undominated | (repeat >= 0)
-    if not bad.any():
-        return None
-    k = int(np.argmax(bad))
-    v, w = source[k], images[k]
-    if outside[k]:
-        return f"image outside target box at {(v, w)}"
-    if undominated[k]:
-        return f"dominance fails at {(v, w)}"
-    return f"not injective at {(source[repeat[k]], v, w)}"
+    target = sum(caps) - ell
+    first: dict[MultiIndex, MultiIndex] = {}
+    for v in source:
+        w = assignment[v]
+        if (len(w) != len(caps) or sum(w) != target
+                or not all(0 <= x <= a for x, a in zip(w, caps))):
+            return f"image outside target box at {(v, w)}"
+        if any(x > y for x, y in zip(v, w)):
+            return f"dominance fails at {(v, w)}"
+        earlier = first.setdefault(tuple(w), v)
+        if earlier != v:
+            return f"not injective at {(earlier, v, w)}"
+    return None
 
 
 def _augmenting_matching_exists(adjacency: list[int], bounds: list[int], targets: int) -> bool:
@@ -515,15 +488,18 @@ def matching_sweep(
     caps_vectors: Iterable[tuple[int, ...]],
 ) -> Iterator[tuple[tuple[int, ...], list[str | None], list[bool]]]:
     """For each caps vector, the failures of the dominance matching at every
-    degree l <= sigma/2 (``verify_matching``'s message, or None where it
-    passes) and the Hall oracle's answers at every l <= sigma.
+    degree l <= sigma/2 (None where it passes) and the Hall oracle's answers
+    at every l <= sigma.
 
-    The same map, checks and oracle as ``dominance_matching``,
-    ``verify_matching`` and ``hall_matching_exists``, run on a batch of caps
-    vectors of one length at once.  The map's rows are the matched half,
-    each caps vector q's degrees l <= sigma_q/2, ordered by the case
-    l * count + q (of the batch's count caps vectors) and lexicographic
-    within it; the map and its checks run on all rows together.  The
+    The same map and oracle as ``dominance_matching`` and
+    ``hall_matching_exists``, run on a batch of caps vectors of one length
+    at once.  The map's rows are the matched half, each caps vector q's
+    degrees l <= sigma_q/2, ordered by the case l * count + q (of the
+    batch's count caps vectors) and lexicographic within it; the map and an
+    array check of it (``_violations``) run on all rows together.  Only a
+    case the array check flags goes to ``verify_matching``, which words its
+    failure; the two checks share no code, so a flagged case that
+    ``verify_matching`` accepts fails too, with a detail saying so.  The
     oracle's rows are its shapes' whole boxes, in the same case layout.
     The oracle is solved once per shape, the sorted positive caps: permuting
     coordinates and dropping a zero cap map a box onto the shape's box,
@@ -543,8 +519,7 @@ def matching_sweep(
         degree, owner = np.divmod(case, count)
         row_caps = caps.astype(dtype)[owner]
         w = _split_shift_images(v, row_caps)
-        outside, undominated, repeat = _violations(v, w, row_caps, sigma[owner] - degree, case)
-        failing = set(case[outside | undominated | (repeat >= 0)].tolist())
+        failing = set(case[_violations(v, w, row_caps, sigma[owner] - degree, case)].tolist())
         shapes = [_shape(c) for c in chunk]
         unsolved = sorted(set(shapes).difference(answers), key=lambda s: (len(s), s))
         for _, group in itertools.groupby(unsolved, len):
@@ -560,7 +535,8 @@ def matching_sweep(
                     continue
                 lo, hi = starts[c], starts[c + 1]
                 failures.append(verify_matching(
-                    caps_q, ell, dict(zip(_as_tuples(v[lo:hi]), _as_tuples(w[lo:hi])))))
+                    caps_q, ell, dict(zip(_as_tuples(v[lo:hi]), _as_tuples(w[lo:hi]))))
+                    or "the sweep's array check flags a map that verify_matching accepts")
             yield caps_q, failures, list(answers[shapes[q]])
 
 

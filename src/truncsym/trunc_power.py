@@ -130,17 +130,16 @@ BATCH_WORDS = 1 << 15
 def _row_batches(entry_row: np.ndarray, entry_sizes: np.ndarray, rows: int,
                  assemble) -> Iterator[Piece]:
     """Rows 0..rows-1 built from entries sorted by row, entry e standing for
-    entry_sizes[e] words.  The entries are cut into batches, and
-    ``assemble(e0, e1, counts)`` turns the entries e0..e1-1 of a batch, whose
-    row segments hold ``counts`` words, into its words, coefficients and
-    per-segment word counts.  Each segment is yielded as a piece
+    entry_sizes[e] > 0 words.  The entries are cut into batches, and
+    ``assemble(e0, e1)`` turns the entries e0..e1-1 of a batch into their
+    words and coefficients.  Each row's segment is yielded as a piece
     ``(i, words, coeffs)``, i the row, its arrays views into its batch.  The
     pieces of a row are consecutive and in word order; a row yields at least
     one piece, and a row with no words exactly one, empty."""
     first = np.searchsorted(entry_row, np.arange(rows + 1)).tolist()
     offsets = np.concatenate(([0], np.cumsum(entry_sizes)))
     entries = first[-1]
-    e0 = i0 = done = 0  # rows below `done` have yielded a piece
+    e0 = i0 = 0
     while True:
         e1 = min(max(int(offsets.searchsorted(offsets[e0] + BATCH_WORDS, "right")) - 1, e0 + 1),
                  entries)
@@ -149,16 +148,14 @@ def _row_batches(entry_row: np.ndarray, entry_sizes: np.ndarray, rows: int,
         stop = rows if e1 == entries else bisect.bisect_left(first, e1)
         # Each row's segment ends where the next row starts, the last at e1.
         counts = np.diff(offsets[[e0, *first[i0 + 1:stop], e1]]).tolist()
-        words, coeffs, counts = assemble(e0, e1, counts)
-        split = first[stop] > e1  # the last row goes on in the next batch
+        words, coeffs = assemble(e0, e1)
         at = 0
         for i, count in zip(range(i0, stop), counts):
-            if count or (i >= done and not (split and i == stop - 1)):
-                yield i, words[at:at + count], coeffs[at:at + count]
-                done = i + 1
+            yield i, words[at:at + count], coeffs[at:at + count]
             at += count
         if e1 == entries:
             return
+        split = first[stop] > e1  # the last row goes on in the next batch
         e0, i0 = e1, stop - split
 
 
@@ -221,12 +218,12 @@ def symmetrized_rows(n: int, p: int,
     row = np.array(live, dtype=np.int64)[origin]
     prefix_coeffs = np.array(coeffs, dtype=np.int64)[row]
 
-    def assemble(e0, e1, counts):
+    def assemble(e0, e1):
         entry, inner = _expand(entry_starts[e0:e1], entry_sizes[e0:e1])
         entry += e0
         words = prefixes[entry]
         words += suffixes[inner]
-        return words, prefix_coeffs[entry], counts
+        return words, prefix_coeffs[entry]
 
     yield from _row_batches(row, entry_sizes, len(coeffs), assemble)
 

@@ -362,6 +362,8 @@ def test_grade_batches_equal_single_rows(grade):
     with mock.patch.object(trunc_power, "BATCH_WORDS", batch):
         sym = list(symmetrized_rows(n, p, monomials))
         composite = list(nabla_power_rows(n, p, monomials))
+    # Both streams cut every row into the same pieces, vanishing rows included.
+    assert [(i, len(w)) for i, w, _ in sym] == [(i, len(w)) for i, w, _ in composite]
     largest = max((largest_entry(k) for k in monomials), default=0)
     for build, pieces in ((symmetrized_rows, sym), (nabla_power_rows, composite)):
         for _, words, coeffs in pieces:

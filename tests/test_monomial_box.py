@@ -139,6 +139,8 @@ def test_verify_matching_detects_violations():
     assert verify_matching((2, 2), 1, {(0, 1): (1, 2), (1, 0): (0, 3)}) == \
         "image outside target box at ((1, 0), (0, 3))"
     assert verify_matching((2, 2), 1, {(0, 1): (1, 2)}) == "not total at ((1, 0),)"
+    # Over no caps the one source () has only () for an image.
+    assert verify_matching((), 0, {(): (1,)}) == "image outside target box at ((), (1,))"
     assert verify_matching((1, 1), 1, {(0, 1): (1, 0), (1, 0): (0, 1)}) == \
         "dominance fails at ((0, 1), (1, 0))"
 
@@ -271,35 +273,6 @@ def test_array_map_equals_reference_on_edge_cases():
     assert time.perf_counter() - t0 < 2.0
 
 
-def _first_equal_reference(keys):
-    first, out = {}, []
-    for i, row in enumerate(zip(*(key.tolist() for key in keys))):
-        out.append(first.setdefault(row, i))
-    return [-1 if j == i else j for i, j in enumerate(out)]
-
-
-def test_earlier_equal_packed_equals_lexsort():
-    rng = np.random.default_rng(7)
-    for rows, n, hi in [(1, 3, 2), (200, 3, 2), (2_000, 5, 6), (500, 7, 12)]:
-        case = np.sort(rng.integers(0, max(rows // 8, 1), rows))
-        # -1 marks the images verify_matching puts outside the target.
-        images = rng.integers(-1, hi + 1, (rows, n)).astype(np.int8)
-        keys = [case, *images.T]
-        expected = _first_equal_reference(keys)
-        assert boxes._earlier_equal(keys).tolist() == expected
-        # A key that is a function of another leaves equal rows equal, and
-        # this one's range of 2^63 takes the lexsort path.
-        wide = np.where(images[:, 0] < 0, -(2 ** 62), 2 ** 62)
-        if len(set(wide.tolist())) > 1:
-            assert boxes._earlier_equal([*keys, wide]).tolist() == expected
-    assert boxes._earlier_equal([np.zeros(0, np.int64), np.zeros(0, np.int8)]).tolist() == []
-    # Keys beyond 62 bits of range on their own.
-    big = np.array([2 ** 62, -(2 ** 62), 2 ** 62, 5, -(2 ** 62), 5], np.int64)
-    small = np.array([0, 0, 0, 1, 1, 1], np.int8)
-    assert boxes._earlier_equal([big]).tolist() == [-1, -1, 0, -1, 1, 3]
-    assert boxes._earlier_equal([small, big]).tolist() == [-1, -1, 0, -1, -1, 3]
-
-
 def test_dominance_matching_equals_reference_small_sweep():
     for caps in iter_caps_vectors(3, 8):
         for ell in range(sum(caps) // 2 + 1):
@@ -363,7 +336,9 @@ def test_augmenting_search_matches_brute_force(graph):
             == _brute_force_matching_exists(adjacency, targets))
 
 
-def test_sweep_reports_a_broken_map_like_verify_matching(monkeypatch):
+def _break_the_map(monkeypatch):
+    """Patch the sweep's map to repeat and misplace images; returns the dict
+    {(caps, v): image} it fills as the sweep runs."""
     honest = boxes._split_shift_images
     seen = {}
 
@@ -376,6 +351,24 @@ def test_sweep_reports_a_broken_map_like_verify_matching(monkeypatch):
         return w
 
     monkeypatch.setattr(boxes, "_split_shift_images", broken)
+    return seen
+
+
+def _count_verify_calls(monkeypatch):
+    """Patch the sweep's verify_matching to log the (caps, l) of each call."""
+    honest = boxes.verify_matching
+    calls = []
+
+    def counting(caps, ell, assignment):
+        calls.append((caps, ell))
+        return honest(caps, ell, assignment)
+
+    monkeypatch.setattr(boxes, "verify_matching", counting)
+    return calls
+
+
+def test_sweep_reports_a_broken_map_like_verify_matching(monkeypatch):
+    seen = _break_the_map(monkeypatch)
     messages = {}
     for caps, failures, oracle in matching_sweep(iter_caps_vectors(3, 6)):
         for ell, failure in enumerate(failures):
@@ -390,6 +383,39 @@ def test_sweep_reports_a_broken_map_like_verify_matching(monkeypatch):
                if not ok}
     assert details.keys() == messages.keys()
     assert all(details[key].startswith(message) for key, message in messages.items())
+
+
+def test_sweep_calls_verify_matching_exactly_for_failing_cases(monkeypatch):
+    # The oracle on the (2,)*9 shape takes about a second and is not under test.
+    monkeypatch.setattr(boxes, "_shape_oracle",
+                        lambda shapes: [[True] * (sum(s) + 1) for s in shapes])
+    calls = _count_verify_calls(monkeypatch)
+    # One chunk mixes the full box of (2,)*9, 19,683 rows, with small boxes of
+    # its length: a key that is not exact across the caps vectors of a chunk
+    # flags honest cases, which no verdict shows.
+    mixed = [(1,) * 9, (2,) * 9, (0,) * 8 + (5,), (3,) + (0,) * 7 + (3,),
+             (1, 2, 0, 0, 0, 0, 0, 2, 1), (0, 1) * 4 + (0,)]
+    assert len(list(boxes._sweep_chunks(mixed))) == 1
+    for _, failures, _ in matching_sweep([*iter_caps_vectors(4, 10), *mixed]):
+        assert failures == [None] * len(failures)
+    assert calls == []
+    # Under a broken map, one call per failing case.
+    _break_the_map(monkeypatch)
+    failing = [(caps, ell) for caps, failures, _ in matching_sweep(iter_caps_vectors(3, 6))
+               for ell, failure in enumerate(failures) if failure is not None]
+    assert len(failing) > 100
+    assert calls == failing
+
+
+def test_sweep_fails_a_case_its_two_checks_disagree_on(monkeypatch):
+    # The array check flags every row of an honest map; verify_matching
+    # accepts each case, and the disagreement is a failure, not a pass.
+    monkeypatch.setattr(boxes, "_violations", lambda v, *_: np.ones(len(v), bool))
+    detail = "the sweep's array check flags a map that verify_matching accepts"
+    matched = [(ok, d) for key, ok, d in _matching_cases(iter_caps_vectors(3, 6))
+               if not key.endswith("(boundary)")]
+    assert len(matched) > 100
+    assert matched == [(False, detail)] * len(matched)
 
 
 def test_sweep_equals_per_case_calls():
