@@ -258,25 +258,25 @@ def dominance_matching(caps: tuple[int, ...] | list[int],
 
 
 def _violations(v: np.ndarray, w: np.ndarray, caps: np.ndarray, target_degree: np.ndarray,
-                case: np.ndarray) -> np.ndarray:
+                slot: np.ndarray) -> np.ndarray:
     """Per row: whether its image lies outside the target box, fails
-    dominance, or repeats the image of an earlier row of the same case.
+    dominance, or equals the image of another row of the same case.
 
-    Injectivity is one stable sort of one int64 key per row, the case times
-    _SWEEP_CHUNK_ROWS plus the image's mixed-radix index in its own caps box,
-    which ``_sweep_chunks`` keeps below _SWEEP_CHUNK_ROWS; an image outside
-    the box already fails and gets a distinct negative key."""
+    Injectivity is one count of one int64 key per row, the row's slot (where
+    its caps vector's full box starts among the chunk's full boxes) plus the
+    image's mixed-radix index in that box.  ``_sweep_chunks`` keeps the full
+    boxes within _SWEEP_CHUNK_ROWS, and the images of one caps vector at two
+    degrees differ, so two rows share a key exactly when they repeat an image
+    within a case; an image outside the box already fails and is not counted.
+    """
     outside = (w.sum(axis=1) != target_degree) | ((w < 0) | (w > caps)).any(axis=1)
     index = np.zeros(len(w), np.int64)
     for k in range(w.shape[1]):
         index *= caps[:, k] + 1
         index += w[:, k]
-    key = np.where(outside, -1 - np.arange(len(w)), case * _SWEEP_CHUNK_ROWS + index)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    fails = outside | (v > w).any(axis=1)
-    fails[order[1:][key[1:] == key[:-1]]] = True
-    return fails
+    key = np.where(outside, 0, slot + index)
+    repeats = np.bincount(key[~outside], minlength=_SWEEP_CHUNK_ROWS)[key] > 1
+    return outside | repeats | (v > w).any(axis=1)
 
 
 def verify_matching(caps: tuple[int, ...] | list[int], ell: int,
@@ -493,14 +493,16 @@ def matching_sweep(
 
     The same map and oracle as ``dominance_matching`` and
     ``hall_matching_exists``, run on a batch of caps vectors of one length
-    at once.  The map's rows are the matched half, each caps vector q's
-    degrees l <= sigma_q/2, ordered by the case l * count + q (of the
-    batch's count caps vectors) and lexicographic within it; the map and an
-    array check of it (``_violations``) run on all rows together.  Only a
-    case the array check flags goes to ``verify_matching``, which words its
+    at once.  The map's rows are the matched half, each caps vector's
+    degrees l <= sigma/2, in enumeration order: the rows of one caps vector
+    contiguous and lexicographic, so a case's rows are those of its caps
+    vector and degree, in order.  The map and an array check of it
+    (``_violations``) run on all rows together, and a caps vector with no
+    flagged row passes at every degree with no further work.  Only a case
+    the array check flags goes to ``verify_matching``, which words its
     failure; the two checks share no code, so a flagged case that
     ``verify_matching`` accepts fails too, with a detail saying so.  The
-    oracle's rows are its shapes' whole boxes, in the same case layout.
+    oracle's rows are its shapes' whole boxes, ordered by case.
     The oracle is solved once per shape, the sorted positive caps: permuting
     coordinates and dropping a zero cap map a box onto the shape's box,
     degree by degree, and keep dominance both ways, so a dominance matching
@@ -512,32 +514,28 @@ def matching_sweep(
     for chunk in _sweep_chunks(caps_vectors):
         caps = np.array(chunk, np.int64)
         sigma = caps.sum(axis=1)
-        top, count = int(sigma.max()), len(chunk)
-        dtype = _row_dtype(top + 1)
-        v, case = _case_rows(caps, sigma // 2)
+        dtype = _row_dtype(int(sigma.max()) + 1)
+        v, owner = _enumerate(caps, 0, sigma // 2)
         v = v.astype(dtype, copy=False)
-        degree, owner = np.divmod(case, count)
+        degree = v.sum(axis=1)
         row_caps = caps.astype(dtype)[owner]
         w = _split_shift_images(v, row_caps)
-        failing = set(case[_violations(v, w, row_caps, sigma[owner] - degree, case)].tolist())
+        sizes = np.prod(caps + 1, axis=1)
+        slot = (np.cumsum(sizes) - sizes)[owner]
+        fails = _violations(v, w, row_caps, sigma[owner] - degree, slot)
+        failures: list[list[str | None]] = [[None] * (s // 2 + 1) for s in sigma.tolist()]
+        for q, ell in sorted(set(zip(owner[fails].tolist(), degree[fails].tolist()))):
+            rows = (owner == q) & (degree == ell)
+            failures[q][ell] = verify_matching(
+                chunk[q], ell, dict(zip(_as_tuples(v[rows]), _as_tuples(w[rows])))
+            ) or "the sweep's array check flags a map that verify_matching accepts"
         shapes = [_shape(c) for c in chunk]
         unsolved = sorted(set(shapes).difference(answers), key=lambda s: (len(s), s))
         for _, group in itertools.groupby(unsolved, len):
             group = list(group)
             answers.update(zip(group, _shape_oracle(group)))
-        starts = np.searchsorted(case, np.arange((top // 2 + 1) * count + 1)).tolist()
-        for q, caps_q in enumerate(chunk):
-            failures = []
-            for ell in range(int(sigma[q]) // 2 + 1):
-                c = ell * count + q
-                if c not in failing:
-                    failures.append(None)
-                    continue
-                lo, hi = starts[c], starts[c + 1]
-                failures.append(verify_matching(
-                    caps_q, ell, dict(zip(_as_tuples(v[lo:hi]), _as_tuples(w[lo:hi]))))
-                    or "the sweep's array check flags a map that verify_matching accepts")
-            yield caps_q, failures, list(answers[shapes[q]])
+        for caps_q, failures_q, shape in zip(chunk, failures, shapes):
+            yield caps_q, failures_q, list(answers[shape])
 
 
 def iter_caps_vectors(n_max: int, sigma_max: int) -> Iterator[tuple[int, ...]]:

@@ -219,15 +219,19 @@ def _matching_cases(caps_vectors) -> Cases:
         # (non-empty) box, and the constructor must refuse the degree.
         for ell in range(sigma // 2 + 1, sigma + 1):
             boundary += 1
-            problems = []
-            if oracle[ell]:
-                problems.append("oracle found a matching above half degree")
+            key = f"caps={name} l={ell} (boundary)"
             try:
                 boxes.dominance_matching(caps, ell)
-                problems.append("construction accepted a degree above half")
             except ValueError:
-                pass
-            yield f"caps={name} l={ell} (boundary)", not problems, "; ".join(problems)
+                if not oracle[ell]:
+                    yield key, True, ""
+                    continue
+                problems = []
+            else:
+                problems = ["construction accepted a degree above half"]
+            if oracle[ell]:
+                problems.insert(0, "oracle found a matching above half degree")
+            yield key, False, "; ".join(problems)
     return {"caps_vectors": caps_count, "boundary_cases": boundary, "matched_cases": matched}
 
 

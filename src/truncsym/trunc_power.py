@@ -273,23 +273,6 @@ def symmetrization_rank(n: int, p: int, ell: int) -> tuple[int, int]:
     return len(eliminate(restricted.values(), p)), len(nonzero)
 
 
-def symmetrization_matrix(n: int, p: int, ell: int) -> list[dict[int, int]]:
-    """The symmetrization map Sym^ell -> tensor words as sparse rows keyed by
-    the words' int64 codes (see ``word_places``), one per monomial in
-    ``sym_basis`` order, each filled from its pieces of ``symmetrized_rows``.
-
-    Rank (``fp_linalg.eliminate``) equals the truncated-power dimension;
-    monomials with an exponent >= p span the kernel (their rows vanish).
-    The rows hold every word of the grade: the tests' reference for
-    ``symmetrization_rank``.
-    """
-    monomials = sym_basis(n, ell)
-    rows: list[dict[int, int]] = [{} for _ in monomials]
-    for i, words, coeffs in symmetrized_rows(n, p, monomials):
-        rows[i].update(zip(words.tolist(), coeffs.tolist()))
-    return rows
-
-
 def degree_weight_check(n: int, p: int, ell: int) -> bool:
     """Per-variable exponent sums over the basis must each equal ell*rank/n.
 

@@ -1,6 +1,7 @@
 """Shared test helpers: the textbook elimination that the F_p kernels are
-checked against, dense rows into the sparse-row matrix, packed word rows
-joined from their pieces, and packed word rows into dicts."""
+checked against, dense rows into the sparse-row matrix, the whole
+symmetrization matrix of a grade, packed word rows joined from their
+pieces, and packed word rows into dicts."""
 
 import itertools
 from operator import itemgetter
@@ -8,6 +9,7 @@ from operator import itemgetter
 import numpy as np
 
 from truncsym.fp_linalg import FpMatrix
+from truncsym.trunc_power import sym_basis, symmetrized_rows
 
 
 def reference_rref(rows, p):
@@ -33,6 +35,23 @@ def reference_rref(rows, p):
 def dense_matrix(rows, p):
     """The FpMatrix of dense rows, as wide as the first row."""
     return FpMatrix([{j: x for j, x in enumerate(row) if x} for row in rows], p, len(rows[0]))
+
+
+def symmetrization_matrix(n, p, ell):
+    """The symmetrization map Sym^ell -> tensor words as sparse rows keyed by
+    the words' int64 codes (see ``word_places``), one per monomial in
+    ``sym_basis`` order, each filled from its pieces of ``symmetrized_rows``.
+
+    Rank (``fp_linalg.eliminate``) equals the truncated-power dimension;
+    monomials with an exponent >= p span the kernel (their rows vanish).
+    The rows hold every word of the grade: the reference for
+    ``symmetrization_rank``.
+    """
+    monomials = sym_basis(n, ell)
+    rows = [{} for _ in monomials]
+    for i, words, coeffs in symmetrized_rows(n, p, monomials):
+        rows[i].update(zip(words.tolist(), coeffs.tolist()))
+    return rows
 
 
 def word_dict(n, length, row):

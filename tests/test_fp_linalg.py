@@ -14,9 +14,9 @@ from truncsym.fp_linalg import (
     rank,
     row_reduce,
 )
-from truncsym.trunc_power import symmetrization_matrix, symmetrization_rank, trunc_rank
+from truncsym.trunc_power import symmetrization_rank, trunc_rank
 
-from reference import dense_matrix, reference_rref
+from reference import dense_matrix, reference_rref, symmetrization_matrix
 
 # 3037000493 is the largest prime p with (p-1)^2 < 2^63, the largest modulus
 # the word rows' int64 coefficients allow and so the largest FpMatrix accepts.

@@ -418,6 +418,34 @@ def test_sweep_fails_a_case_its_two_checks_disagree_on(monkeypatch):
     assert matched == [(False, detail)] * len(matched)
 
 
+def test_sweep_counts_a_repeat_within_a_case_only(monkeypatch):
+    # One chunk holds (2, 2) twice among other caps vectors of length 2; each
+    # copy has its own slot, so neither sees the other's images.
+    chunk = [(1, 1), (2, 2), (0, 3), (2, 2), (3, 1), (2, 0)]
+    assert len(list(boxes._sweep_chunks(chunk))) == 1
+    calls = _count_verify_calls(monkeypatch)
+    honest = list(matching_sweep(chunk))
+    assert [caps for caps, _, _ in honest] == chunk
+    assert honest[1][1:] == honest[3][1:]
+    assert all(failures == [None] * len(failures) for _, failures, _ in honest)
+    assert calls == []
+    # Both degree-1 sources of (2, 2) map to (1, 2): inside the target box and
+    # above each source, so only the count sees the repeat.
+    split_shift = boxes._split_shift_images
+
+    def repeat(v, caps):
+        w = split_shift(v, caps)
+        w[(caps == 2).all(axis=1) & (v.sum(axis=1) == 1)] = (1, 2)
+        return w
+
+    monkeypatch.setattr(boxes, "_split_shift_images", repeat)
+    expected = [[None] * (sum(caps) // 2 + 1) for caps in chunk]
+    for q in (1, 3):
+        expected[q][1] = "not injective at ((0, 1), (1, 0), (1, 2))"
+    assert [failures for _, failures, _ in matching_sweep(chunk)] == expected
+    assert calls == [((2, 2), 1)] * 2
+
+
 def test_sweep_equals_per_case_calls():
     caps_list = list(iter_caps_vectors(3, 7)) + [(0, 4, 0, 1), (12,), (2, 0, 2, 0, 2)]
     swept = list(matching_sweep(caps_list))

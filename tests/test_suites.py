@@ -252,6 +252,32 @@ def test_matching_cases_fail_wherever_the_oracle_denies(monkeypatch):
                for _, detail in failures)
 
 
+def test_matching_boundary_cases_word_each_fault(monkeypatch):
+    # Above half degree the constructor must refuse and the oracle deny; a
+    # boundary case names each fault, and the matched cases are untouched.
+    caps_list = list(boxes.iter_caps_vectors(3, 6))
+    keys = [key for key, _, _ in _matching_cases(caps_list)]
+
+    def boundary_verdicts():
+        cases = list(_matching_cases(caps_list))
+        assert [key for key, _, _ in cases] == keys
+        assert all(ok for key, ok, _ in cases if not key.endswith("(boundary)"))
+        return {(ok, detail) for key, ok, detail in cases if key.endswith("(boundary)")}
+
+    assert boundary_verdicts() == {(True, "")}
+    accept = ("dominance_matching", lambda caps, ell: {})
+    match = ("_hall_many", lambda rows, cases: [True] * len(cases))
+    for fakes, detail in [
+            ([accept], "construction accepted a degree above half"),
+            ([match], "oracle found a matching above half degree"),
+            ([accept, match], "oracle found a matching above half degree; "
+                              "construction accepted a degree above half")]:
+        with monkeypatch.context() as m:
+            for name, fake in fakes:
+                m.setattr(boxes, name, fake)
+            assert boundary_verdicts() == {(False, detail)}
+
+
 def test_pair_grid_refuses_a_modulus_below_two():
     # Every power of 1 (or 0, or -1) is within any limit, so the search for
     # the largest n never ended; with n_max it returned pairs that mean nothing.

@@ -13,7 +13,6 @@ from truncsym.trunc_power import (
     _sorted_words,
     koszul_complex,
     sym_basis,
-    symmetrization_matrix,
     symmetrization_rank,
     symmetrized_rows,
     trunc_rank,
@@ -23,7 +22,7 @@ from truncsym.trunc_power import (
 )
 from truncsym.filtration import nabla_power_rows
 
-from reference import join_row, joined_rows, word_dict
+from reference import join_row, joined_rows, symmetrization_matrix, word_dict
 
 SMALL_GRID = [(n, p) for n in (1, 2, 3) for p in (2, 3, 5)]
 
