@@ -7,9 +7,9 @@ injective map phi from M^l into M^{sigma-l} with v <= phi(v) componentwise;
 ``hall_matching_exists`` is an independent bipartite-matching oracle for
 the same statement.  One pass enumerates a degree range of many boxes as
 numpy rows: one degree of a single box, the matched half of a batch for
-the map, whole boxes for the oracle.  The map is one fold over the columns
-of all source elements, and ``matching_sweep`` checks many caps vectors
-per batch.  Nothing here recurses or caches without bound.
+the map, one box per (shape, degree) for the oracle.  The map is one fold
+over the columns of all source elements, and ``matching_sweep`` checks
+many caps vectors per batch.  Nothing here recurses or caches without bound.
 """
 
 from __future__ import annotations
@@ -93,16 +93,6 @@ def _enumerate(caps: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         rows[:, k] = values[at]
         at = parent[at]
     return rows, owner
-
-
-def _case_rows(caps: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of degree l <= hi[q] of every caps vector q, with their case
-    keys l * count + q (count caps vectors), ordered by case and
-    lexicographic within each."""
-    rows, owner = _enumerate(caps, 0, hi)
-    case = rows.sum(axis=1) * len(caps) + owner
-    order = np.argsort(case, kind="stable")
-    return rows[order], case[order]
 
 
 def _box_rows(caps: tuple[int, ...], degree: int) -> np.ndarray:
@@ -467,21 +457,21 @@ def _shape(caps: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _shape_oracle(shapes: list[tuple[int, ...]]) -> list[list[bool]]:
-    """The Hall oracle's answers at every l <= sigma for shapes of one length."""
+    """The Hall oracle's answers at every l <= sigma for shapes of one length, from one
+    enumeration: box first[q] + l is degree l of shape q; case first[q] + l maps it
+    into degree sigma_q - l."""
     caps = np.array(shapes, np.int64)
     sigma = caps.sum(axis=1)
-    top, count = int(sigma.max()), len(shapes)
-    rows, case = _case_rows(caps, sigma)
-    bounds = np.searchsorted(case, np.arange((top + 1) * count + 1))
-    # Hall case (q, l) for each l <= sigma_q, shape by shape: degree l into
-    # degree sigma_q - l of shape q.
-    owner, degree = np.nonzero(np.arange(top + 1) <= sigma[:, None])
-    source = degree * count + owner
-    target = (sigma[owner] - degree) * count + owner
+    owner = np.repeat(np.arange(len(shapes)), sigma + 1)
+    first = np.cumsum(sigma + 1) - (sigma + 1)
+    degree = np.arange(len(owner)) - first[owner]
+    # ``_enumerate`` keeps each caps row's rows contiguous and in row order, so box ids ascend.
+    rows, box = _enumerate(caps[owner], degree, degree)
+    bounds = np.searchsorted(box, np.arange(len(owner) + 1))
+    target = first[owner] + sigma[owner] - degree
     oracle = _hall_many(rows, np.stack(
-        [bounds[source], bounds[source + 1], bounds[target], bounds[target + 1]], axis=1))
-    ends = np.cumsum(sigma + 1).tolist()
-    return [oracle[end - s - 1:end] for s, end in zip(sigma.tolist(), ends)]
+        [bounds[:-1], bounds[1:], bounds[target], bounds[target + 1]], axis=1))
+    return [oracle[f:f + s + 1] for f, s in zip(first.tolist(), sigma.tolist())]
 
 
 def matching_sweep(
@@ -501,14 +491,14 @@ def matching_sweep(
     flagged row passes at every degree with no further work.  Only a case
     the array check flags goes to ``verify_matching``, which words its
     failure; the two checks share no code, so a flagged case that
-    ``verify_matching`` accepts fails too, with a detail saying so.  The
-    oracle's rows are its shapes' whole boxes, ordered by case.
-    The oracle is solved once per shape, the sorted positive caps: permuting
-    coordinates and dropping a zero cap map a box onto the shape's box,
-    degree by degree, and keep dominance both ways, so a dominance matching
-    exists for the caps exactly when it does for the shape.  The answers
-    live for one call.  Meant for many small boxes: a full box above
-    _SWEEP_CHUNK_ROWS elements is refused.
+    ``verify_matching`` accepts fails too, with a detail saying so.  The oracle
+    takes one box per (shape, degree) from one enumeration, so each case's two
+    boxes are row ranges known before any pair is compared.  It is solved once
+    per shape, the sorted positive caps: permuting coordinates and dropping a
+    zero cap map a box onto the shape's box, degree by degree, and keep
+    dominance both ways, so a dominance matching exists for the caps exactly
+    when it does for the shape.  The answers live for one call.  Meant for
+    many small boxes: a full box above _SWEEP_CHUNK_ROWS elements is refused.
     """
     answers: dict[tuple[int, ...], list[bool]] = {}
     for chunk in _sweep_chunks(caps_vectors):

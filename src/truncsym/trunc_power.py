@@ -32,10 +32,11 @@ from .monomial_box import MultiIndex, enumerate_box, grade_basis
 def trunc_rank(n: int, p: int, ell: int) -> int:
     """Closed-form dimension via inclusion-exclusion over the cap relations.
 
-    Sum over q of (-1)^q C(n,q) C(n+ell-qp-1, n-1), q up to floor(ell/p).
+    Sum over q of (-1)^q C(n,q) C(n+ell-qp-1, n-1), q up to floor(ell/p): an
+    empty sum for a negative degree.  A modulus below 2 is refused.
     """
-    if ell < 0:
-        return 0
+    if p < 2:
+        raise ValueError(f"modulus must be at least 2, got {p}")
     total = 0
     for q in range(ell // p + 1):
         m = n + ell - q * p - 1
@@ -296,6 +297,7 @@ def koszul_complex(n: int, p: int, ell: int) -> list[FpMatrix]:
     with the i-th wedge factor dropped.  Matrices use the row-as-domain
     convention.
     """
+    _check_modulus(p)
     levels = [[(mono, subset) for mono in sym_basis(n, ell - q * p)
                for subset in itertools.combinations(range(n), q)]
               for q in range(min(n, ell // p) + 1)]

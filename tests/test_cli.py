@@ -6,10 +6,16 @@ import subprocess
 import sys
 import time
 
+import pytest
 from click.testing import CliRunner
 
 import truncsym
 import truncsym.cli as cli_mod
+import truncsym.filtration as filt
+import truncsym.monomial_box as boxes
+import truncsym.slopes as slp
+import truncsym.trunc_algebra as alg
+import truncsym.trunc_power as tp
 from truncsym.cli import main
 from truncsym.monomial_box import MATCHING_BOX_LIMIT
 from truncsym.suites import SuiteConfig, strip_timings
@@ -80,6 +86,30 @@ def test_verify_exit_code_on_failure(monkeypatch):
     report = json.loads(result.output)
     assert report["passed"] is False
     assert report["suites"]["ranks"]["failures"][0]["case"] == "forced"
+
+
+@pytest.mark.parametrize("suite, module, name, fault, first", [
+    ("ranks", tp, "degree_weight_check", lambda *args: False, "n=1 p=2 l=0"),
+    ("koszul", tp, "verify_koszul_exact", lambda *args: "injected", "n=1 p=2 l=0"),
+    ("filtration", filt, "composite_mismatch", lambda n, p, rows: rows[0],
+     "composite n=1 p=2 l=0"),
+    ("growth", alg, "spanned_image_dim", lambda sub: -1, "random n=1 p=2 l=1 i=0"),
+    ("matching", boxes, "_hall_many", lambda rows, cases: [True] * len(cases),
+     "caps=0,1 l=1 (boundary)"),
+    ("slopes", slp, "curve_gap", lambda *args: -1, "anchor curve-gap"),
+])
+def test_verify_exits_1_on_a_library_fault_in_each_suite(monkeypatch, suite, module, name,
+                                                          fault, first):
+    monkeypatch.setattr(module, name, fault)
+    result = CliRunner().invoke(main, [
+        "verify", "--suites", suite, "--n-max", "2", "--primes", "2,3", "--max-sigma", "4",
+        "--matching-n-max", "2", "--random-subspaces", "2"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    report = json.loads(result.output)
+    assert report["passed"] is False
+    assert report["suites"][suite]["failures"][0]["case"] == first
 
 
 def test_bare_verify_builds_the_default_config(monkeypatch):

@@ -76,6 +76,23 @@ def test_enumerate_rejects_negative_caps():
         enumerate_box((-1, 2), 1)
 
 
+def test_enumerate_gives_each_row_its_own_box_in_row_order():
+    # The sweep's Hall oracle reads each (shape, degree) box as a row range
+    # of one call with lo = hi = the degree.
+    for _, group in itertools.groupby(iter_caps_vectors(4, 6), len):
+        group = list(group)
+        wanted = [(caps, ell) for caps in group for ell in range(-1, sum(caps) + 2)]
+        wanted[1:1] = [(group[-1], sum(group[-1]) // 2)] * 2
+        caps = np.array([c for c, _ in wanted], np.int64)
+        degree = np.array([ell for _, ell in wanted])
+        rows, box = boxes._enumerate(caps, degree, degree)
+        assert (np.diff(box) >= 0).all()
+        bounds = np.searchsorted(box, np.arange(len(wanted) + 1))
+        assert bounds[-1] == len(rows)
+        for b, (c, ell) in enumerate(wanted):
+            assert boxes._as_tuples(rows[bounds[b]:bounds[b + 1]]) == enumerate_box(c, ell), (c, ell)
+
+
 def test_lexicographic_order():
     for caps in [(2, 3), (1, 2, 1), (3, 0, 2)]:
         for ell in range(sum(caps) + 1):

@@ -55,6 +55,19 @@ def test_rank_palindrome_and_total():
             assert trunc_rank(n, p, ell) == trunc_rank(n, p, top - ell)
 
 
+def test_rank_and_koszul_refuse_bad_moduli():
+    # A negative degree still has rank 0; a modulus below 2 has no truncated
+    # power, and the resolution is built over F_p alone.
+    assert trunc_rank(3, 2, -1) == 0
+    for p in (-3, 0, 1):
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            trunc_rank(4, p, 2)
+    for p in (-3, 0, 1, 4):
+        for build in (koszul_complex, verify_koszul_exact):
+            with pytest.raises(ValueError, match="modulus"):
+                build(2, p, 1)
+
+
 def test_gl2_examples_and_sweep():
     assert gl2_dim(3, 3) == 2
     assert gl2_dim(5, 2) == 3
