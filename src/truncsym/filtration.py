@@ -10,9 +10,10 @@ the symmetrized tensors up to the sign (-1)^l.
 
 ``graded_nabla_matrix`` is one step, from the degree-l layer to the
 degree-(l-1) layer in each direction, written straight into sparse rows;
-``nabla_power_rows`` is the l-step composite as packed words, streamed in
-pieces of bounded size, and ``composite_mismatch`` checks it against the
-symmetrized rows in one pass over both streams.
+``nabla_power_rows`` is the l-step composite as packed words, the first
+derivative leftmost, laid out as ``symmetrized_rows`` and streamed in pieces
+of bounded size; ``composite_mismatch`` checks it against the symmetrized
+rows in one pass over both streams.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fp_linalg import FpMatrix
+from .fp_linalg import FpMatrix, _check_modulus
 from .monomial_box import MultiIndex, grade_basis
 from .trunc_power import (Piece, _check_rows, _distinct_rows, _expand, _one_letter_rows,
                           _row_batches, symmetrized_rows, word_count)
@@ -66,20 +67,18 @@ def graded_nabla_matrix(n: int, p: int, ell: int) -> FpMatrix:
 def _derivative_walk(places: np.ndarray, left: np.ndarray, factor: np.ndarray, p: int,
                      start: int, stop: int):
     """Walk each exponent row of ``left`` down one derivative at a time, the
-    direction of each written at positions stop-1 down to start (newest letter
-    leftmost): every step extends each state by each direction i with m_i > 0
-    and multiplies its coefficient by factor[m_i] = -m_i mod p; a path whose
-    coefficient reaches 0 is dropped, so a row with an exponent of p or more
-    leaves no word.  Taking the directions in order, each over all states in
-    order, keeps the words sorted.  Returns the words, coefficients, the row
-    each came from and the exponents left, ordered by that row and then by
-    word."""
+    direction of each written at positions start..stop-1, left to right (the
+    first derivative leftmost): every step extends each state, in order, by
+    each direction i with m_i > 0, in order, and multiplies its coefficient by
+    factor[m_i] = -m_i mod p; a path whose coefficient reaches 0 is dropped,
+    so a row with an exponent of p or more leaves no word.  Returns the words,
+    coefficients, the row each came from and the exponents left; the words of
+    each row stay consecutive and sorted."""
     words = np.zeros(len(left), dtype=np.int64)
     coeffs = np.ones(len(left), dtype=np.int64)
     origin = np.arange(len(left))
-    for j in reversed(range(start, stop)):
-        # Direction-major: every state that can step in direction 0, then 1, ...
-        letter, src = np.nonzero(left.T)
+    for j in range(start, stop):
+        src, letter = np.nonzero(left)
         words = words[src]
         words += letter * places[j]
         origin, left = origin[src], left[src]
@@ -89,8 +88,7 @@ def _derivative_walk(places: np.ndarray, left: np.ndarray, factor: np.ndarray, p
         live = coeffs != 0
         if not live.all():
             words, coeffs, origin, left = words[live], coeffs[live], origin[live], left[live]
-    order = np.argsort(origin, kind="stable")
-    return words[order], coeffs[order], origin[order], left[order]
+    return words, coeffs, origin, left
 
 
 def nabla_power_rows(n: int, p: int,
@@ -101,17 +99,19 @@ def nabla_power_rows(n: int, p: int,
     are consecutive and in word order, and a vanishing row is one empty piece.
 
     Each monomial is walked down to degree zero one derivative at a time; the
-    direction chosen at each step is a word letter, the newest leftmost (the
-    first derivative taken sits rightmost), and the step multiplies the
-    coefficient by -m_i mod p.  Each word is split at h = l // 2.  The first
-    l - h derivatives of every row (the suffix) are walked at once; the last h
-    (the prefix) once per exponent vector a suffix leaves, and that block is
-    shared by every suffix, of any row, that leaves the same exponents.  A
-    path's coefficient is the product of its halves' coefficients, since each
-    factor depends only on the exponent still left.  A row is its prefixes,
-    sorted, each followed by the suffixes that leave its exponents, in order
-    (an entry); pieces are cut between entries, as in ``symmetrized_rows``.
-    Bad input raises ``ValueError`` at the first piece.
+    direction chosen at each step is a word letter, the first derivative
+    leftmost, and the step multiplies the coefficient by -m_i mod p.  Every
+    path from k to 0 multiplies the same factors, (-1)^l prod(k_i!), so the
+    slot of the first derivative changes no row.  The words are laid out as
+    in ``symmetrized_rows``, split at h = l // 2: the first h derivatives of
+    every row are walked at once, the last l - h once per exponent vector a
+    prefix leaves, and that block is shared by every prefix that leaves it.
+    A path's coefficient is the product of its halves', since each factor
+    depends only on the exponent still left.  A row is its prefixes in order,
+    each followed by its block (an entry), so its words are sorted; a prefix
+    whose block is empty (an exponent of p or more) leads no entry.  Pieces
+    are cut between entries.  Bad input raises ``ValueError`` at the first
+    piece.
     """
     places = _check_rows(n, p, monomials)
     ell = len(places)
@@ -124,38 +124,28 @@ def nabla_power_rows(n: int, p: int,
         return
     h = ell // 2
     factor = np.array([-m % p for m in range(ell + 1)], dtype=np.int64)
-    suffixes, scoeffs, origin, rest = _derivative_walk(
+    prefixes, pcoeffs, origin, rest = _derivative_walk(
         places, np.array(monomials, dtype=np.min_scalar_type(ell)).reshape(-1, n),
-        factor, p, h, ell)
+        factor, p, 0, h)
     exponents, group = _distinct_rows(rest)
-    prefixes, pcoeffs, block, _ = _derivative_walk(places, exponents, factor, p, 0, h)
-    # Suffixes grouped by (row, exponents left), each group in word order.
-    key = origin * len(exponents) + group
-    order = np.argsort(key, kind="stable")
-    suffixes, scoeffs = suffixes[order], scoeffs[order]
-    pairs, pair_starts, pair_sizes = np.unique(key[order], return_index=True, return_counts=True)
+    suffixes, scoeffs, block, _ = _derivative_walk(places, exponents, factor, p, h, ell)
     block_sizes = np.bincount(block, minlength=len(exponents))
-    # Every prefix of every pair's exponents, sorted by (row, prefix word).
-    pair_group = pairs % len(exponents)
-    pair, prefix = _expand((np.cumsum(block_sizes) - block_sizes)[pair_group],
-                           block_sizes[pair_group])
-    row = pairs[pair] // len(exponents)
-    order = np.lexsort((prefixes[prefix], row))
-    pair, prefix = pair[order], prefix[order]
-    entry_starts, entry_sizes = pair_starts[pair], pair_sizes[pair]
+    live = block_sizes[group] > 0
+    prefixes, pcoeffs, origin, group = prefixes[live], pcoeffs[live], origin[live], group[live]
+    entry_starts = (np.cumsum(block_sizes) - block_sizes)[group]
+    entry_sizes = block_sizes[group]
 
     def assemble(e0, e1):
         entry, inner = _expand(entry_starts[e0:e1], entry_sizes[e0:e1])
-        pre = prefix[e0:e1][entry]
-        del entry  # as long as the batch
-        words = prefixes[pre]
+        entry += e0
+        words = prefixes[entry]
         words += suffixes[inner]
-        coeffs = pcoeffs[pre]
+        coeffs = pcoeffs[entry]
         coeffs *= scoeffs[inner]
         coeffs %= p
         return words, coeffs
 
-    yield from _row_batches(row[order], entry_sizes, len(monomials), assemble)
+    yield from _row_batches(origin, entry_sizes, len(monomials), assemble)
 
 
 def composite_mismatch(n: int, p: int, monomials: Sequence[MultiIndex]) -> MultiIndex | None:
@@ -164,9 +154,10 @@ def composite_mismatch(n: int, p: int, monomials: Sequence[MultiIndex]) -> Multi
 
     Both streams cut a row between the same prefix blocks, so they are read
     in one pass, a piece from each at a time, and no row is joined.  Each row
-    must also hold all word_count(k) words, which a fault shared by both
-    streams cannot hide."""
+    must also hold all word_count(k) words, or none when an exponent reaches
+    p, which a fault shared by both streams cannot hide."""
     sign = (-1) ** len(_check_rows(n, p, monomials)) % p
+    counts = [word_count(k) if max(k, default=0) < p else 0 for k in monomials]
     row = words = 0  # the row being read, and its words read so far
     pieces = itertools.zip_longest(nabla_power_rows(n, p, monomials),
                                    symmetrized_rows(n, p, monomials))
@@ -174,14 +165,14 @@ def composite_mismatch(n: int, p: int, monomials: Sequence[MultiIndex]) -> Multi
         if got is None or want is None or got[0] != want[0]:
             break
         if got[0] != row:
-            if got[0] != row + 1 or words != word_count(monomials[row]):
+            if got[0] != row + 1 or words != counts[row]:
                 break
             row, words = row + 1, 0
         if not (np.array_equal(got[1], want[1]) and np.array_equal(got[2], sign * want[2] % p)):
             break
         words += len(got[2])
     else:
-        if not monomials or row == len(monomials) - 1 and words == word_count(monomials[row]):
+        if not monomials or row == len(monomials) - 1 and words == counts[row]:
             return None
     return monomials[row]
 
@@ -190,7 +181,8 @@ def curve_report(p: int) -> str | None:
     """One-variable check: every graded map is the nonzero 1x1 scalar -l mod p
     and the ideal dimensions step down from p to zero, so the filtration has
     length p.  Returns the entries and dimensions, worded, when that fails,
-    or None when it holds."""
+    or None when it holds.  A modulus that is not prime is refused."""
+    _check_modulus(p)
     entries = []
     for ell in range(1, p):
         m = graded_nabla_matrix(1, p, ell)

@@ -459,7 +459,7 @@ def _shape(caps: tuple[int, ...]) -> tuple[int, ...]:
 def _shape_oracle(shapes: list[tuple[int, ...]]) -> list[list[bool]]:
     """The Hall oracle's answers at every l <= sigma for shapes of one length, from one
     enumeration: box first[q] + l is degree l of shape q; case first[q] + l maps it
-    into degree sigma_q - l."""
+    into degree sigma_q - l.  A box above HALL_BOX_LIMIT elements is refused first."""
     caps = np.array(shapes, np.int64)
     sigma = caps.sum(axis=1)
     owner = np.repeat(np.arange(len(shapes)), sigma + 1)
@@ -468,6 +468,11 @@ def _shape_oracle(shapes: list[tuple[int, ...]]) -> list[list[bool]]:
     # ``_enumerate`` keeps each caps row's rows contiguous and in row order, so box ids ascend.
     rows, box = _enumerate(caps[owner], degree, degree)
     bounds = np.searchsorted(box, np.arange(len(owner) + 1))
+    sizes = np.diff(bounds)
+    if sizes.max() > HALL_BOX_LIMIT:
+        b = sizes.argmax()
+        raise ValueError(f"the degree-{degree[b]} box has {sizes[b]} elements, "
+                         f"above the limit {HALL_BOX_LIMIT}")
     target = first[owner] + sigma[owner] - degree
     oracle = _hall_many(rows, np.stack(
         [bounds[:-1], bounds[1:], bounds[target], bounds[target + 1]], axis=1))

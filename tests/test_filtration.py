@@ -68,9 +68,10 @@ def test_graded_matrices_injective():
             assert rank(m) == m.nrows, (n, p, ell)
 
 
-def reference_nabla_power_row(n, p, k):
+def reference_nabla_power_row(n, p, k, newest_left=True):
     """The composite by a pure-Python dict walk over (monomial, word) states,
-    the newest letter leftmost: {word tuple: coefficient}."""
+    the newest letter leftmost (the first derivative rightmost) or, with
+    ``newest_left`` false, rightmost: {word tuple: coefficient}."""
     states = {(k, ()): 1}
     for _ in range(sum(k)):
         nxt = {}
@@ -78,7 +79,7 @@ def reference_nabla_power_row(n, p, k):
             for i in range(n):
                 mi = m[i]
                 if mi:
-                    key = (m[:i] + (mi - 1,) + m[i + 1:], (i,) + w)
+                    key = (m[:i] + (mi - 1,) + m[i + 1:], (i,) + w if newest_left else w + (i,))
                     nxt[key] = (nxt.get(key, 0) - c * mi) % p
         states = nxt
     return {w: c for (_, w), c in states.items() if c}
@@ -121,6 +122,49 @@ def test_composite_mismatch_passes_clean_grades():
         for ell in range(n * (p - 1) + 1):
             assert composite_mismatch(n, p, grade_basis(n, p, ell)) is None, (n, p, ell)
     assert composite_mismatch(2, 5, []) is None
+
+
+def test_composite_mismatch_passes_vanishing_rows(monkeypatch):
+    # A row with an exponent of p or more holds no word in either stream.
+    assert composite_mismatch(2, 2, sym_basis(2, 3)) is None  # every row vanishes
+    assert composite_mismatch(3, 3, sym_basis(3, 4)) is None  # vanishing and live rows
+    assert composite_mismatch(2, 5, [(5, 0)]) is None
+    # Both streams faulted to give the vanishing row (0, 0, 4) one word, as
+    # many as word_count((0, 0, 4)): only expecting no word names the row.
+    grade = sym_basis(3, 4)
+    assert grade[0] == (0, 0, 4) and word_count(grade[0]) == 1
+
+    def one_word(build):
+        def faulted(n, p, monomials):
+            for i, words, coeffs in build(n, p, monomials):
+                if i == 0:
+                    words, coeffs = np.zeros(1, np.int64), np.ones(1, np.int64)
+                yield i, words, coeffs
+        return faulted
+
+    for name, build in (("nabla_power_rows", nabla_power_rows),
+                        ("symmetrized_rows", symmetrized_rows)):
+        monkeypatch.setattr(filtration, name, one_word(build))
+    assert composite_mismatch(3, 3, grade) == (0, 0, 4)
+
+
+def test_composite_leads_no_empty_entry(monkeypatch):
+    # _row_batches takes entries of more than 0 words.  A composite prefix can
+    # outlive its row: at p = 2 the step (3, 0) -> (2, 0) has the factor
+    # -3 = 1, and only the block below it vanishes.
+    sizes = []
+
+    def recording(entry_row, entry_sizes, rows, assemble):
+        sizes.extend(entry_sizes.tolist())
+        return trunc_power._row_batches(entry_row, entry_sizes, rows, assemble)
+
+    monkeypatch.setattr(filtration, "_row_batches", recording)
+    for n, p, ell in [(2, 2, 3), (3, 3, 4), (2, 5, 7), (3, 2, 5)]:
+        basis = sym_basis(n, ell)
+        rows = joined_rows(nabla_power_rows(n, p, basis))
+        assert [len(w) for w, _ in rows] == [
+            len(w) for w, _ in joined_rows(symmetrized_rows(n, p, basis))], (n, p, ell)
+    assert sizes and min(sizes) > 0
 
 
 # The grade (2, 5) l = 6, whose middle row (3, 3) holds C(6, 3) = 20 words: in
@@ -174,13 +218,18 @@ def test_composite_mismatch_counts_the_words_of_each_row(monkeypatch):
 def test_packed_rows_match_reference_walk():
     rows = [(n, p, k) for n, p in PAIRS for ell in range(n * (p - 1) + 1)
             for k in grade_basis(n, p, ell)]
-    for n, p, k in rows + WIDE_ROWS:
-        reference = {code(w, n): c for w, c in sorted(reference_nabla_power_row(n, p, k).items())}
+    # Each path multiplies the same factors, so the walk that puts the first
+    # derivative leftmost and the one that puts it rightmost give one row.
+    inputs = [(n, p, k, newest_left) for n, p, k in rows + WIDE_ROWS
+              for newest_left in (True, False)]
+    for n, p, k, newest_left in inputs:
+        reference = {code(w, n): c for w, c
+                     in sorted(reference_nabla_power_row(n, p, k, newest_left).items())}
         sign = (-1) ** sum(k) % p
         got_row = join_row(nabla_power_rows(n, p, [k]))
         sym_row = join_row(symmetrized_rows(n, p, [k]))
         got, expected = word_dict(n, sum(k), got_row), word_dict(n, sum(k), sym_row)
-        assert got == reference, (n, p, k)
+        assert got == reference, (n, p, k, newest_left)
         assert list(got) == list(reference), (n, p, k)  # sorted words
         assert {w: sign * c % p for w, c in expected.items()} == reference, (n, p, k)
         assert list(expected) == list(reference), (n, p, k)
@@ -219,9 +268,11 @@ def test_nabla_power_full_row_rank():
 
 
 def test_nabla_power_is_stepwise_composition():
-    # One more application of the connection extends the word on the right:
-    # the first derivative taken sits in the rightmost slot, so the code of
-    # the word w + (i,) is code(w) * n + i.
+    # Each row is rebuilt from the layer below: the first derivative, in
+    # direction i with factor -k_i, is put in the rightmost slot, so the code
+    # of the word w + (i,) is code(w) * n + i.  nabla_power_rows puts it in
+    # the leftmost slot; every path multiplies the same factors, so the row
+    # is the same.
     for n, p in [(2, 3), (3, 2)]:
         for ell in range(1, n * (p - 1) + 1):
             previous = layer_rows(n, p, ell - 1)
@@ -246,6 +297,12 @@ def test_curve_reports():
             ((-ell % p,),) for ell in range(1, p)]
         dims = [len(filtration_basis(1, p, ell)) for ell in range(p + 1)]
         assert dims == [p - ell for ell in range(p)] + [0]
+
+
+def test_curve_report_refuses_a_modulus_that_is_not_prime():
+    for p in (1, 0, 4):
+        with pytest.raises(ValueError, match="prime"):
+            curve_report(p)
 
 
 def test_curve_report_words_a_failure():

@@ -403,7 +403,8 @@ def test_sweep_reports_a_broken_map_like_verify_matching(monkeypatch):
 
 
 def test_sweep_calls_verify_matching_exactly_for_failing_cases(monkeypatch):
-    # The oracle on the (2,)*9 shape takes about a second and is not under test.
+    # The oracle refuses the (2,)*9 shape, whose middle box is above
+    # HALL_BOX_LIMIT, and is not under test.
     monkeypatch.setattr(boxes, "_shape_oracle",
                         lambda shapes: [[True] * (sum(s) + 1) for s in shapes])
     calls = _count_verify_calls(monkeypatch)
@@ -510,6 +511,26 @@ def test_sweep_solves_each_shape_once_per_call(monkeypatch):
     # The answers live for one call.
     list(matching_sweep(caps_list))
     assert sorted(solved) == sorted(once * 2)
+
+
+def test_sweep_refuses_a_hall_box_above_the_limit(monkeypatch):
+    # (2,)*9 has a degree-9 box of 3,139 elements, which hall_matching_exists
+    # refuses; the sweep refuses it too, before the oracle compares a pair
+    # for any shape of its length.
+    with pytest.raises(ValueError, match="above the limit"):
+        hall_matching_exists((2,) * 9, 9)
+    compared = []
+    honest = boxes._hall_many
+    monkeypatch.setattr(boxes, "_hall_many", lambda *a: compared.append(1) or honest(*a))
+    with pytest.raises(ValueError,
+                       match=f"the degree-9 box has 3139 elements, above the limit {HALL_BOX_LIMIT}"):
+        list(matching_sweep([(1,) * 9, (2,) * 9]))
+    assert compared == []
+    # The largest box the suites reach, (1,)*12 at degree 6 with 924
+    # elements, still gets the oracle's answers.
+    (caps, _, oracle), = matching_sweep([(1,) * 12])
+    assert oracle == [hall_matching_exists(caps, ell) for ell in range(13)]
+    assert oracle == [True] * 7 + [False] * 6
 
 
 def test_iter_caps_vectors_order():
