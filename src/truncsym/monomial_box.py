@@ -459,7 +459,8 @@ def _shape(caps: tuple[int, ...]) -> tuple[int, ...]:
 def _shape_oracle(shapes: list[tuple[int, ...]]) -> list[list[bool]]:
     """The Hall oracle's answers at every l <= sigma for shapes of one length, from one
     enumeration: box first[q] + l is degree l of shape q; case first[q] + l maps it
-    into degree sigma_q - l.  A box above HALL_BOX_LIMIT elements is refused first."""
+    into degree sigma_q - l.  A box above HALL_BOX_LIMIT elements is refused first,
+    naming its shape."""
     caps = np.array(shapes, np.int64)
     sigma = caps.sum(axis=1)
     owner = np.repeat(np.arange(len(shapes)), sigma + 1)
@@ -471,8 +472,8 @@ def _shape_oracle(shapes: list[tuple[int, ...]]) -> list[list[bool]]:
     sizes = np.diff(bounds)
     if sizes.max() > HALL_BOX_LIMIT:
         b = sizes.argmax()
-        raise ValueError(f"the degree-{degree[b]} box has {sizes[b]} elements, "
-                         f"above the limit {HALL_BOX_LIMIT}")
+        raise ValueError(f"shape {shapes[owner[b]]}: the degree-{degree[b]} box has "
+                         f"{sizes[b]} elements, above the limit {HALL_BOX_LIMIT}")
     target = first[owner] + sigma[owner] - degree
     oracle = _hall_many(rows, np.stack(
         [bounds[:-1], bounds[1:], bounds[target], bounds[target + 1]], axis=1))

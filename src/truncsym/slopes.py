@@ -155,11 +155,10 @@ def _folds(top: int, profile: Sequence[int]) -> list[int]:
 
 
 def _profile_issues(n: int, p: int, profile: Sequence[int], rk_w: int | None,
-                    mode: str, folds: list[int]) -> tuple[list[str], bool]:
+                    mode: str) -> tuple[list[str], bool]:
     """``weight_sum_check``'s violations, and whether the profile meets the
-    hypothesis: no issue but an entry above its layer rank.  ``folds`` are
-    ``_folds(n(p-1), profile)``.  The checks compare whole sequences; a loop
-    runs only to word a violation."""
+    hypothesis: no issue but an entry above its layer rank.  Called only
+    when there is something to word or layer ranks to check."""
     if mode not in ("symmetric", "monotone"):
         raise ValueError(f"unknown profile mode {mode!r}")
     top = n * (p - 1)
@@ -181,12 +180,12 @@ def _profile_issues(n: int, p: int, profile: Sequence[int], rk_w: int | None,
             hypothesis_ok = False
             ell = next(ell for ell in range(1, len(profile)) if profile[ell] > profile[ell - 1])
             issues.append(f"profile not non-increasing at {ell}")
-    elif folds and min(folds) < 0:
+    else:
         # Only the upper half has mirrors to exceed; an absent layer is 0
         # and exceeds nothing, the entries being non-negative.
-        hypothesis_ok = False
         for ell in range(top // 2 + 1, min(len(profile), top + 1)):
             if profile[ell] > profile[top - ell]:
+                hypothesis_ok = False
                 issues.append(f"r_{ell} = {profile[ell]} exceeds mirror "
                               f"r_{top - ell} = {profile[top - ell]}")
     return issues, hypothesis_ok
@@ -265,16 +264,31 @@ def weight_sum_check(
     r_l <= r_{N-l} for l above the half degree N/2.  Either way entries must
     be non-negative and at most n(p-1)+1 in number, and with rk_w they must
     fit under the layer ranks; an entry above its layer rank is named but is
-    no part of the hypothesis that ``hypothesis_ok`` reports.
+    no part of the hypothesis that ``hypothesis_ok`` reports.  A symmetric
+    profile without rk_w that the sums' own pass finds within the hypothesis
+    has nothing to word, and no further pass runs over it.
     """
     top = n * (p - 1)
-    folds = _folds(top, profile)
-    issues, hypothesis_ok = _profile_issues(n, p, profile, rk_w, mode, folds)
+    m = len(profile)
     # The reflected form: (2l - top)(r_{top-l} - r_l) summed over the layers
     # l above the half degree, whose weights 2l - top run from 1 or 2 up to
-    # top; a layer past the profile weighs in through its mirror alone.
-    rearranged2 = sum(map(mul, range(2 - top % 2, top + 1, 2), folds))
-    return tuple(issues), hypothesis_ok, _weighted_sum_twice(n, p, profile), rearranged2
+    # top.  The mirrors' terms are one sum, top - 2j against r_j, which the
+    # profile's end cuts short; a layer past the profile weighs in through
+    # its mirror alone.  The loop over the layers present subtracts theirs
+    # and finds any layer above its mirror.
+    rearranged2 = sum(map(mul, range(top, 0, -2), profile))
+    mirrored = True
+    for ell in range(top // 2 + 1, min(m, top + 1)):
+        r = profile[ell]
+        if r > profile[top - ell]:
+            mirrored = False
+        rearranged2 -= (2 * ell - top) * r
+    direct2 = _weighted_sum_twice(n, p, profile)
+    if mirrored and mode == "symmetric" and rk_w is None and m <= top + 1 and (
+            not profile or min(profile) >= 0):
+        return (), True, direct2, rearranged2  # nothing to word
+    issues, hypothesis_ok = _profile_issues(n, p, profile, rk_w, mode)
+    return tuple(issues), hypothesis_ok, direct2, rearranged2
 
 
 def instability_bound(sd: SlopeData, iwx: Rational) -> Fraction | None:

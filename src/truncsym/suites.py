@@ -318,10 +318,23 @@ def _filtration_cases(pairs) -> Cases:
 
 def _random_symmetric_profile(rng: random.Random, n: int, p: int) -> list[int]:
     top = n * (p - 1)
-    # Each layer above the half degree at most its mirror, drawn before it.
+    getrandbits = rng.getrandbits
+    # _randint(rng, 0, bound - 1) layer by layer, its rule written out (see
+    # ``seeded``): each layer up to the half degree below 10 (4 bits a draw),
+    # each above it at most its mirror, drawn before it.
     profile = []
-    for ell in range(top + 1):
-        profile.append(_randint(rng, 0, 9 if 2 * ell <= top else profile[top - ell]))
+    for _ in range(top // 2 + 1):
+        r = getrandbits(4)
+        while r >= 10:
+            r = getrandbits(4)
+        profile.append(r)
+    for mirror in reversed(profile[:(top + 1) // 2]):
+        bound = mirror + 1
+        k = bound.bit_length()
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        profile.append(r)
     del profile[_randint(rng, 0, top) + 1:]
     if not any(profile):
         profile[0] = 1

@@ -20,7 +20,6 @@ from typing import Iterator
 
 from .fp_linalg import FpMatrix, _check_modulus, eliminate, row_reduce
 from .monomial_box import MultiIndex, grade_basis
-from .seeded import _randint
 
 
 def apply_diff(op: MultiIndex, mono: MultiIndex, p: int) -> tuple[int, MultiIndex | None]:
@@ -106,9 +105,19 @@ class GradedSubspace:
         width = len(grade_basis(n, p, grade))
         if not 0 <= dim <= width:
             raise ValueError(f"dimension {dim} outside [0, {width}]")
+        getrandbits, k = rng.getrandbits, p.bit_length()
         while True:
-            rows = [{j: x for j in range(width) if (x := _randint(rng, 0, p - 1))}
-                    for _ in range(dim)]
+            # _randint(rng, 0, p - 1) per entry, its rule written out (see ``seeded``).
+            rows = []
+            for _ in range(dim):
+                row = {}
+                for j in range(width):
+                    x = getrandbits(k)
+                    while x >= p:
+                        x = getrandbits(k)
+                    if x:
+                        row[j] = x
+                rows.append(row)
             sub = cls.from_vectors(n, p, grade, rows)
             if sub.dim == dim:
                 return sub

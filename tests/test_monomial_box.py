@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from functools import cache
 
@@ -522,8 +523,10 @@ def test_sweep_refuses_a_hall_box_above_the_limit(monkeypatch):
     compared = []
     honest = boxes._hall_many
     monkeypatch.setattr(boxes, "_hall_many", lambda *a: compared.append(1) or honest(*a))
-    with pytest.raises(ValueError,
-                       match=f"the degree-9 box has 3139 elements, above the limit {HALL_BOX_LIMIT}"):
+    # The refusal names the shape (the sorted positive caps) the box belongs to.
+    with pytest.raises(ValueError, match=re.escape(
+            f"shape {(2,) * 9}: the degree-9 box has 3139 elements, "
+            f"above the limit {HALL_BOX_LIMIT}")):
         list(matching_sweep([(1,) * 9, (2,) * 9]))
     assert compared == []
     # The largest box the suites reach, (1,)*12 at degree 6 with 924

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from truncsym.seeded import _randint
 
 # Range widths around the rejection rule's edges: 1 (still one bit per draw),
@@ -28,3 +30,34 @@ def test_randint_equals_random_randint_choice_and_randrange():
                 assert _randint(ours, 0, p - 1) == theirs.randrange(p)
         # The same bits were consumed: the streams go on alike.
         assert ours.getstate() == theirs.getstate()
+
+
+class _FewDraws(random.Random):
+    """A generator that raises once it has handed out a few draws, so that a
+    draw loop that never ends fails instead of hanging."""
+
+    def __init__(self, seed, budget=5):
+        super().__init__(seed)
+        self.budget = budget
+
+    def getrandbits(self, k):
+        self.budget -= 1
+        if self.budget < 0:
+            raise RuntimeError("getrandbits called past its budget")
+        return super().getrandbits(k)
+
+
+def test_randint_refuses_an_empty_range():
+    # getrandbits(0) is 0, which the rejection rule's "0 >= n" would draw
+    # again forever for n = 0 values; the range is refused before any draw.
+    for lo, hi in [(1, 0), (0, -1), (5, 2), (-3, -10)]:
+        rng = _FewDraws(0)
+        with pytest.raises(ValueError, match="empty range"):
+            _randint(rng, lo, hi)
+        with pytest.raises(ValueError, match="empty range"):
+            random.Random(0).randint(lo, hi)
+        assert rng.budget == 5
+    # A one-value range still draws, as randint does.
+    ours, theirs = _FewDraws(0), random.Random(0)
+    assert _randint(ours, 4, 4) == theirs.randint(4, 4) == 4
+    assert ours.getstate() == theirs.getstate()

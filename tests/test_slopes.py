@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -200,6 +201,36 @@ def test_weight_sum_check_names_layer_ranks_outside_the_hypothesis():
         assert all("layer rank" in issue for issue in set(violations) - set(plain))
         assert hypothesis_ok == plain_ok == (not plain)
         assert sums == plain_sums
+
+
+def _reference_weight_sum_check(n, p, profile, mode, rk_w):
+    """``weight_sum_check`` from its definition, layer by layer: whether the
+    hypothesis holds, both doubled sums, and whether anything is worded."""
+    top = n * (p - 1)
+    r = [profile[ell] if ell < len(profile) else 0 for ell in range(top + 1)]
+    hypothesis_ok = len(profile) <= top + 1 and all(x >= 0 for x in profile)
+    if mode == "monotone":
+        hypothesis_ok &= all(a >= b for a, b in zip(profile, profile[1:]))
+    else:
+        hypothesis_ok &= all(r[ell] <= r[top - ell] for ell in range(top + 1) if 2 * ell > top)
+    direct2 = sum((top - 2 * ell) * x for ell, x in enumerate(profile))
+    rearranged2 = sum((2 * ell - top) * (r[top - ell] - r[ell])
+                      for ell in range(top + 1) if 2 * ell > top)
+    over_rank = rk_w is not None and any(
+        x > rk_w * trunc_rank(n, p, ell) for ell, x in enumerate(profile[:top + 1]))
+    return hypothesis_ok, direct2, rearranged2, not hypothesis_ok or over_rank
+
+
+def test_weight_sum_check_matches_its_definition():
+    # Every profile of entries -1..2 and lengths 0..top+2 at n <= 2, p <= 3,
+    # both modes, with and without layer ranks.
+    for n, p, mode, rk_w in itertools.product((1, 2), (2, 3), ("symmetric", "monotone"),
+                                              (None, 1, 2)):
+        for length in range(n * (p - 1) + 3):
+            for profile in itertools.product(range(-1, 3), repeat=length):
+                violations, *verdict = weight_sum_check(n, p, profile, mode=mode, rk_w=rk_w)
+                expected = _reference_weight_sum_check(n, p, profile, mode, rk_w)
+                assert (*verdict, bool(violations)) == expected, (n, p, profile, mode, rk_w)
 
 
 def test_instability_bound_examples():

@@ -177,6 +177,31 @@ def test_default_slopes_draws_digest(monkeypatch):
     assert digest == DEFAULT_SLOPES_DRAWS_SHA256
 
 
+def _reference_symmetric_profile(rng, n, p):
+    """The symmetric profile draw by draw from ``random.Random.randint``: each
+    layer up to the half degree from 0..9, each above it from 0 up to its
+    mirror, then a length from 1..top+1, and 1 at layer 0 if all are 0."""
+    top = n * (p - 1)
+    profile = []
+    for ell in range(top + 1):
+        profile.append(rng.randint(0, 9 if 2 * ell <= top else profile[top - ell]))
+    profile = profile[:rng.randint(0, top) + 1]
+    if not any(profile):
+        profile[0] = 1
+    return profile
+
+
+def test_random_symmetric_profile_draws_randint_layer_by_layer():
+    # The same values, and the same bits consumed, as randint's draws.
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3):
+            for p in (2, 3, 5, 7):
+                assert (suites._random_symmetric_profile(ours, n, p)
+                        == _reference_symmetric_profile(theirs, n, p)), (seed, n, p)
+        assert ours.getstate() == theirs.getstate()
+
+
 def test_pairing_cases_fail_unless_the_matrix_reduces_to_identity(monkeypatch):
     # A singular square matrix, and full-rank matrices that are not square.
     bad = [([[1, 2], [2, 4]], "2x2 rank 1"), ([[1, 0, 0], [0, 1, 0]], "2x3 rank 2"),
