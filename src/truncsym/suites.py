@@ -205,21 +205,21 @@ def _matching_cases(caps_vectors) -> Cases:
     for caps, failures, oracle in boxes.matching_sweep(caps_vectors):
         caps_count += 1
         sigma = sum(caps)
-        name = ",".join(map(str, caps))
+        prefix = f"caps={','.join(map(str, caps))} l="
         for ell, failure in enumerate(failures):
             matched += 1
             if failure is None and oracle[ell]:
-                yield f"caps={name} l={ell}", True, ""
+                yield prefix + str(ell), True, ""
                 continue
             detail = [] if failure is None else [failure]
             if not oracle[ell]:
                 detail.append("oracle denies a matching the construction produced")
-            yield f"caps={name} l={ell}", False, "; ".join(detail)
+            yield prefix + str(ell), False, "; ".join(detail)
         # Above half the cap total no dominance matching can exist on the
         # (non-empty) box, and the constructor must refuse the degree.
         for ell in range(sigma // 2 + 1, sigma + 1):
             boundary += 1
-            key = f"caps={name} l={ell} (boundary)"
+            key = f"{prefix}{ell} (boundary)"
             try:
                 boxes.dominance_matching(caps, ell)
             except ValueError:

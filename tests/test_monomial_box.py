@@ -1,11 +1,14 @@
 import itertools
+import math
+import random
 import re
 import time
+from collections import Counter
 from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import truncsym.monomial_box as boxes
@@ -92,6 +95,15 @@ def test_enumerate_gives_each_row_its_own_box_in_row_order():
         assert bounds[-1] == len(rows)
         for b, (c, ell) in enumerate(wanted):
             assert boxes._as_tuples(rows[bounds[b]:bounds[b + 1]]) == enumerate_box(c, ell), (c, ell)
+
+
+def test_enumerate_rows_are_column_major():
+    # The sweep's per-row sums and tests run over one contiguous array per
+    # coordinate; C-ordered rows would give the same answers, only slower.
+    caps = [(2, 3, 1), (1, 1, 4)]
+    rows, _ = boxes._enumerate(np.array(caps, np.int64), 0, 3)
+    assert rows.shape == (sum(box_size(c, ell) for c in caps for ell in range(4)), 3)
+    assert rows.T.flags.c_contiguous
 
 
 def test_lexicographic_order():
@@ -191,6 +203,138 @@ def test_verify_matching_detects_violations():
     # Dominance is checked before a repeated image.
     mixed[(2, 0, 0)] = (1, 2, 1)
     assert verify_matching(caps, 2, mixed) == "dominance fails at ((2, 0, 0), (1, 2, 1))"
+
+
+def test_verify_matching_refuses_a_source_box_above_the_limit():
+    # The checker lists its source box; above the limit of the constructor
+    # it checks, it refuses from the box size before listing an element.
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(
+            f"the degree-8 box has at least 11440 elements, above the limit {MATCHING_BOX_LIMIT}")):
+        verify_matching((1,) * 16, 8, {})
+    with pytest.raises(ValueError, match=re.escape(
+            f"the degree-90 box has 15753487 elements, above the limit {MATCHING_BOX_LIMIT}")):
+        verify_matching((30,) * 6, 90, {})
+    with pytest.raises(ValueError, match="above the limit"):
+        verify_matching((100,) * 10, 500, {})
+    assert time.perf_counter() - t0 < 1.0
+    # Below the limit it still checks: C(14, 7) = 3,432 sources.
+    assert verify_matching((1,) * 14, 7, {}) == f"not total at {((0,) * 7 + (1,) * 7,)}"
+    assert verify_matching((1,) * 14, 7, dominance_matching((1,) * 14, 7)) is None
+    # A negative cap is named first, even when the total is out of range too.
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_matching((-1, 2 ** 64), 1, {})
+
+
+def _reference_violations(v, w, caps, target_degree, slot):
+    """_violations row by row in plain Python: an image outside its caps
+    row's box or off its target degree, one below its source, or an in-box
+    image met twice within a slot."""
+    v, w, caps = v.tolist(), w.tolist(), caps.tolist()
+    outside = [sum(image) != target or not all(0 <= x <= c for x, c in zip(image, row_caps))
+               for image, row_caps, target in zip(w, caps, target_degree.tolist())]
+    keys = [(s, tuple(image)) for s, image in zip(slot.tolist(), w)]
+    inside = Counter(key for key, out in zip(keys, outside) if not out)
+    return [out or inside[key] > 1 or any(x > y for x, y in zip(source, image))
+            for out, key, source, image in zip(outside, keys, v, w)]
+
+
+def test_violations_match_a_per_row_reference():
+    # Every matched case of iter_caps_vectors(3, 6), one call per length as
+    # in a sweep chunk, with images drawn to hit every check: entries around
+    # the caps, int8 extremes, wrong degrees, images below their sources,
+    # repeats within a case and across the degrees of a caps vector, and
+    # images with a negative entry whose mixed-radix index is that of an
+    # image at another degree (one borrow between neighbouring coordinates).
+    rng = random.Random(30)
+    reasons = Counter()
+    for n, group in itertools.groupby(iter_caps_vectors(3, 6), len):
+        rows = []  # (source, image, caps, target degree, slot)
+        slot = 0
+        for caps in group:
+            sigma = sum(caps)
+            images_of_caps = []
+            for ell in range(sigma // 2 + 1):
+                targets = enumerate_box(caps, sigma - ell)
+                case = []
+                for v, honest in dominance_matching(caps, ell).items():
+                    kind = rng.randrange(9)
+                    borrows = [h[:k - 1] + (h[k - 1] + 1, h[k] - caps[k] - 1) + h[k + 1:]
+                               for h in images_of_caps for k in range(1, n)
+                               if sum(h) - caps[k] == sigma - ell and h[k - 1] < caps[k - 1]]
+                    if kind == 1:
+                        w = tuple(rng.randint(-2, a + 2) for a in caps)
+                    elif kind == 2:
+                        w = tuple(rng.choice((127, -128, x)) for x in honest)
+                    elif kind == 3:
+                        k = rng.randrange(n)
+                        w = honest[:k] + (honest[k] + rng.choice((-1, 1)),) + honest[k + 1:]
+                    elif kind == 4:
+                        w = rng.choice(targets)
+                    elif kind == 5 and case:
+                        w = rng.choice(case)
+                    elif kind == 6 and images_of_caps:
+                        w = rng.choice(images_of_caps)
+                    elif kind == 7 and borrows:
+                        w = rng.choice(borrows)
+                    else:
+                        w = honest
+                    case.append(w)
+                    rows.append((v, w, caps, sigma - ell, slot))
+                images_of_caps += case
+            slot += math.prod(a + 1 for a in caps)
+        v, w, caps, target, slots = zip(*rows)
+        v, w, caps = (np.array(x, np.int8) for x in (v, w, caps))
+        target, slots = np.array(target, np.int64), np.array(slots, np.int64)
+        expected = _reference_violations(v, w, caps, target, slots)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            got = boxes._violations(layout(v), layout(w), layout(caps), target, slots)
+            assert got.tolist() == expected, (n, layout)
+        # Tally why rows fail, so that every check is seen to matter.
+        for source, image, row_caps, t, flagged in zip(v.tolist(), w.tolist(), caps.tolist(),
+                                                        target.tolist(), expected):
+            if not flagged:
+                reasons["passes"] += 1
+            elif any(x < 0 or x > c for x, c in zip(image, row_caps)):
+                reasons["box"] += 1
+            elif sum(image) != t:
+                reasons["degree"] += 1
+            elif any(x > y for x, y in zip(source, image)):
+                reasons["dominance"] += 1
+            else:
+                reasons["repeat"] += 1
+    assert min(reasons.values()) > 20 and len(reasons) == 5, reasons
+
+
+def _packing_case(shape):
+    # Rows of n coordinates below 2^bits, values at the ends of the range often.
+    n, bits = shape
+    top = (1 << bits) - 1
+    value = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+    return st.tuples(st.just(shape), st.lists(st.lists(value, min_size=n, max_size=n),
+                                              min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    # (n, bits): fields of bits + 1, so n * (bits + 1) = 62 is the widest
+    # packed layout and 63 the narrowest unpacked one.
+    st.sampled_from([(31, 1), (2, 30), (62, 0), (21, 2), (9, 6), (3, 20), (63, 0)]),
+    st.tuples(st.integers(1, 8), st.integers(0, 9))).flatmap(_packing_case), st.booleans())
+@example(((31, 1), [[1] * 31, [0, 1] * 15 + [0]]), True)
+@example(((21, 2), [[3] * 21, [k % 4 for k in range(21)]]), False)
+def test_dominance_test_matches_rowwise_comparison(case, column_major):
+    (n, bits), base = case
+    top = (1 << bits) - 1
+    base[0][0] = top  # the widest value fixes the field width
+    # Joins dominate both rows they come from, so both answers occur.
+    joins = [[max(x, y) for x, y in zip(a, b)] for a, b in zip(base, base[1:])]
+    rows = np.array(base + joins, boxes._row_dtype(top))
+    if column_major:
+        rows = np.asfortranarray(rows)
+    src, tgt = (x.ravel() for x in np.indices((len(rows), len(rows))))
+    assert np.array_equal(boxes._dominance_test(rows)(src, tgt),
+                          (rows[src] <= rows[tgt]).all(axis=1))
 
 
 def test_hall_examples():
