@@ -11,9 +11,9 @@ the symmetrized tensors up to the sign (-1)^l.
 ``graded_nabla_matrix`` is one step, from the degree-l layer to the
 degree-(l-1) layer in each direction, written straight into sparse rows;
 ``nabla_power_rows`` is the l-step composite as packed words, the first
-derivative leftmost, laid out as ``symmetrized_rows`` and streamed in pieces
-of bounded size; ``composite_mismatch`` checks it against the symmetrized
-rows in one pass over both streams.
+derivative leftmost, in the layout of ``trunc_power._word_rows``;
+``composite_mismatch`` checks it against the symmetrized rows in one pass
+over both streams.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 
 from .fp_linalg import FpMatrix, _check_modulus
 from .monomial_box import MultiIndex, grade_basis
-from .trunc_power import (Piece, _check_rows, _distinct_rows, _expand, _one_letter_rows,
-                          _row_batches, symmetrized_rows, word_count)
+from .trunc_power import (Piece, _check_rows, _one_letter_rows, _word_rows, symmetrized_rows,
+                          word_count)
 
 
 def filtration_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
@@ -94,24 +94,17 @@ def _derivative_walk(places: np.ndarray, left: np.ndarray, factor: np.ndarray, p
 def nabla_power_rows(n: int, p: int,
                      monomials: Sequence[MultiIndex]) -> Iterator[Piece]:
     """Full connection composite on monomials of one degree l as packed word
-    rows, streamed in pieces ``(i, words, coeffs)`` of at most about
-    ``trunc_power.BATCH_WORDS`` words, i the monomial's index; a row's pieces
-    are consecutive and in word order, and a vanishing row is one empty piece.
+    rows, streamed in pieces ``(i, words, coeffs)``, i the monomial's index,
+    in the layout of ``trunc_power._word_rows``.
 
-    Each monomial is walked down to degree zero one derivative at a time; the
-    direction chosen at each step is a word letter, the first derivative
-    leftmost, and the step multiplies the coefficient by -m_i mod p.  Every
-    path from k to 0 multiplies the same factors, (-1)^l prod(k_i!), so the
-    slot of the first derivative changes no row.  The words are laid out as
-    in ``symmetrized_rows``, split at h = l // 2: the first h derivatives of
-    every row are walked at once, the last l - h once per exponent vector a
-    prefix leaves, and that block is shared by every prefix that leaves it.
-    A path's coefficient is the product of its halves', since each factor
-    depends only on the exponent still left.  A row is its prefixes in order,
-    each followed by its block (an entry), so its words are sorted; a prefix
-    whose block is empty (an exponent of p or more) leads no entry.  Pieces
-    are cut between entries.  Bad input raises ``ValueError`` at the first
-    piece.
+    Each monomial is walked down to degree zero one derivative at a time by
+    ``_derivative_walk``; the direction chosen at each step is a word letter,
+    the first derivative leftmost, and the step multiplies the coefficient by
+    -m_i mod p.  Every path from k to 0 multiplies the same factors,
+    (-1)^l prod(k_i!), so the slot of the first derivative changes no row.  A
+    path's coefficient is the product of its halves', since each factor
+    depends only on the exponent still left; a row with an exponent of p or
+    more leaves no word.  Bad input raises ``ValueError`` at the first piece.
     """
     places = _check_rows(n, p, monomials)
     ell = len(places)
@@ -122,37 +115,17 @@ def nabla_power_rows(n: int, p: int,
             scale = scale * (-m % p) % p
         yield from _one_letter_rows([scale] * len(monomials))
         return
-    h = ell // 2
     factor = np.array([-m % p for m in range(ell + 1)], dtype=np.int64)
-    prefixes, pcoeffs, origin, rest = _derivative_walk(
-        places, np.array(monomials, dtype=np.min_scalar_type(ell)).reshape(-1, n),
-        factor, p, 0, h)
-    exponents, group = _distinct_rows(rest)
-    suffixes, scoeffs, block, _ = _derivative_walk(places, exponents, factor, p, h, ell)
-    block_sizes = np.bincount(block, minlength=len(exponents))
-    live = block_sizes[group] > 0
-    prefixes, pcoeffs, origin, group = prefixes[live], pcoeffs[live], origin[live], group[live]
-    entry_starts = (np.cumsum(block_sizes) - block_sizes)[group]
-    entry_sizes = block_sizes[group]
-
-    def assemble(e0, e1):
-        entry, inner = _expand(entry_starts[e0:e1], entry_sizes[e0:e1])
-        entry += e0
-        words = prefixes[entry]
-        words += suffixes[inner]
-        coeffs = pcoeffs[entry]
-        coeffs *= scoeffs[inner]
-        coeffs %= p
-        return words, coeffs
-
-    yield from _row_batches(origin, entry_sizes, len(monomials), assemble)
+    start = np.array(monomials, dtype=np.min_scalar_type(ell)).reshape(-1, n)
+    yield from _word_rows(lambda left, j0, j1: _derivative_walk(places, left, factor, p, j0, j1),
+                          start, np.arange(len(monomials)), len(monomials), ell, p)
 
 
 def composite_mismatch(n: int, p: int, monomials: Sequence[MultiIndex]) -> MultiIndex | None:
     """The first monomial of one degree l whose composite row is not (-1)^l
     times its symmetrized row mod p, or None when every row agrees.
 
-    Both streams cut a row between the same prefix blocks, so they are read
+    Both streams are cut alike (``trunc_power._word_rows``), so they are read
     in one pass, a piece from each at a time, and no row is joined.  Each row
     must also hold all word_count(k) words, or none when an exponent reaches
     p, which a fault shared by both streams cannot hide."""

@@ -375,7 +375,7 @@ def _dominance_test(rows: np.ndarray):
     """
     n = rows.shape[1]
     width = int(rows.max(initial=0)).bit_length() + 1
-    if n * width > 62:
+    if n * width > 63:
         def dominated(src, tgt):
             out = np.ones(len(src), bool)
             for k in range(n):

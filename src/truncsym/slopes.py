@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import gt, mul, sub
+from operator import gt, mul
 from typing import Sequence
 
 from .fp_linalg import is_prime
@@ -142,16 +142,6 @@ def layer_slopes(sd: SlopeData) -> list[tuple[int, int]]:
         row.append((num // g, den // g))
         num += inc
     return row
-
-
-def _folds(top: int, profile: Sequence[int]) -> list[int]:
-    """r_{top-l} - r_l for the layers l above the half degree top/2, by
-    increasing l; a layer past the profile is 0 (its mirror is present
-    whenever it is, since top - l < l)."""
-    full = list(profile[:top + 1])
-    full += [0] * (top + 1 - len(full))
-    lo = top // 2 + 1
-    return list(map(sub, reversed(full[:top - lo + 1]), full[lo:]))
 
 
 def _profile_issues(n: int, p: int, profile: Sequence[int], rk_w: int | None,
@@ -309,4 +299,7 @@ def equality_diagnosis(n: int, p: int, profile: Sequence[int]) -> tuple[bool, tu
     degree whose rank differs from their mirror's (none when symmetric)."""
     top = n * (p - 1)
     full_length = len(profile) == top + 1 and profile[-1] > 0
-    return full_length, tuple(ell for ell, d in enumerate(_folds(top, profile), top // 2 + 1) if d)
+    # Each layer above top/2 against its mirror; a layer past the profile is 0.
+    full = [*profile[:top + 1], *[0] * (top + 1 - len(profile))]
+    return full_length, tuple(ell for ell in range(top // 2 + 1, top + 1)
+                              if full[ell] != full[top - ell])

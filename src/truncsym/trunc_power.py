@@ -7,10 +7,10 @@ Tensor coordinates are words over the letters 0..n-1 (length l).  The
 ambient tensor space grows as n^l, so a tensor is kept as a pair of arrays
 ``(words, coeffs)``: the words it touches, each packed into one int64 code
 (``word_places``) and sorted, and their coefficients, all nonzero; words too
-long for one code (n^l > 2^63, n >= 2) are refused.  A single
-tensor can hold millions of words, so the row builders hand each row on in
-pieces ``(i, words, coeffs)`` of bounded size, i the row, consecutive and in
-word order; a consumer compares or collects them piece by piece.
+long for one code (n^l > 2^63, n >= 2) are refused.  A single tensor can
+hold millions of words, so the row builders stream each row in pieces of
+bounded size, laid out by ``_word_rows``; a consumer compares or collects
+them piece by piece.
 ``symmetrization_rank`` proves the rank of the symmetrization map that way:
 a column restriction fixed before the stream is read bounds it below, the
 count of nonzero rows above.
@@ -82,9 +82,11 @@ def word_places(n: int, length: int) -> np.ndarray:
 
 
 def _check_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> np.ndarray:
-    """Refuse a bad modulus or monomial, or words too long to pack, before any
-    array work; return the ``word_places`` of the degree the monomials share."""
+    """Refuse bad input (modulus, letters, monomials, words too long to pack)
+    before any array work; return the ``word_places`` of the grade's degree."""
     _check_modulus(p)
+    if n < 1:
+        raise ValueError(f"need n >= 1 letters, got n={n}")
     degrees = set()
     for k in monomials:
         if len(k) != n:
@@ -95,15 +97,6 @@ def _check_rows(n: int, p: int, monomials: Sequence[MultiIndex]) -> np.ndarray:
     if len(degrees) > 1:
         raise ValueError(f"monomials of one grade must share a degree, got {sorted(degrees)}")
     return word_places(n, degrees.pop() if degrees else 0)
-
-
-def _expand(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (outer, inner) running through blocks: entry i of the outer
-    list repeats sizes[i] times, against starts[i], starts[i] + 1, ..."""
-    outer = np.repeat(np.arange(len(sizes)), sizes)
-    inner = (starts - np.cumsum(sizes) + sizes)[outer]
-    inner += np.arange(len(outer))
-    return outer, inner
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,24 +114,45 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # One piece of a word row: the row's index, and its words and coefficients.
 Piece = tuple[int, np.ndarray, np.ndarray]
 
-# A grade's rows are assembled in batches of consecutive entries (a prefix and
-# its block of suffixes) holding at most this many words; a batch is larger
-# only when one entry alone is.  Small rows share their array work, and a long
-# row is built and handed on in pieces, so no array follows the largest row.
+# The most words a batch of entries holds, unless one entry alone holds more
+# (see ``_word_rows``): small rows share their array work, and a long row is
+# built and handed on in pieces, so no array follows the largest row.
 BATCH_WORDS = 1 << 15
 
 
-def _row_batches(entry_row: np.ndarray, entry_sizes: np.ndarray, rows: int,
-                 assemble) -> Iterator[Piece]:
-    """Rows 0..rows-1 built from entries sorted by row, entry e standing for
-    entry_sizes[e] > 0 words.  The entries are cut into batches, and
-    ``assemble(e0, e1)`` turns the entries e0..e1-1 of a batch into their
-    words and coefficients.  Each row's segment is yielded as a piece
-    ``(i, words, coeffs)``, i the row, its arrays views into its batch.  The
-    pieces of a row are consecutive and in word order; a row yields at least
-    one piece, and a row with no words exactly one, empty."""
-    first = np.searchsorted(entry_row, np.arange(rows + 1)).tolist()
+def _word_rows(walk, start: np.ndarray, row_of: np.ndarray, rows: int, length: int,
+               p: int) -> Iterator[Piece]:
+    """Rows 0..rows-1 of words of ``length`` letters in pieces ``(i, words,
+    coeffs)``, laid out alike for ``symmetrized_rows`` and ``nabla_power_rows``.
+
+    ``walk(left, j0, j1)`` writes positions j0..j1-1 of the words each row of
+    ``left`` leads to; it returns them, their coefficients mod p (None for all
+    1), the row each came from and the exponents it leaves, each row's words
+    consecutive and sorted.  A word splits at h = length // 2.  The prefixes
+    of all rows of ``start`` (start row s in row row_of[s], increasing) are
+    walked at once; the suffixes once per exponent vector a prefix leaves, a
+    block shared by every prefix that leaves it.  A word's coefficient is the
+    product of its halves'.  A row is its prefixes in order, each followed by
+    its block (an entry), so its words are sorted; a prefix whose block is
+    empty leads no entry.  The entries are assembled in batches of at most
+    ``BATCH_WORDS`` words, or one larger entry, and each row's segment of a
+    batch is one piece, views into the batch: a row's pieces are consecutive
+    and in word order, and a row with no words is one empty piece.
+    """
+    h = length // 2
+    prefixes, pcoeffs, origin, rest = walk(start, 0, h)
+    ends, group = _distinct_rows(rest)
+    suffixes, scoeffs, block, _ = walk(ends, h, length)
+    block_sizes = np.bincount(block, minlength=len(ends))
+    entry_sizes = block_sizes[group]
+    live = entry_sizes > 0
+    if not live.all():
+        prefixes, pcoeffs, origin, group, entry_sizes = (
+            x[live] for x in (prefixes, pcoeffs, origin, group, entry_sizes))
+    first = np.searchsorted(row_of[origin], np.arange(rows + 1)).tolist()
     offsets = np.concatenate(([0], np.cumsum(entry_sizes)))
+    # Word w of the grade, in entry e, is prefix e followed by suffix w + shift[e].
+    shift = (np.cumsum(block_sizes) - block_sizes)[group] - offsets[:-1]
     entries = first[-1]
     e0 = i0 = 0
     while True:
@@ -149,7 +163,16 @@ def _row_batches(entry_row: np.ndarray, entry_sizes: np.ndarray, rows: int,
         stop = rows if e1 == entries else bisect.bisect_left(first, e1)
         # Each row's segment ends where the next row starts, the last at e1.
         counts = np.diff(offsets[[e0, *first[i0 + 1:stop], e1]]).tolist()
-        words, coeffs = assemble(e0, e1)
+        entry = np.repeat(np.arange(e0, e1), entry_sizes[e0:e1])
+        inner = shift[entry]
+        inner += np.arange(offsets[e0], offsets[e1])
+        words = prefixes[entry]
+        words += suffixes[inner]
+        coeffs = pcoeffs[entry]
+        if scoeffs is not None:
+            coeffs *= scoeffs[inner]
+            coeffs %= p
+        del entry, inner  # only the batch itself stays alive while its pieces are out
         at = 0
         for i, count in zip(range(i0, stop), counts):
             yield i, words[at:at + count], coeffs[at:at + count]
@@ -187,18 +210,13 @@ def _letter_walk(places: np.ndarray, left: np.ndarray, start: int, stop: int):
 def symmetrized_rows(n: int, p: int,
                      monomials: Sequence[MultiIndex]) -> Iterator[Piece]:
     """Symmetrized tensors of monomials of one degree l as packed word rows,
-    streamed in pieces ``(i, words, coeffs)`` of at most about ``BATCH_WORDS``
-    words, i the monomial's index; a row's pieces are consecutive and in word
-    order (see ``_row_batches``).
+    streamed in pieces ``(i, words, coeffs)``, i the monomial's index, in the
+    layout of ``_word_rows``.
 
     Every word of content k receives the coefficient prod(k_i!) mod p, so a
-    row vanishes exactly when some exponent reaches p.  Each word is split at
-    h = l // 2.  The prefixes of every row are walked at once, left to right;
-    the suffixes are walked once per content a prefix leaves, and that block
-    is shared by every prefix, of any row, that leaves the same content.  A
-    row is its prefixes in order, each followed by its block (an entry), which
-    keeps the words sorted; pieces are cut between entries.  Bad input raises
-    ``ValueError`` at the first piece.
+    row vanishes exactly when some exponent reaches p; the other rows are
+    walked by ``_letter_walk``, their prefixes carrying that coefficient and
+    their suffixes none.  Bad input raises ``ValueError`` at the first piece.
     """
     places = _check_rows(n, p, monomials)
     length = len(places)
@@ -208,25 +226,14 @@ def symmetrized_rows(n: int, p: int,
         yield from _one_letter_rows(coeffs)
         return
     live = [i for i, c in enumerate(coeffs) if c]
-    h = length // 2
-    start = np.array([monomials[i] for i in live], dtype=np.min_scalar_type(length))
-    prefixes, origin, rest = _letter_walk(places, start.reshape(-1, n), 0, h)
-    contents, group = _distinct_rows(rest)
-    suffixes, block, _ = _letter_walk(places, contents, h, length)
-    block_sizes = np.bincount(block, minlength=len(contents))
-    entry_starts = (np.cumsum(block_sizes) - block_sizes)[group]
-    entry_sizes = block_sizes[group]
-    row = np.array(live, dtype=np.int64)[origin]
-    prefix_coeffs = np.array(coeffs, dtype=np.int64)[row]
+    start = np.array(monomials, dtype=np.min_scalar_type(length)).reshape(-1, n)[live]
+    row_coeffs = np.array(coeffs, dtype=np.int64)[live]
 
-    def assemble(e0, e1):
-        entry, inner = _expand(entry_starts[e0:e1], entry_sizes[e0:e1])
-        entry += e0
-        words = prefixes[entry]
-        words += suffixes[inner]
-        return words, prefix_coeffs[entry]
+    def walk(left, j0, j1):
+        words, origin, rest = _letter_walk(places, left, j0, j1)
+        return words, row_coeffs[origin] if left is start else None, origin, rest
 
-    yield from _row_batches(row, entry_sizes, len(coeffs), assemble)
+    yield from _word_rows(walk, start, np.array(live, dtype=np.int64), len(coeffs), length, p)
 
 
 def _sorted_words(n: int, places: np.ndarray,

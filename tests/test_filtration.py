@@ -149,22 +149,18 @@ def test_composite_mismatch_passes_vanishing_rows(monkeypatch):
 
 
 def test_composite_leads_no_empty_entry(monkeypatch):
-    # _row_batches takes entries of more than 0 words.  A composite prefix can
-    # outlive its row: at p = 2 the step (3, 0) -> (2, 0) has the factor
-    # -3 = 1, and only the block below it vanishes.
-    sizes = []
-
-    def recording(entry_row, entry_sizes, rows, assemble):
-        sizes.extend(entry_sizes.tolist())
-        return trunc_power._row_batches(entry_row, entry_sizes, rows, assemble)
-
-    monkeypatch.setattr(filtration, "_row_batches", recording)
+    # A composite prefix can outlive its row: at p = 2 the step (3, 0) -> (2, 0)
+    # has the factor -3 = 1, and only the block below it vanishes.  Such a
+    # prefix leads no entry, so in batches of one word no piece is empty
+    # unless its row vanishes.
+    monkeypatch.setattr(trunc_power, "BATCH_WORDS", 1)
     for n, p, ell in [(2, 2, 3), (3, 3, 4), (2, 5, 7), (3, 2, 5)]:
         basis = sym_basis(n, ell)
-        rows = joined_rows(nabla_power_rows(n, p, basis))
+        pieces = list(nabla_power_rows(n, p, basis))
+        rows = joined_rows(pieces)
         assert [len(w) for w, _ in rows] == [
             len(w) for w, _ in joined_rows(symmetrized_rows(n, p, basis))], (n, p, ell)
-    assert sizes and min(sizes) > 0
+        assert all(len(words) or not len(rows[i][0]) for i, words, _ in pieces), (n, p, ell)
 
 
 # The grade (2, 5) l = 6, whose middle row (3, 3) holds C(6, 3) = 20 words: in

@@ -317,12 +317,15 @@ def _packing_case(shape):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
-    # (n, bits): fields of bits + 1, so n * (bits + 1) = 62 is the widest
-    # packed layout and 63 the narrowest unpacked one.
-    st.sampled_from([(31, 1), (2, 30), (62, 0), (21, 2), (9, 6), (3, 20), (63, 0)]),
+    # (n, bits): fields of bits + 1, so n * (bits + 1) = 63 is the widest
+    # packed layout (its top guard is bit 62) and 64 the narrowest unpacked one.
+    st.sampled_from([(31, 1), (2, 30), (62, 0), (21, 2), (9, 6), (3, 20), (63, 0),
+                     (32, 1), (2, 31), (16, 3), (8, 7), (4, 15), (64, 0)]),
     st.tuples(st.integers(1, 8), st.integers(0, 9))).flatmap(_packing_case), st.booleans())
 @example(((31, 1), [[1] * 31, [0, 1] * 15 + [0]]), True)
 @example(((21, 2), [[3] * 21, [k % 4 for k in range(21)]]), False)
+@example(((9, 6), [[63] * 9, [63, 0] * 4 + [63]]), True)
+@example(((32, 1), [[1] * 32, [0, 1] * 16]), False)
 def test_dominance_test_matches_rowwise_comparison(case, column_major):
     (n, bits), base = case
     top = (1 << bits) - 1

@@ -216,22 +216,22 @@ def test_pairing_cases_fail_unless_the_matrix_reduces_to_identity(monkeypatch):
 
 
 def test_composite_cases_count_the_words(monkeypatch):
-    # Both sides assemble their rows with the same batching; if it dropped a
-    # word from every row, the two would still agree, so the case also counts
-    # the words against the multinomial word_count(k).  The word is dropped
-    # from the first piece of each row, not from every piece.
-    batches = tp._row_batches
+    # Both sides lay out their rows with the one builder _word_rows; if it
+    # dropped a word from every row, the two would still agree, so the case
+    # also counts the words against the multinomial word_count(k).  The word
+    # is dropped from the first piece of each row, not from every piece.
+    build = tp._word_rows
 
     def short_rows(*args):
         last = None
-        for i, words, coeffs in batches(*args):
+        for i, words, coeffs in build(*args):
             if i != last:
                 words, coeffs, last = words[1:], coeffs[1:], i
             yield i, words, coeffs
 
     assert collect(_filtration_cases([(2, 3)]))["passed"]
-    monkeypatch.setattr(tp, "_row_batches", short_rows)
-    monkeypatch.setattr(filt, "_row_batches", short_rows)
+    monkeypatch.setattr(tp, "_word_rows", short_rows)
+    monkeypatch.setattr(filt, "_word_rows", short_rows)
     failures = collect(_filtration_cases([(2, 3)]))["failures"]
     assert [f["case"] for f in failures] == [f"composite n=2 p=3 l={ell}" for ell in range(5)]
 

@@ -10,6 +10,7 @@ from truncsym.trunc_power import (
     degree_weight_check,
     gl2_dim,
     _find_words,
+    _letter_walk,
     _sorted_words,
     koszul_complex,
     sym_basis,
@@ -20,7 +21,7 @@ from truncsym.trunc_power import (
     word_count,
     word_places,
 )
-from truncsym.filtration import nabla_power_rows
+from truncsym.filtration import composite_mismatch, nabla_power_rows
 
 from reference import join_row, joined_rows, symmetrization_matrix, word_dict
 
@@ -179,6 +180,38 @@ def test_symmetrization_rank_refuses_bad_input_before_array_work(monkeypatch):
                       (2, 67, 64)]:
         with pytest.raises(ValueError):
             symmetrization_rank(n, p, ell)
+
+
+def test_word_builders_refuse_fewer_than_one_letter():
+    # Refused before any array work, where an empty array of no exponents
+    # cannot be reshaped to n columns.
+    for n in (0, -1):
+        for call in (lambda: next(symmetrized_rows(n, 2, [()])),
+                     lambda: next(nabla_power_rows(n, 2, [])),
+                     lambda: composite_mismatch(n, 2, [()])):
+            with pytest.raises(ValueError, match=f"need n >= 1 letters, got n={n}"):
+                call()
+
+
+def test_word_rows_drop_prefixes_whose_block_is_empty(monkeypatch):
+    # A walk whose suffix block of (1, 1) is empty: the prefixes 01 and 10 of
+    # (2, 2) and 00 of (3, 1) lead there.  They lead no entry, so in batches
+    # of one word no piece is empty; an empty entry after a full one would
+    # start a batch of its own and cut an empty piece out of its row.
+    monkeypatch.setattr(tp, "BATCH_WORDS", 1)
+    places = word_places(2, 4)
+    start = np.array([[2, 2], [3, 1]], dtype=np.int8)
+
+    def walk(left, j0, j1):
+        words, origin, rest = _letter_walk(places, left, j0, j1)
+        if left is start:
+            return words, np.ones(len(words), dtype=np.int64), origin, rest
+        keep = (left[origin] != (1, 1)).any(axis=1)
+        return words[keep], None, origin[keep], rest[keep]
+
+    pieces = list(tp._word_rows(walk, start, np.arange(2), 2, 4, 5))
+    assert all(len(words) for _, words, _ in pieces)
+    assert [w.tolist() for w, _ in joined_rows(pieces)] == [[0b0011, 0b1100], [0b0100, 0b1000]]
 
 
 def test_degree_weight_examples():
