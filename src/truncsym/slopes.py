@@ -144,43 +144,6 @@ def layer_slopes(sd: SlopeData) -> list[tuple[int, int]]:
     return row
 
 
-def _profile_issues(n: int, p: int, profile: Sequence[int], rk_w: int | None,
-                    mode: str) -> tuple[list[str], bool]:
-    """``weight_sum_check``'s violations, and whether the profile meets the
-    hypothesis: no issue but an entry above its layer rank.  Called only
-    when there is something to word or layer ranks to check."""
-    if mode not in ("symmetric", "monotone"):
-        raise ValueError(f"unknown profile mode {mode!r}")
-    top = n * (p - 1)
-    issues: list[str] = []
-    if len(profile) > top + 1:
-        issues.append(f"profile has {len(profile)} entries, more than {top + 1} layers")
-    if profile and min(profile) < 0:
-        issues.append("profile entries must be non-negative")
-        return issues, False
-    hypothesis_ok = not issues
-    if rk_w is not None and profile and max(profile) > rk_w:
-        # Every layer has rank at least 1, so only an entry above rk_w needs
-        # its layer's rank.
-        for ell, r in enumerate(profile):
-            if r > rk_w and ell <= top and r > (cap := rk_w * trunc_rank(n, p, ell)):
-                issues.append(f"r_{ell} = {r} exceeds layer rank {cap}")
-    if mode == "monotone":
-        if any(map(gt, profile[1:], profile)):
-            hypothesis_ok = False
-            ell = next(ell for ell in range(1, len(profile)) if profile[ell] > profile[ell - 1])
-            issues.append(f"profile not non-increasing at {ell}")
-    else:
-        # Only the upper half has mirrors to exceed; an absent layer is 0
-        # and exceeds nothing, the entries being non-negative.
-        for ell in range(top // 2 + 1, min(len(profile), top + 1)):
-            if profile[ell] > profile[top - ell]:
-                hypothesis_ok = False
-                issues.append(f"r_{ell} = {profile[ell]} exceeds mirror "
-                              f"r_{top - ell} = {profile[top - ell]}")
-    return issues, hypothesis_ok
-
-
 def _weighted_sum_twice(n: int, p: int, profile: Sequence[int]) -> int:
     """2 * sum over layers of (n(p-1)/2 - l) r_l, exactly in integers."""
     top = n * (p - 1)
@@ -254,31 +217,46 @@ def weight_sum_check(
     r_l <= r_{N-l} for l above the half degree N/2.  Either way entries must
     be non-negative and at most n(p-1)+1 in number, and with rk_w they must
     fit under the layer ranks; an entry above its layer rank is named but is
-    no part of the hypothesis that ``hypothesis_ok`` reports.  A symmetric
-    profile without rk_w that the sums' own pass finds within the hypothesis
-    has nothing to word, and no further pass runs over it.
+    no part of the hypothesis that ``hypothesis_ok`` reports.  They come in
+    that order: length and sign (a negative entry ends the checks), layer
+    ranks, then the mirror or monotone rule.  One loop over the upper half
+    gives the reflected form and words each layer above its mirror.
     """
+    if mode not in ("symmetric", "monotone"):
+        raise ValueError(f"unknown profile mode {mode!r}")
     top = n * (p - 1)
     m = len(profile)
     # The reflected form: (2l - top)(r_{top-l} - r_l) summed over the layers
     # l above the half degree, whose weights 2l - top run from 1 or 2 up to
     # top.  The mirrors' terms are one sum, top - 2j against r_j, which the
     # profile's end cuts short; a layer past the profile weighs in through
-    # its mirror alone.  The loop over the layers present subtracts theirs
-    # and finds any layer above its mirror.
+    # its mirror alone, and exceeds nothing.  The loop over the layers
+    # present subtracts theirs and words any layer above its mirror.
     rearranged2 = sum(map(mul, range(top, 0, -2), profile))
-    mirrored = True
+    above: tuple[str, ...] = ()
     for ell in range(top // 2 + 1, min(m, top + 1)):
         r = profile[ell]
         if r > profile[top - ell]:
-            mirrored = False
+            above += (f"r_{ell} = {r} exceeds mirror r_{top - ell} = {profile[top - ell]}",)
         rearranged2 -= (2 * ell - top) * r
     direct2 = _weighted_sum_twice(n, p, profile)
-    if mirrored and mode == "symmetric" and rk_w is None and m <= top + 1 and (
-            not profile or min(profile) >= 0):
-        return (), True, direct2, rearranged2  # nothing to word
-    issues, hypothesis_ok = _profile_issues(n, p, profile, rk_w, mode)
-    return tuple(issues), hypothesis_ok, direct2, rearranged2
+    issues: tuple[str, ...] = ()
+    if m > top + 1:
+        issues = (f"profile has {m} entries, more than {top + 1} layers",)
+    if profile and min(profile) < 0:
+        return (*issues, "profile entries must be non-negative"), False, direct2, rearranged2
+    if rk_w is not None and profile and max(profile) > rk_w:
+        # Every layer has rank at least 1, so only an entry above rk_w needs
+        # its layer's rank.
+        for ell, r in enumerate(profile[:top + 1]):
+            if r > rk_w and r > (cap := rk_w * trunc_rank(n, p, ell)):
+                issues += (f"r_{ell} = {r} exceeds layer rank {cap}",)
+    # A non-increasing profile has no layer above its mirror; a monotone
+    # profile that increases is worded by its own rule alone.
+    if mode == "monotone" and any(map(gt, profile[1:], profile)):
+        ell = next(ell for ell in range(1, m) if profile[ell] > profile[ell - 1])
+        above = (f"profile not non-increasing at {ell}",)
+    return issues + above, m <= top + 1 and not above, direct2, rearranged2
 
 
 def instability_bound(sd: SlopeData, iwx: Rational) -> Fraction | None:
@@ -298,8 +276,9 @@ def equality_diagnosis(n: int, p: int, profile: Sequence[int]) -> tuple[bool, tu
     Returns whether it reaches the top layer, and the layers above the half
     degree whose rank differs from their mirror's (none when symmetric)."""
     top = n * (p - 1)
-    full_length = len(profile) == top + 1 and profile[-1] > 0
-    # Each layer above top/2 against its mirror; a layer past the profile is 0.
-    full = [*profile[:top + 1], *[0] * (top + 1 - len(profile))]
-    return full_length, tuple(ell for ell in range(top // 2 + 1, top + 1)
-                              if full[ell] != full[top - ell])
+    m = len(profile)
+    full_length = m == top + 1 and profile[-1] > 0
+    # Each layer above top/2 against its mirror j, for the mirrors that the
+    # profile holds: a layer past the profile is 0, and so is a pair past it.
+    return full_length, tuple(top - j for j in reversed(range(min(m, (top + 1) // 2)))
+                              if (profile[top - j] if top - j < m else 0) != profile[j])

@@ -32,13 +32,14 @@ from .monomial_box import MultiIndex, enumerate_box, grade_basis
 def trunc_rank(n: int, p: int, ell: int) -> int:
     """Closed-form dimension via inclusion-exclusion over the cap relations.
 
-    Sum over q of (-1)^q C(n,q) C(n+ell-qp-1, n-1), q up to floor(ell/p): an
-    empty sum for a negative degree.  A modulus below 2 is refused.
+    Sum over q of (-1)^q C(n,q) C(n+ell-qp-1, n-1), q up to floor(ell/p) and
+    n, past which C(n,q) = 0: an empty sum for a negative degree, and at most
+    n + 1 terms for any degree.  A modulus below 2 is refused.
     """
     if p < 2:
         raise ValueError(f"modulus must be at least 2, got {p}")
     total = 0
-    for q in range(ell // p + 1):
+    for q in range(min(ell // p, n) + 1):
         m = n + ell - q * p - 1
         if m < n - 1:
             continue

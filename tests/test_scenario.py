@@ -124,15 +124,18 @@ def test_unreadable_files_are_refused(tmp_path):
 
 def test_each_profile_is_validated_once(tmp_path, monkeypatch):
     # The warnings (layer ranks included) and hypothesis_ok come from one
-    # validation of the profile.
+    # validation of the profile, which looks up the rank of each layer whose
+    # entry is above rk_w, and of no other.
     records = [_record(profile=[1, 1]), _record(profile=[1, 3], rkW=1),
                _record(n=2, p=2, KH=1, g=None, profile=[1, 3, 2], rkW=1)]
     scenarios = _load(tmp_path, json.dumps(records))
-    calls = []
-    issues = slp._profile_issues
-    monkeypatch.setattr(slp, "_profile_issues", lambda *args: calls.append(args) or issues(*args))
-    out = [evaluate_scenario(sc) for sc in scenarios]
-    assert len(calls) == len(records)
+    out, lookups = [], []
+    layer_rank = slp.trunc_rank
+    monkeypatch.setattr(slp, "trunc_rank", lambda *args: lookups.append(args) or layer_rank(*args))
+    for sc, expected in zip(scenarios, (0, 1, 2)):
+        lookups.clear()
+        out.append(evaluate_scenario(sc))
+        assert len(lookups) == expected, lookups
     assert [o["weight_sum"]["hypothesis_ok"] for o in out] == [True, False, False]
     assert out[1]["warnings"] == ["profile: r_1 = 3 exceeds layer rank 1",
                                   "profile: profile not non-increasing at 1"]

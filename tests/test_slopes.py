@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,27 @@ def test_weight_sum_check_matches_its_definition():
                 assert (*verdict, bool(violations)) == expected, (n, p, profile, mode, rk_w)
 
 
+def test_weight_sum_check_orders_mixed_violations():
+    # Where violations of different kinds meet: length and sign first (a
+    # negative entry ends the checks), then layer ranks, then the mirror or
+    # monotone rule.  The sums past the top layer are the direct form's alone.
+    assert weight_sum_check(2, 2, (1, 3, 2, 0), rk_w=1) == (
+        ("profile has 4 entries, more than 3 layers", "r_1 = 3 exceeds layer rank 2",
+         "r_2 = 2 exceeds layer rank 1", "r_2 = 2 exceeds mirror r_0 = 1"), False, -2, -2)
+    assert weight_sum_check(2, 2, (1, 3, -2, 0), rk_w=1) == (
+        ("profile has 4 entries, more than 3 layers",
+         "profile entries must be non-negative"), False, 6, 6)
+    assert weight_sum_check(1, 3, (1, 3, 2, 1), mode="monotone", rk_w=1) == (
+        ("profile has 4 entries, more than 3 layers", "r_1 = 3 exceeds layer rank 1",
+         "r_2 = 2 exceeds layer rank 1", "profile not non-increasing at 1"), False, -6, -2)
+    assert weight_sum_check(1, 3, (0, 0, 5), mode="monotone", rk_w=1) == (
+        ("r_2 = 5 exceeds layer rank 1", "profile not non-increasing at 2"), False, -10, -10)
+    mirrors = ("r_3 = 2 exceeds mirror r_1 = 1", "r_4 = 3 exceeds mirror r_0 = 0")
+    assert weight_sum_check(2, 3, (0, 1, 4, 2, 3)) == (mirrors, False, -14, -14)
+    assert weight_sum_check(2, 3, (0, 1, 4, 2, 3), rk_w=2) == (
+        ("r_4 = 3 exceeds layer rank 2", *mirrors), False, -14, -14)
+
+
 def test_instability_bound_examples():
     sd = make_slope_data(2, 3, 2, kh=1, mu_w=0)
     assert instability_bound(sd, Fraction(1, 2)) == 3
@@ -254,6 +276,32 @@ def test_equality_diagnosis():
     assert equality_diagnosis(2, 3, full) == (True, ())
     assert equality_diagnosis(2, 3, (1, 2, 3)) == (False, (3, 4))
     assert equality_diagnosis(2, 3, (1, 2, 3, 2, 2)) == (True, (4,))
+
+
+def test_equality_diagnosis_matches_the_padded_profile():
+    # Layer by layer against the profile padded with zeros to n(p-1)+1
+    # entries (and cut there), every profile of entries 0..2 up to top+2.
+    for n, p in ((1, 2), (1, 3), (2, 2), (1, 5), (2, 3)):
+        top = n * (p - 1)
+        for length in range(top + 3):
+            for profile in itertools.product(range(3), repeat=length):
+                full = [*profile[:top + 1], *[0] * (top + 1 - length)]
+                expected = tuple(ell for ell in range(top + 1)
+                                 if 2 * ell > top and full[ell] != full[top - ell])
+                assert equality_diagnosis(n, p, profile) == (
+                    length == top + 1 and full[-1] > 0, expected), (n, p, profile)
+
+
+def test_equality_diagnosis_reads_only_the_profile():
+    # A short profile at a large top degree builds nothing of the top degree's
+    # size: the layers past the profile are zeros that are never written.
+    tracemalloc.start()
+    try:
+        assert equality_diagnosis(1, 1_000_003, (1,)) == (False, (1_000_002,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_symmetric_profile_gap_nonnegative():

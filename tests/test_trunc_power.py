@@ -56,6 +56,22 @@ def test_rank_palindrome_and_total():
             assert trunc_rank(n, p, ell) == trunc_rank(n, p, top - ell)
 
 
+def test_rank_sums_at_most_n_plus_one_terms(monkeypatch):
+    # C(n, q) = 0 for q > n, so a high degree costs no more terms than a low
+    # one; the count fails fast rather than running through ell // p terms.
+    calls = []
+    comb = math.comb
+
+    def counted(a, b):
+        calls.append((a, b))
+        assert len(calls) <= 100, "trunc_rank sums past q = n"
+        return comb(a, b)
+
+    monkeypatch.setattr(math, "comb", counted)
+    assert trunc_rank(2, 2, 10**6) == 0
+    assert len(calls) == 2 * 3  # q = 0, 1, 2, two binomials each
+
+
 def test_rank_and_koszul_refuse_bad_moduli():
     # A negative degree still has rank 0; a modulus below 2 has no truncated
     # power, and the resolution is built over F_p alone.
