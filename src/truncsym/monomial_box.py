@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import sub
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -102,12 +103,6 @@ def _enumerate(caps: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return rows, owner
 
 
-def _box_rows(caps: tuple[int, ...], degree: int) -> np.ndarray:
-    if degree < 0 or degree > sum(caps):
-        return np.zeros((0, len(caps)), _row_dtype(max(caps, default=0)))
-    return _enumerate(np.array([caps], np.int64), degree, degree)[0]
-
-
 def _as_tuples(rows: np.ndarray) -> list[MultiIndex]:
     return list(map(tuple, rows.tolist()))
 
@@ -115,8 +110,9 @@ def _as_tuples(rows: np.ndarray) -> list[MultiIndex]:
 def enumerate_box(caps: tuple[int, ...] | list[int], degree: int) -> list[MultiIndex]:
     """All elements of the box in lexicographic order; empty when out of range."""
     caps = tuple(caps)
-    _check_caps(caps)
-    return _as_tuples(_box_rows(caps, degree))
+    if not 0 <= degree <= _check_caps(caps):
+        return []
+    return _as_tuples(_enumerate(np.array([caps], np.int64), degree, degree)[0])
 
 
 @lru_cache(maxsize=256)
@@ -145,9 +141,7 @@ def box_size(caps: tuple[int, ...] | list[int], degree: int) -> int:
     if any(a < 0 for a in caps):
         raise ValueError("caps must be non-negative")
     n = len(caps)
-    if degree < 0:
-        return 0
-    if not n:
+    if degree < 0 or not n:
         return int(degree == 0)
     # signed[s]: sum of (-1)^|S| over the cap sets S with sum(a_i + 1) = s.
     signed = {0: 1}
@@ -249,7 +243,7 @@ def dominance_matching(caps: tuple[int, ...] | list[int],
         raise ValueError(f"degree {ell} exceeds half the cap total {sigma}")
     _bounded_box_size(caps, ell, MATCHING_BOX_LIMIT)
     dtype = _row_dtype(sigma)
-    source = _box_rows(caps, ell).astype(dtype)
+    source = _enumerate(np.array([caps], np.int64), ell, ell)[0].astype(dtype)
     images = _split_shift_images(source, np.tile(np.array(caps, dtype), (len(source), 1)))
     return dict(zip(_as_tuples(source), _as_tuples(images)))
 
@@ -298,13 +292,12 @@ def verify_matching(caps: tuple[int, ...] | list[int], ell: int,
     checks, is refused from its size before any element is listed.
     """
     caps = tuple(caps)
-    _check_caps(caps)
+    target = _check_caps(caps) - ell
     _bounded_box_size(caps, ell, MATCHING_BOX_LIMIT)
     source = enumerate_box(caps, ell)
     for v in source:
         if assignment.get(v) is None:
             return f"not total at {(v,)}"
-    target = sum(caps) - ell
     first: dict[MultiIndex, MultiIndex] = {}
     for v in source:
         w = assignment[v]
@@ -458,7 +451,8 @@ def hall_matching_exists(caps: tuple[int, ...] | list[int], ell: int) -> bool:
     if not 0 <= ell <= sigma:
         return True
     size = _bounded_box_size(caps, ell, HALL_BOX_LIMIT)
-    rows = np.concatenate([_box_rows(caps, ell), _box_rows(caps, sigma - ell)])
+    degrees = np.array([ell, sigma - ell])
+    rows = _enumerate(np.array([caps, caps], np.int64), degrees, degrees)[0]
     return _hall_many(rows, np.array([[0, size, size, len(rows)]]))[0]
 
 
@@ -573,22 +567,16 @@ def matching_sweep(
 
 def iter_caps_vectors(n_max: int, sigma_max: int) -> Iterator[tuple[int, ...]]:
     """All caps vectors with 1 <= n <= n_max and sum(caps) <= sigma_max,
-    by length, then in lexicographic order; none when sigma_max < 0."""
-    if sigma_max < 0:
-        return
+    by length, then in lexicographic order; none when sigma_max < 0.
+
+    Stars and bars: a vector is the steps of its running totals, a
+    non-decreasing sequence in [0, sigma_max], in the same order.  The next
+    sequence raises its last entry below sigma_max by one and copies it
+    rightward; after sigma_max everywhere it raises the first, ending the walk.
+    """
     for n in range(1, n_max + 1):
-        caps = [0] * n
-        total = 0
-        while True:
-            yield tuple(caps)
-            if total < sigma_max:
-                caps[-1] += 1
-                total += 1
-                continue
-            # The total is spent: zero the last positive entry and carry.
-            k = max((i for i in range(n) if caps[i]), default=0)
-            if k == 0:
-                break
-            total -= caps[k] - 1
-            caps[k] = 0
-            caps[k - 1] += 1
+        ends = [0] * n
+        while ends[-1] <= sigma_max:
+            yield tuple(map(sub, ends, (0, *ends)))
+            i = max(n - 1 - ends.count(sigma_max), 0)
+            ends[i:] = [ends[i] + 1] * (n - i)

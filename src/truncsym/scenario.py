@@ -131,8 +131,6 @@ def _parse_record(record, idx: int) -> Scenario:
     n = _require_int(record, "n", where)
     p = _require_int(record, "p", where)
     rk_w = _require_int(record, "rkW", where)
-    if (top := max(n, 1) * (p - 1)) > slp.TOP_DEGREE_LIMIT:
-        raise ScenarioError(f"{where}: top degree n*(p-1) = {top} exceeds {slp.TOP_DEGREE_LIMIT}")
 
     # Parsed before the try below, whose ValueError handler would prefix a
     # ScenarioError's message with the record a second time.
@@ -145,6 +143,7 @@ def _parse_record(record, idx: int) -> Scenario:
         sd = slp.make_slope_data(n, p, rk_w, kh=kh, g=g, mu_w=mu_w, c1_wh=c1_wh)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
+    top = n * (p - 1)
 
     profile = record.get("profile")
     if profile is not None:

@@ -23,10 +23,10 @@ from .trunc_power import trunc_rank
 
 Rational = Fraction | int
 
-# Largest top degree n(p-1) accepted from a configuration or a scenario:
-# slope sums materialize all n(p-1)+1 layers.  Checked before primality, so
-# a p at or above fp_linalg.MILLER_RABIN_LIMIT is refused here: ``is_prime``
-# raises ValueError for it, which would escape as a traceback.
+# Largest top degree n(p-1) that ``SlopeData`` (and so a scenario) and a
+# suite configuration accept: slope sums materialize all n(p-1)+1 layers.
+# Checked before primality, so a p at or above fp_linalg.MILLER_RABIN_LIMIT
+# is refused by its top degree before ``is_prime`` would refuse it.
 TOP_DEGREE_LIMIT = 1000
 
 
@@ -35,7 +35,8 @@ class SlopeData:
     """Numeric invariants of a rank-rk_w bundle on an n-fold in char p.
 
     kh is the canonical degree K.H^{n-1}; mu_w = c1_wh / rk_w is the slope.
-    For curves (n = 1) kh equals 2g - 2.
+    For curves (n = 1) kh equals 2g - 2.  A top degree n(p-1) above
+    TOP_DEGREE_LIMIT is refused before p is tested for primality.
     """
 
     n: int
@@ -48,6 +49,8 @@ class SlopeData:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("dimension must be positive")
+        if (top := self.n * (self.p - 1)) > TOP_DEGREE_LIMIT:
+            raise ValueError(f"top degree n*(p-1) = {top} exceeds {TOP_DEGREE_LIMIT}")
         if not is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
         if self.rk_w < 1:

@@ -161,9 +161,11 @@ def _rank_cases(pairs) -> Cases:
     for n, p in pairs:
         top = n * (p - 1)
         total = 0
+        ranks = []
         for ell in range(top + 1):
             basis = boxes.grade_basis(n, p, ell)
             formula = tp.trunc_rank(n, p, ell)
+            ranks.append(formula)
             counted = boxes.box_size((p - 1,) * n, ell)
             lower, upper = tp.symmetrization_rank(n, p, ell)
             problems = []
@@ -184,7 +186,7 @@ def _rank_cases(pairs) -> Cases:
             total += len(basis)
         yield (f"n={n} p={p} total", total == p ** n,
                f"dimensions total {total}, expected {p ** n}")
-        table[f"n={n} p={p}"] = [tp.trunc_rank(n, p, ell) for ell in range(top + 1)]
+        table[f"n={n} p={p}"] = ranks
     return {"rank_table": table}
 
 
@@ -290,13 +292,15 @@ def _filtration_cases(pairs) -> Cases:
         for ell in range(top, -1, -1):
             dims[ell] = dims[ell + 1] + len(boxes.grade_basis(n, p, ell))
         for ell in range(top + 1):
-            yield (f"layer-dim n={n} p={p} l={ell}",
-                   dims[ell] - dims[ell + 1] == tp.trunc_rank(n, p, ell),
-                   f"{dims[ell]} - {dims[ell + 1]} != rank {tp.trunc_rank(n, p, ell)}")
+            expected = tp.trunc_rank(n, p, ell)
+            ok = dims[ell] - dims[ell + 1] == expected
+            yield (f"layer-dim n={n} p={p} l={ell}", ok,
+                   "" if ok else f"{dims[ell]} - {dims[ell + 1]} != rank {expected}")
         for ell in range(1, top + 1):
             m = filt.graded_nabla_matrix(n, p, ell)
             r = rank(m)
-            yield f"graded-injective n={n} p={p} l={ell}", r == m.nrows, f"rank {r} < {m.nrows}"
+            ok = r == m.nrows
+            yield f"graded-injective n={n} p={p} l={ell}", ok, "" if ok else f"rank {r} < {m.nrows}"
         for ell in range(top + 1):
             rows = []
             for k in boxes.grade_basis(n, p, ell):
@@ -308,8 +312,8 @@ def _filtration_cases(pairs) -> Cases:
             if not rows:
                 continue
             bad = filt.composite_mismatch(n, p, rows)
-            yield (f"composite n={n} p={p} l={ell}", bad is None,
-                   f"composite row differs from signed symmetrization at {bad}")
+            yield (f"composite n={n} p={p} l={ell}", bad is None, "" if bad is None
+                   else f"composite row differs from signed symmetrization at {bad}")
         if n == 1:
             failure = filt.curve_report(p)
             yield f"curve p={p}", failure is None, failure or ""

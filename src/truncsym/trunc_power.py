@@ -335,7 +335,7 @@ def verify_koszul_exact(n: int, p: int, ell: int) -> str | None:
     """
     diffs = koszul_complex(n, p, ell)
     q_max = len(diffs)
-    dims = [len(sym_basis(n, ell)), *(d.nrows for d in diffs)]
+    dims = [diffs[0].ncols if diffs else len(sym_basis(n, ell)), *(d.nrows for d in diffs)]
     ranks = [rank(d) for d in diffs]
     for q in range(1, q_max):
         if any(mat_mul(diffs[q], diffs[q - 1]).rows):

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from collections import Counter
 from functools import cache
 
@@ -73,6 +74,9 @@ def test_enumerate_examples():
     assert enumerate_box((1, 1, 1), 3) == [(1, 1, 1)]
     assert enumerate_box((2, 2), 9) == []
     assert enumerate_box((2, 2), -1) == []
+    # The empty caps vector has one element, the empty row, at degree 0 only.
+    assert enumerate_box((), 0) == [()]
+    assert enumerate_box((), 2) == []
 
 
 def test_enumerate_rejects_negative_caps():
@@ -346,6 +350,8 @@ def test_hall_examples():
     assert hall_matching_exists((4, 4, 4), 6)
     # Empty source box: vacuous.
     assert hall_matching_exists((2, 2), 7)
+    # The empty caps vector: () dominates itself.
+    assert hall_matching_exists((), 0)
     # Rows too wide to pack into one int64 compare coordinate by coordinate.
     assert hall_matching_exists((1,) * 32, 1)
     assert not hall_matching_exists((1,) * 32, 31)
@@ -687,8 +693,21 @@ def test_iter_caps_vectors_order():
     assert list(iter_caps_vectors(2, 2)) == [
         (0,), (1,), (2,), (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     assert list(iter_caps_vectors(3, 0)) == [(0,), (0, 0), (0, 0, 0)]
-    for n_max, sigma_max in [(3, 5), (4, 3)]:
+    for n_max, sigma_max in itertools.product(range(5), range(-1, 7)):
         expected = [c for n in range(1, n_max + 1)
-                    for c in itertools.product(range(sigma_max + 1), repeat=n)
-                    if sum(c) <= sigma_max]
-        assert list(iter_caps_vectors(n_max, sigma_max)) == expected
+                    for c in sorted(v for v in itertools.product(range(sigma_max + 1), repeat=n)
+                                    if sum(v) <= sigma_max)]
+        assert list(iter_caps_vectors(n_max, sigma_max)) == expected, (n_max, sigma_max)
+
+
+def test_iter_caps_vectors_is_lazy():
+    # Neither bound is materialized: the first vectors come at once.  A pool of
+    # the 10**6 + 1 running totals, as itertools' combinatorics build, traces 40 MB.
+    tracemalloc.start()
+    try:
+        assert next(iter_caps_vectors(10**6, 10**6)) == (0,)
+        assert list(itertools.islice(iter_caps_vectors(3, 10**6), 3)) == [(0,), (1,), (2,)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

@@ -46,6 +46,10 @@ def test_slope_data_validation():
         make_slope_data(1, 3, 2, kh=2, mu_w=Fraction(1, 2), c1_wh=1)  # even a consistent one
     with pytest.raises(ValueError, match="must equal"):
         SlopeData(1, 2, 2, Fraction(0), Fraction(1), Fraction(3))  # built directly
+    # layer_slopes would build n(p-1)+1 entries: 10^9 + 7 of them for the first.
+    for n, p in [(1, 1_000_000_007), (1001, 2)]:
+        with pytest.raises(ValueError, match="top degree"):
+            make_slope_data(n, p, 1, kh=1, mu_w=0)
 
 
 def test_pushforward_examples():
