@@ -12,6 +12,7 @@ two of them.  Scalars outside matrices are plain ints reduced into [0, p).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -65,6 +66,7 @@ def _check_modulus(p: int) -> None:
         raise ValueError(f"modulus must be prime, got {p}")
 
 
+@dataclass(frozen=True, slots=True)
 class FpMatrix:
     """Immutable matrix over F_p, held as sparse rows.
 
@@ -73,21 +75,19 @@ class FpMatrix:
     is always given, since rows need not reach the last column.
     """
 
-    __slots__ = ("rows", "ncols", "modulus")
+    rows: tuple[dict[int, int], ...]
+    modulus: int
+    ncols: int
 
-    def __init__(self, rows: Iterable[dict[int, int]], modulus: int, cols: int):
-        _check_modulus(modulus)
+    def __post_init__(self) -> None:
+        p, ncols = self.modulus, self.ncols
+        _check_modulus(p)
         reduced = []
-        for row in rows:
-            if row and not (0 <= min(row) and max(row) < cols):
-                raise ValueError(f"column outside [0, {cols})")
-            reduced.append({j: w for j, v in row.items() if (w := v % modulus)})
+        for row in self.rows:
+            if row and not (0 <= min(row) and max(row) < ncols):
+                raise ValueError(f"column outside [0, {ncols})")
+            reduced.append({j: w for j, v in row.items() if (w := v % p)})
         object.__setattr__(self, "rows", tuple(reduced))
-        object.__setattr__(self, "ncols", cols)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("FpMatrix is immutable")
 
     @property
     def nrows(self) -> int:
@@ -97,14 +97,6 @@ class FpMatrix:
     def entries(self) -> tuple[tuple[int, ...], ...]:
         """The dense view: every row as a tuple of ncols entries."""
         return tuple(tuple(row.get(j, 0) for j in range(self.ncols)) for row in self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        return (self.modulus, self.ncols, self.rows) == (other.modulus, other.ncols, other.rows)
-
-    def __repr__(self) -> str:
-        return f"FpMatrix({list(self.rows)!r}, modulus={self.modulus}, cols={self.ncols})"
 
 
 def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
@@ -138,7 +130,12 @@ def eliminate(rows: Iterable[dict], p: int, width: int | None = None,
     ``start``, pivot rows an earlier call returned, extends that span: the
     result then spans ``start`` and ``rows``.  Neither the dict nor its rows
     are modified; the result shares the rows.
+
+    ``p`` is not tested for primality: a modulus below 2 is refused, and so
+    is a leading entry with no inverse mod p, so every pivot leads with 1.
     """
+    if p < 2:
+        raise ValueError(f"modulus must be at least 2, got {p}")
     pivots: dict = {} if start is None else dict(start)
     if len(pivots) == width:
         return pivots
@@ -152,7 +149,7 @@ def eliminate(rows: Iterable[dict], p: int, width: int | None = None,
                 if not lead:  # a multiple of p leads no pivot
                     del row[key]
                     continue
-                inv = pow(lead, p - 2, p)
+                inv = pow(lead, -1, p)  # ValueError when lead is not a unit
                 pivots[key] = {c: w for c, v in row.items() if (w := v * inv % p)}
                 break
             _subtract(row, row[key], piv, p)

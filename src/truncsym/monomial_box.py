@@ -116,18 +116,14 @@ def enumerate_box(caps: tuple[int, ...] | list[int], degree: int) -> list[MultiI
 
 
 @lru_cache(maxsize=256)
-def _grade_basis(n: int, p: int, ell: int) -> tuple[MultiIndex, ...]:
-    return tuple(enumerate_box((p - 1,) * n, ell))
-
-
-def grade_basis(n: int, p: int, ell: int) -> list[MultiIndex]:
+def grade_basis(n: int, p: int, ell: int) -> tuple[MultiIndex, ...]:
     """Monomial basis of grade ell in n variables with exponents capped at p-1.
 
     The one basis shared by the truncated power, the truncated algebra and
     its operators, and the layers of the connection filtration.  The most
-    recent grades are cached, so their repeated lookups do not re-enumerate.
+    recent grades are cached, and a repeated lookup returns the cached tuple.
     """
-    return list(_grade_basis(n, p, ell))
+    return tuple(enumerate_box((p - 1,) * n, ell))
 
 
 def box_size(caps: tuple[int, ...] | list[int], degree: int) -> int:

@@ -43,14 +43,6 @@ def apply_diff(op: MultiIndex, mono: MultiIndex, p: int) -> tuple[int, MultiInde
     return coeff, tuple(k - e for e, k in zip(op, mono))
 
 
-def _action_map(n: int, p: int, op: MultiIndex, ell: int) -> dict[int, tuple[int, int]]:
-    """t^op on grade ell of R as {source index: (target index, coeff)} over the
-    monomials it does not kill; distinct sources have distinct targets."""
-    index = {m: j for j, m in enumerate(grade_basis(n, p, ell - sum(op)))}
-    images = (apply_diff(op, mono, p) for mono in grade_basis(n, p, ell))
-    return {i: (index[res], coeff) for i, (coeff, res) in enumerate(images) if coeff}
-
-
 def omega_pairing_matrix(n: int, p: int, ell: int) -> FpMatrix:
     """Multiplication against omega = prod y_i^{p-1}: grade-ell operators
     land in the complementary grade of R.
@@ -80,21 +72,14 @@ class GradedSubspace:
 
     @classmethod
     def from_vectors(cls, n: int, p: int, grade: int, vectors) -> "GradedSubspace":
-        """Span of the vectors: each a sequence of the grade's dimension, or
-        a dict {index: entry} of its nonzero entries, indices in [0, width)."""
+        """Span of the vectors, each a sparse row {index: entry} with its
+        indices in [0, width), width the grade's dimension."""
         _check_modulus(p)
         width = len(grade_basis(n, p, grade))
-        rows = []
-        for v in vectors:
-            if isinstance(v, dict):
-                if v and not (0 <= min(v) and max(v) < width):
-                    raise ValueError(f"vector indices outside [0, {width})")
-                rows.append(v)
-            else:
-                v = list(v)
-                if len(v) != width:
-                    raise ValueError(f"vector length {len(v)} != grade dimension {width}")
-                rows.append({j: x for j, x in enumerate(v) if x})
+        rows = list(vectors)
+        for v in rows:
+            if v and not (0 <= min(v) and max(v) < width):
+                raise ValueError(f"vector indices outside [0, {width})")
         return cls(n, p, grade, eliminate(rows, p, width))
 
     @classmethod
@@ -135,14 +120,20 @@ class GradedSubspace:
 
 @lru_cache(maxsize=1)
 def _bridging_actions(n: int, p: int, ell: int) -> tuple[dict[int, tuple[int, int]], ...]:
-    """The actions on grade ell of the operator monomials of the bridging
-    degree 2l - n(p-1), which carry grade ell onto its complementary grade;
-    a grade below half the top one is refused."""
+    """The actions on grade ell of the operator monomials t^op of the
+    bridging degree 2l - n(p-1), which carry grade ell onto its complementary
+    grade, each as {source index: (target index, coeff)} over the monomials
+    it does not kill; distinct sources have distinct targets.  A grade below
+    half the top one is refused."""
     # One entry suffices: the growth claim visits the grades one at a time.
     top = n * (p - 1)
     if 2 * ell < top:
         raise ValueError(f"grade {ell} below half the top grade {top}")
-    return tuple(_action_map(n, p, op, ell) for op in grade_basis(n, p, 2 * ell - top))
+    source = grade_basis(n, p, ell)
+    index = {m: j for j, m in enumerate(grade_basis(n, p, top - ell))}
+    return tuple({i: (index[res], coeff) for i, (coeff, res) in
+                  enumerate(apply_diff(op, mono, p) for mono in source) if coeff}
+                 for op in grade_basis(n, p, 2 * ell - top))
 
 
 def _image_span(n: int, p: int, ell: int, rows, start: dict | None = None) -> dict:

@@ -81,10 +81,34 @@ def _last_word_dropped(piece, p):
     return i, words[:-1], coeffs[:-1]
 
 
-def _rank_one_high_on_one_grade(monkeypatch):
-    formula = tp.trunc_rank
-    monkeypatch.setattr(tp, "trunc_rank", lambda n, p, ell: formula(n, p, ell)
-                        + ((n, p, ell) == (3, 2, 1)))
+def _rank_one_high_at(grade):
+    """A fault in the rank formula: ``trunc_rank`` one too high at the
+    grade (n, p, l) alone."""
+    def fault(monkeypatch):
+        formula = tp.trunc_rank
+        monkeypatch.setattr(tp, "trunc_rank", lambda n, p, ell: formula(n, p, ell)
+                            + ((n, p, ell) == grade))
+    return fault
+
+
+def _graded_maps(change):
+    """A fault in the graded maps: ``change(n, m)`` replaces every matrix m
+    that ``graded_nabla_matrix`` builds in n variables."""
+    def fault(monkeypatch):
+        build = filt.graded_nabla_matrix
+        monkeypatch.setattr(filt, "graded_nabla_matrix",
+                            lambda n, p, ell: change(n, build(n, p, ell)))
+    return fault
+
+
+def _first_row_emptied(n, m):
+    return FpMatrix(({},) + m.rows[1:], m.modulus, m.ncols)
+
+
+def _curve_entries_negated(n, m):
+    # Negating a row keeps every rank; only the curve's entries -l mod p move.
+    rows = [{j: -v for j, v in row.items()} for row in m.rows] if n == 1 else m.rows
+    return FpMatrix(rows, m.modulus, m.ncols)
 
 
 def _one_row_repeated_reversed(monkeypatch):
@@ -189,6 +213,7 @@ def _weights_centred_one_low(monkeypatch):
 
 
 FILTRATION_PAIRS = [(2, 3), (3, 2), (2, 5)]
+CURVE_PAIRS = FILTRATION_PAIRS + [(1, 3), (1, 5)]
 SLOPE_PRIMES = [2, 3, 5]
 
 CLAIMS = [
@@ -200,7 +225,13 @@ CLAIMS = [
      _fault_last_pieces(_last_coefficient_off), {"composite"}),
     ("filtration-word", lambda: _in_small_pieces(_filtration_cases(FILTRATION_PAIRS)),
      _fault_last_pieces(_last_word_dropped), {"composite"}),
-    ("ranks", lambda: _rank_cases([(2, 3), (3, 2)]), _rank_one_high_on_one_grade, {"n=3"}),
+    ("filtration-layer-dim", lambda: _filtration_cases(CURVE_PAIRS), _rank_one_high_at((2, 3, 2)),
+     {"layer-dim"}),
+    ("filtration-injective", lambda: _filtration_cases(CURVE_PAIRS),
+     _graded_maps(_first_row_emptied), {"graded-injective", "curve"}),
+    ("filtration-curve", lambda: _filtration_cases(CURVE_PAIRS),
+     _graded_maps(_curve_entries_negated), {"curve"}),
+    ("ranks", lambda: _rank_cases([(2, 3), (3, 2)]), _rank_one_high_at((3, 2, 1)), {"n=3"}),
     ("ranks-symmetrization", lambda: _rank_cases([(2, 3), (3, 2)]), _one_row_repeated_reversed,
      {"n=2", "n=3"}),
     ("koszul", lambda: _koszul_cases([(2, 3), (3, 2), (2, 5)]), _deepest_entry_zeroed,

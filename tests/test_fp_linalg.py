@@ -1,4 +1,5 @@
 import copy
+import signal
 import time
 
 import pytest
@@ -87,6 +88,28 @@ def test_eliminate_takes_entries_mod_p():
     assert len(eliminate([{0: 2, 1: 1}, {0: 1}, {0: 4, 1: 2}], 2)) == 2
 
 
+def test_eliminate_refuses_a_modulus_with_no_inverse():
+    # Mod 4 the lead 2 has no inverse, so no scaling makes it lead with 1,
+    # and a pivot that does not lead with 1 never clears its column from a
+    # later row.  Each input must be refused; the alarm turns a hang into a
+    # failure.
+    def hung(signum, frame):
+        raise AssertionError("eliminate did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        for rows, p in [([{0: 2}, {0: 1}], 4), ([{0: 2}], 4), ([{0: 1}, {0: 1}], 0),
+                        ([{0: 1}], 1)]:
+            with pytest.raises(ValueError):
+                eliminate(rows, p)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # A lead that is a unit mod a composite modulus still gives a pivot leading with 1.
+    assert eliminate([{0: 3, 1: 2}], 4) == {0: {0: 1, 1: 2}}
+
+
 def test_rank_identity_mod3():
     assert rank(dense_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)) == 3
 
@@ -129,6 +152,17 @@ def test_sparse_rows_reduced_and_columns_in_range():
         dense_matrix([(1, 0), (1, 0, 1)], 5)
 
 
+def test_matrix_is_a_frozen_value():
+    # Equal when the reduced rows, the modulus and the width are; no field
+    # can be assigned.
+    m = FpMatrix([{0: 6}], 5, 1)
+    assert m == FpMatrix([{0: 1}], 5, 1) == FpMatrix(rows=[{0: 11}], modulus=5, ncols=1)
+    for field in ("rows", "modulus", "ncols"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, getattr(m, field))
+    assert m.rows == ({0: 1},)
+
+
 def test_modulus_beyond_int64_products_refused():
     # (p-1)^2 >= 2^63: the word rows' int64 coefficient products would wrap
     # around, and a matrix refuses the same moduli.
@@ -161,11 +195,11 @@ def test_mat_mul_and_zero_matrix():
 
 
 def test_empty_matrix_needs_cols():
-    m = FpMatrix([], 3, cols=4)
+    m = FpMatrix([], 3, ncols=4)
     assert (m.nrows, m.ncols) == (0, 4)
     assert rank(m) == 0 and m.entries == ()
     assert row_reduce(m) == (m, 0)
-    assert m != FpMatrix([], 3, cols=5)
+    assert m != FpMatrix([], 3, ncols=5)
 
 
 @st.composite

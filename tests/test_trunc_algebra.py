@@ -110,45 +110,43 @@ def test_omega_pairing_range_check():
 
 
 def test_subspace_construction_reduces():
-    sub = GradedSubspace.from_vectors(2, 3, 2, [[0, 0, 2], [2, 1, 1], [1, 2, 2]])
+    sub = GradedSubspace.from_vectors(2, 3, 2, [{2: 2}, {0: 2, 1: 1, 2: 1}, {0: 1, 1: 2, 2: 2}])
     assert sub.dim == 2
     # The reduced basis: rows by leading column, each leading with 1, and the
     # later pivot column cleared from the first row.
     assert sub.basis.entries == ((1, 2, 0), (0, 0, 1))
-    with pytest.raises(ValueError):
-        GradedSubspace.from_vectors(2, 3, 2, [[1, 0]])
 
 
 def test_subspaces_compare_by_span():
-    sub = GradedSubspace.from_vectors(2, 3, 2, [[0, 0, 2], [2, 1, 1]])
-    same = GradedSubspace.from_vectors(2, 3, 2, [[1, 2, 0], [0, 0, 1], [2, 1, 0]])
+    sub = GradedSubspace.from_vectors(2, 3, 2, [{2: 2}, {0: 2, 1: 1, 2: 1}])
+    same = GradedSubspace.from_vectors(2, 3, 2, [{0: 1, 1: 2}, {2: 1}, {0: 2, 1: 1}])
     assert sub.basis == same.basis
     # Another span of the grade, and the same vectors over F_5, differ.
     assert sub.basis != GradedSubspace.from_vectors(2, 3, 2, [{0: 1}, {2: 1}]).basis
-    assert sub.basis != GradedSubspace.from_vectors(2, 5, 2, [[1, 2, 0], [0, 0, 1]]).basis
+    assert sub.basis != GradedSubspace.from_vectors(2, 5, 2, [{0: 1, 1: 2}, {2: 1}]).basis
     # Grades 1 and 3 of (2, 3) are both two-dimensional: the same basis.
-    assert GradedSubspace.from_vectors(2, 3, 1, [[1, 0], [0, 1]]).basis == \
-        GradedSubspace.from_vectors(2, 3, 3, [[0, 1], [1, 0]]).basis
+    assert GradedSubspace.from_vectors(2, 3, 1, [{0: 1}, {1: 1}]).basis == \
+        GradedSubspace.from_vectors(2, 3, 3, [{1: 1}, {0: 1}]).basis
 
 
 def test_subspace_refuses_bad_modulus():
     # A composite modulus, and primes whose (p-1)^2 reaches 2^63 (the size is
     # refused before any primality test).
     with pytest.raises(ValueError, match="prime"):
-        GradedSubspace.from_vectors(1, 4, 1, [[1]])
+        GradedSubspace.from_vectors(1, 4, 1, [{0: 1}])
     for p in (4294967311, 10 ** 18 + 3):
         with pytest.raises(ValueError, match="too large"):
-            GradedSubspace.from_vectors(1, p, 1, [[1]])
+            GradedSubspace.from_vectors(1, p, 1, [{0: 1}])
 
 
 def test_subspace_from_sparse_rows_equals_dense():
-    # A dict row names the nonzero entries of a vector; mixed with dense rows
-    # it spans what the dense vectors span.
+    # A sparse row names the nonzero entries of a vector: the span is the
+    # row space of the dense vectors, by the textbook elimination.
     dense = [[0, 0, 2], [2, 1, 1], [1, 2, 2]]
-    sparse = [{2: 2}, {0: 2, 1: 1, 2: 1}, [1, 2, 2]]
-    a = GradedSubspace.from_vectors(2, 3, 2, dense)
-    b = GradedSubspace.from_vectors(2, 3, 2, sparse)
-    assert a.pivots == b.pivots and a.basis == b.basis
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
+    rref, r = reference_rref(dense, 3)
+    sub = GradedSubspace.from_vectors(2, 3, 2, sparse)
+    assert sub.dim == r and sub.basis.entries == tuple(map(tuple, rref[:r]))
     assert GradedSubspace.from_vectors(2, 3, 2, [{}]).dim == 0
     for row in ({3: 1}, {-1: 1}, {0: 1, 5: 2}):
         with pytest.raises(ValueError, match="outside"):
@@ -166,7 +164,8 @@ def test_random_subspace_draws_randrange_entries_row_by_row():
             ours, theirs = random.Random(seed), random.Random(seed)
             sub = GradedSubspace.random(n, p, ell, dim, ours)
             while True:
-                rows = [[theirs.randrange(p) for _ in range(width)] for _ in range(dim)]
+                rows = [{j: x for j in range(width) if (x := theirs.randrange(p))}
+                        for _ in range(dim)]
                 expected = GradedSubspace.from_vectors(n, p, ell, rows)
                 if expected.dim == dim:
                     break
@@ -176,22 +175,22 @@ def test_random_subspace_draws_randrange_entries_row_by_row():
 
 def test_spanned_image_examples():
     # Top grade of the single-variable algebra: degree-two operators hit 1.
-    full = GradedSubspace.from_vectors(1, 3, 2, [[1]])
+    full = GradedSubspace.from_vectors(1, 3, 2, [{0: 1}])
     assert spanned_image_dim(full) == 1
 
     # Degree-zero operators leave the subspace in place.
-    mid = GradedSubspace.from_vectors(2, 3, 2, [[1, 1, 0], [0, 1, 2]])
+    mid = GradedSubspace.from_vectors(2, 3, 2, [{0: 1, 1: 1}, {1: 1, 2: 2}])
     assert mid.grade * 2 == 2 * (3 - 1)
     assert spanned_image_dim(mid) == mid.dim
 
     # Both second derivatives kill the square-free monomial; the cross one
     # survives and lands on the constant.
-    prod = GradedSubspace.from_vectors(2, 2, 2, [[1]])
+    prod = GradedSubspace.from_vectors(2, 2, 2, [{0: 1}])
     assert spanned_image_dim(prod) == 1
 
 
 def test_spanned_image_grade_precondition():
-    low = GradedSubspace.from_vectors(2, 3, 1, [[1, 0]])
+    low = GradedSubspace.from_vectors(2, 3, 1, [{0: 1}])
     with pytest.raises(ValueError, match="^grade 1 below half the top grade 4$"):
         spanned_image_dim(low)
 

@@ -29,9 +29,15 @@ SMALL_GRID = [(n, p) for n in (1, 2, 3) for p in (2, 3, 5)]
 
 
 def test_basis_examples():
-    assert grade_basis(2, 3, 3) == [(1, 2), (2, 1)]
-    assert grade_basis(3, 2, 3) == [(1, 1, 1)]
-    assert grade_basis(2, 3, 2 * 2 + 1) == []
+    assert grade_basis(2, 3, 3) == ((1, 2), (2, 1))
+    assert grade_basis(3, 2, 3) == ((1, 1, 1),)
+    assert grade_basis(2, 3, 2 * 2 + 1) == ()
+
+
+def test_grade_basis_returns_its_cached_tuple():
+    # A repeated lookup is the cached tuple itself, not a copy of it.
+    assert grade_basis(2, 3, 2) is grade_basis(2, 3, 2)
+    assert isinstance(grade_basis(2, 3, 2), tuple)
 
 
 def test_rank_examples():
