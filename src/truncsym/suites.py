@@ -286,11 +286,7 @@ def _filtration_cases(pairs) -> Cases:
     skipped = []
     for n, p in pairs:
         top = n * (p - 1)
-        # dims[ell] = len(filtration_basis(n, p, ell)): the grade sizes from
-        # ell up, summed from the top down.
-        dims = [0] * (top + 2)
-        for ell in range(top, -1, -1):
-            dims[ell] = dims[ell + 1] + len(boxes.grade_basis(n, p, ell))
+        dims = [len(filt.filtration_basis(n, p, ell)) for ell in range(top + 2)]
         for ell in range(top + 1):
             expected = tp.trunc_rank(n, p, ell)
             ok = dims[ell] - dims[ell + 1] == expected

@@ -34,17 +34,14 @@ def trunc_rank(n: int, p: int, ell: int) -> int:
 
     Sum over q of (-1)^q C(n,q) C(n+ell-qp-1, n-1), q up to floor(ell/p) and
     n, past which C(n,q) = 0: an empty sum for a negative degree, and at most
-    n + 1 terms for any degree.  A modulus below 2 is refused.
+    n + 1 terms for any degree.  A modulus below 2 and n < 1 are refused.
     """
     if p < 2:
         raise ValueError(f"modulus must be at least 2, got {p}")
-    total = 0
-    for q in range(min(ell // p, n) + 1):
-        m = n + ell - q * p - 1
-        if m < n - 1:
-            continue
-        total += (-1) ** q * math.comb(n, q) * math.comb(m, n - 1)
-    return total
+    if n < 1:
+        raise ValueError(f"need n >= 1 variables, got n={n}")
+    return sum((-1) ** q * math.comb(n, q) * math.comb(n + ell - q * p - 1, n - 1)
+               for q in range(min(ell // p, n) + 1))
 
 
 def gl2_dim(p: int, ell: int) -> int:
@@ -221,7 +218,8 @@ def symmetrized_rows(n: int, p: int,
     """
     places = _check_rows(n, p, monomials)
     length = len(places)
-    coeffs = [math.prod(map(math.factorial, k)) % p for k in monomials]
+    coeffs = [0 if max(k, default=0) >= p else math.prod(map(math.factorial, k)) % p
+              for k in monomials]
     # One word per row; the walk below is 3-10x slower on it.
     if n == 1:
         yield from _one_letter_rows(coeffs)

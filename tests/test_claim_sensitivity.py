@@ -91,6 +91,14 @@ def _rank_one_high_at(grade):
     return fault
 
 
+def _top_grade_dropped(monkeypatch):
+    """A fault in the layer sizes: ``filtration_basis`` without its top
+    grade for n >= 2, where only the layer-dim cases read it."""
+    basis = filt.filtration_basis
+    monkeypatch.setattr(filt, "filtration_basis", lambda n, p, ell: [
+        k for k in basis(n, p, ell) if n == 1 or sum(k) < n * (p - 1)])
+
+
 def _graded_maps(change):
     """A fault in the graded maps: ``change(n, m)`` replaces every matrix m
     that ``graded_nabla_matrix`` builds in n variables."""
@@ -226,6 +234,8 @@ CLAIMS = [
     ("filtration-word", lambda: _in_small_pieces(_filtration_cases(FILTRATION_PAIRS)),
      _fault_last_pieces(_last_word_dropped), {"composite"}),
     ("filtration-layer-dim", lambda: _filtration_cases(CURVE_PAIRS), _rank_one_high_at((2, 3, 2)),
+     {"layer-dim"}),
+    ("filtration-basis", lambda: _filtration_cases(CURVE_PAIRS), _top_grade_dropped,
      {"layer-dim"}),
     ("filtration-injective", lambda: _filtration_cases(CURVE_PAIRS),
      _graded_maps(_first_row_emptied), {"graded-injective", "curve"}),

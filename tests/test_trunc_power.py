@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -89,6 +90,16 @@ def test_rank_and_koszul_refuse_bad_moduli():
         for build in (koszul_complex, verify_koszul_exact):
             with pytest.raises(ValueError, match="modulus"):
                 build(2, p, 1)
+
+
+def test_rank_refuses_fewer_than_one_variable():
+    # Unrefused, n = -1 sums nothing and gives rank 0, and the Koszul check
+    # then words a failure of a resolution that does not exist.
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            trunc_rank(n, 2, 0)
+    with pytest.raises(ValueError):
+        verify_koszul_exact(-1, 2, 0)
 
 
 def test_gl2_examples_and_sweep():
@@ -213,6 +224,23 @@ def test_word_builders_refuse_fewer_than_one_letter():
                      lambda: composite_mismatch(n, 2, [()])):
             with pytest.raises(ValueError, match=f"need n >= 1 letters, got n={n}"):
                 call()
+
+
+def test_symmetrized_rows_skip_the_factorials_of_a_vanishing_row():
+    # An exponent of p or more makes prod(k_i!) vanish mod p; the full
+    # factorial of 10**6 alone takes seconds.  The alarm turns a slow
+    # build into a failure.
+    def hung(signum, frame):
+        raise AssertionError("symmetrized_rows did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(2)
+    try:
+        (i, words, coeffs), = symmetrized_rows(1, 3, [(10**6,)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert i == 0 and len(words) == len(coeffs) == 0
 
 
 def test_word_rows_drop_prefixes_whose_block_is_empty(monkeypatch):
